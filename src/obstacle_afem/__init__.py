@@ -3,14 +3,12 @@
 from .adapt import (LoopRecord, MarkingResult, RunResult, dorfler_mark,
                     run_adaptive, run_uniform)
 from .boundary import (BoundaryTrace, DiscreteTrace, apx_indicator,
-                       apx_total, check_trace_continuity,
-                       interpolate_boundary)
-from .estimator import (IndicatorSet, assemble_indicators,
-                        boundary_residual, interior_osc, jump_indicator)
+                       check_trace_continuity, interpolate_boundary)
+from .estimator import IndicatorSet, assemble_indicators
 from .fem import (assemble_load, assemble_stiffness, energy,
                   energy_norm_diff, h1_error, prolong)
 from .mesh import (LShape, Mesh, Square, build_initial_mesh, dump_mesh,
-                   edge_patch, refine, shape_regularity)
+                   refine, shape_regularity)
 from .problems import (Obstacle, ProblemSpec, TransformedProblem, example1,
                        example1_exact_energy, example2, load_custom,
                        reference_energy, to_zero_obstacle)
@@ -22,14 +20,13 @@ __version__ = "0.1.0"
 __all__ = [
     "LoopRecord", "MarkingResult", "RunResult", "dorfler_mark",
     "run_adaptive", "run_uniform",
-    "BoundaryTrace", "DiscreteTrace", "apx_indicator", "apx_total",
+    "BoundaryTrace", "DiscreteTrace", "apx_indicator",
     "check_trace_continuity", "interpolate_boundary",
-    "IndicatorSet", "assemble_indicators", "boundary_residual",
-    "interior_osc", "jump_indicator",
+    "IndicatorSet", "assemble_indicators",
     "assemble_load", "assemble_stiffness", "energy", "energy_norm_diff",
     "h1_error", "prolong",
     "LShape", "Mesh", "Square", "build_initial_mesh", "dump_mesh",
-    "edge_patch", "refine", "shape_regularity",
+    "refine", "shape_regularity",
     "Obstacle", "ProblemSpec", "TransformedProblem", "example1",
     "example1_exact_energy", "example2", "load_custom", "reference_energy",
     "to_zero_obstacle",

@@ -10,9 +10,7 @@ __all__ = [
     "DiscreteTrace",
     "interpolate_boundary",
     "apx_indicator",
-    "apx_total",
     "check_trace_continuity",
-    "trace_derivative_norm2",
 ]
 
 
@@ -37,15 +35,12 @@ class BoundaryTrace:
     def __call__(self, x, y):
         return self._value(x, y)
 
-    @property
-    def has_gradient(self):
-        return self._gradient is not None
-
     def arc_derivative(self, x, y, tangent, h):
-        """Arclength derivative at points on a straight edge.
+        """Arclength derivative at points on straight edges.
 
-        ``tangent`` is the unit tangent of the edge and ``h`` its length
-        (sets the finite-difference step in the fallback).
+        ``tangent`` is the pair (tx, ty) of unit-tangent components and
+        ``h`` the edge length (sets the finite-difference step in the
+        fallback), each broadcastable against ``x``.
         """
         tx, ty = tangent
         if self._gradient is not None:
@@ -97,49 +92,29 @@ def interpolate_boundary(g, mesh):
 
 
 def apx_indicator(g, gl, eid, n_quad=5):
-    """Dirichlet oscillation h_E * int_E ((g - g_l)')^2 of one edge.
+    """Dirichlet oscillation h_E * int_E ((g - g_l)')^2 of boundary edges.
 
-    The interpolant slope is the endpoint difference over the edge length;
-    g' is evaluated at Gauss points along the edge.
+    ``eid`` is one edge id (returns a float) or an array of ids (returns
+    an array of the same shape).  The interpolant slope is the endpoint
+    difference over the edge length; g' is evaluated at Gauss points
+    along each edge.
     """
     mesh = gl.mesh
-    eid = int(eid)
-    if not mesh.is_boundary_edge[eid]:
+    scalar = np.ndim(eid) == 0
+    eid = np.asarray(eid, dtype=np.int64)
+    if not mesh.is_boundary_edge[eid].all():
         raise ValueError("apx_indicator requires a boundary edge")
-    n0, n1 = mesh.edges[eid]
+    n0, n1 = mesh.edges[eid, 0], mesh.edges[eid, 1]
     p, q = mesh.nodes[n0], mesh.nodes[n1]
     h = mesh.edge_lengths[eid]
-    tangent = (q - p) / h
+    tangent = (q - p) / h[..., None]
     slope = (gl.value_at(n1) - gl.value_at(n0)) / h
     pts, w = gauss_segment(p, q, n_quad)
-    gp = g.arc_derivative(pts[:, 0], pts[:, 1], tangent, h)
-    return float(h * np.sum(w * (np.asarray(gp) - slope) ** 2))
-
-
-def apx_total(indicators):
-    """Sum of squared apx indicators over the boundary edges."""
-    return float(np.sum(indicators))
-
-
-def trace_derivative_norm2(derivative, mesh, weights=None, n_quad=5):
-    """Weighted squared L2 norm of an arclength derivative on the boundary.
-
-    ``derivative(x, y, tangent, edge_id)`` gives the pointwise arclength
-    derivative; ``weights`` maps each boundary edge id to its h-weight
-    (defaults to the edge's own length).  Returns
-    ``sum_E w_E * int_E derivative^2``.
-    """
-    total = 0.0
-    for eid in mesh.boundary_edge_ids():
-        n0, n1 = mesh.edges[eid]
-        p, q = mesh.nodes[n0], mesh.nodes[n1]
-        h = mesh.edge_lengths[eid]
-        tangent = (q - p) / h
-        pts, w = gauss_segment(p, q, n_quad)
-        d = derivative(pts[:, 0], pts[:, 1], tangent, eid)
-        weight = h if weights is None else weights[eid]
-        total += weight * float(np.sum(w * np.asarray(d) ** 2))
-    return total
+    gp = g.arc_derivative(pts[..., 0], pts[..., 1],
+                          (tangent[..., 0, None], tangent[..., 1, None]),
+                          h[..., None])
+    apx = h * np.sum(w * (np.asarray(gp) - slope[..., None]) ** 2, axis=-1)
+    return float(apx) if scalar else apx
 
 
 def check_trace_continuity(g, mesh, tol=1e-10, delta=1e-7):

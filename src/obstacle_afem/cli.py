@@ -30,7 +30,6 @@ class RunConfig:
     dump_mesh: str = None
     dump_indicators: str = None
     reference_elements: int = None
-    seed: int = 0
 
 
 @dataclass
@@ -168,7 +167,6 @@ def _build_parser():
     p_run.add_argument("--dump-mesh", default=None)
     p_run.add_argument("--dump-indicators", default=None)
     p_run.add_argument("--reference-elements", type=int, default=None)
-    p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--config", default=None,
                        help="JSON config mirroring the flags")
 
@@ -182,19 +180,22 @@ def _build_parser():
 
 
 def _config_from_args(args):
+    """RunConfig from the ``--config`` file and the flags; a flag wins
+    over the file unless it still has its default value."""
+    defaults = vars(_build_parser().parse_args(["run"]))
+    keys = vars(RunConfig())
     values = {}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
         for key, val in file_cfg.items():
-            values[key.replace("-", "_")] = val
-    defaults = RunConfig()
-    for key in vars(defaults):
-        cli_val = getattr(args, key, None)
-        parser_default = getattr(_build_parser().parse_args(["run"]), key)
-        if cli_val is not None and cli_val != parser_default:
-            values[key] = cli_val
-        elif key not in values:
+            name = key.replace("-", "_")
+            if name not in keys:
+                raise UsageError(f"unknown config key {key!r}")
+            values[name] = val
+    for key in keys:
+        cli_val = getattr(args, key)
+        if cli_val != defaults[key] or key not in values:
             values[key] = cli_val
     return RunConfig(**values)
 

@@ -13,14 +13,7 @@ from .boundary import apx_indicator
 from .fem import solution_gradients
 from .quadrature import TRI_WEIGHTS, triangle_points
 
-__all__ = [
-    "IndicatorSet",
-    "jump_indicator",
-    "interior_osc",
-    "boundary_residual",
-    "assemble_indicators",
-    "dump_indicators",
-]
+__all__ = ["IndicatorSet", "assemble_indicators", "dump_indicators"]
 
 
 @dataclass
@@ -64,29 +57,6 @@ class IndicatorSet:
         return float(np.sqrt(max(0.0, self.rho_tilde2)))
 
 
-def _edge_normal(mesh, eid):
-    n0, n1 = mesh.edges[eid]
-    t = mesh.nodes[n1] - mesh.nodes[n0]
-    n = np.array([t[1], -t[0]])
-    return n / np.linalg.norm(n)
-
-
-def jump_indicator(mesh, values, eid):
-    """eta^2(E) = h_E^2 * (jump of the normal derivative)^2.
-
-    The jump of the constant P1 gradients is orientation independent
-    after squaring.
-    """
-    eid = int(eid)
-    if mesh.is_boundary_edge[eid]:
-        raise ValueError("jump_indicator requires an interior edge")
-    grads = solution_gradients(mesh, np.asarray(values, dtype=float))
-    t_plus, t_minus = mesh.edge2tri[eid]
-    normal = _edge_normal(mesh, eid)
-    jump = (grads[t_plus] - grads[t_minus]) @ normal
-    return float(mesh.edge_lengths[eid] ** 2 * jump ** 2)
-
-
 def _triangle_f_moments(mesh, f):
     """Order-5 integrals of f and f^2 per triangle, plus raw point data."""
     pts = triangle_points(mesh)
@@ -98,69 +68,37 @@ def _triangle_f_moments(mesh, f):
     return fv, areas, int_f, int_f2
 
 
-def interior_osc(mesh, f, eid):
-    """osc^2(E) = |patch| * ||f - mean_patch f||^2 over the edge patch."""
-    eid = int(eid)
-    if mesh.is_boundary_edge[eid]:
-        raise ValueError("interior_osc requires an interior edge")
-    fv, areas, int_f, _ = _triangle_f_moments(mesh, f)
-    tp, tm = mesh.edge2tri[eid]
-    patch = areas[tp] + areas[tm]
-    mean = (int_f[tp] + int_f[tm]) / patch
-    var = (areas[tp] * ((fv[tp] - mean) ** 2 @ TRI_WEIGHTS)
-           + areas[tm] * ((fv[tm] - mean) ** 2 @ TRI_WEIGHTS))
-    return float(patch * var)
-
-
-def boundary_residual(mesh, f, eid):
-    """osc^2(E) = |T| * ||f||^2 over the unique triangle next to E."""
-    eid = int(eid)
-    if not mesh.is_boundary_edge[eid]:
-        raise ValueError("boundary_residual requires a boundary edge")
-    _, _, _, int_f2 = _triangle_f_moments(mesh, f)
-    t = mesh.edge2tri[eid, 0]
-    return float(mesh.areas()[t] * int_f2[t])
-
-
 def assemble_indicators(mesh, values, f, g, gl):
-    """Complete indicator set for a discrete solution.
-
-    Vectorized over edges; the per-edge helpers above implement the same
-    formulas one edge at a time and serve as an internal cross-check.
-    """
+    """Complete indicator set for a discrete solution, vectorized over
+    edges."""
     values = np.asarray(values, dtype=float)
     n_edges = mesh.num_edges
     eta2 = np.zeros(n_edges)
     osc2 = np.zeros(n_edges)
     apx2 = np.zeros(n_edges)
+    fv, areas, int_f, int_f2 = _triangle_f_moments(mesh, f)
 
     interior = mesh.interior_edge_ids()
-    if interior.size:
-        grads = solution_gradients(mesh, values)
-        t = mesh.nodes[mesh.edges[interior, 1]] \
-            - mesh.nodes[mesh.edges[interior, 0]]
-        h = mesh.edge_lengths[interior]
-        normals = np.stack([t[:, 1], -t[:, 0]], axis=1) / h[:, None]
-        tp = mesh.edge2tri[interior, 0]
-        tm = mesh.edge2tri[interior, 1]
-        jump = np.einsum("ed,ed->e", grads[tp] - grads[tm], normals)
-        eta2[interior] = h ** 2 * jump ** 2
+    grads = solution_gradients(mesh, values)
+    t = mesh.nodes[mesh.edges[interior, 1]] \
+        - mesh.nodes[mesh.edges[interior, 0]]
+    h = mesh.edge_lengths[interior]
+    normals = np.stack([t[:, 1], -t[:, 0]], axis=1) / h[:, None]
+    tp = mesh.edge2tri[interior, 0]
+    tm = mesh.edge2tri[interior, 1]
+    jump = np.einsum("ed,ed->e", grads[tp] - grads[tm], normals)
+    eta2[interior] = h ** 2 * jump ** 2
 
-        fv, areas, int_f, _ = _triangle_f_moments(mesh, f)
-        patch = areas[tp] + areas[tm]
-        mean = (int_f[tp] + int_f[tm]) / patch
-        var = (areas[tp] * ((fv[tp] - mean[:, None]) ** 2 @ TRI_WEIGHTS)
-               + areas[tm] * ((fv[tm] - mean[:, None]) ** 2 @ TRI_WEIGHTS))
-        osc2[interior] = patch * var
-    else:
-        fv, areas, int_f, _ = _triangle_f_moments(mesh, f)
+    patch = areas[tp] + areas[tm]
+    mean = (int_f[tp] + int_f[tm]) / patch
+    var = (areas[tp] * ((fv[tp] - mean[:, None]) ** 2 @ TRI_WEIGHTS)
+           + areas[tm] * ((fv[tm] - mean[:, None]) ** 2 @ TRI_WEIGHTS))
+    osc2[interior] = patch * var
 
     bdry = mesh.boundary_edge_ids()
-    int_f2 = areas * ((fv ** 2) @ TRI_WEIGHTS)
     tb = mesh.edge2tri[bdry, 0]
     osc2[bdry] = areas[tb] * int_f2[tb]
-    for eid in bdry:
-        apx2[eid] = apx_indicator(g, gl, eid)
+    apx2[bdry] = apx_indicator(g, gl, bdry)
 
     return IndicatorSet(mesh=mesh, eta2=eta2, osc2=osc2, apx2=apx2)
 

@@ -17,7 +17,6 @@ __all__ = [
     "build_initial_mesh",
     "refine",
     "shape_regularity",
-    "edge_patch",
     "dump_mesh",
     "boundary_polygon",
 ]
@@ -77,7 +76,7 @@ class Mesh:
         self.parent_triangles = parent_triangles
         if not np.isfinite(self.nodes).all():
             raise ValueError("non-finite node coordinates")
-        if (self.signed_areas() <= 0).any():
+        if (self.areas() <= 0).any():
             raise ValueError("triangle with non-positive signed area")
         self._build_edges()
 
@@ -123,14 +122,12 @@ class Mesh:
     def num_edges(self):
         return self.edges.shape[0]
 
-    def signed_areas(self):
+    def areas(self):
+        """Signed triangle areas, positive for counterclockwise vertices."""
         p = self.nodes[self.triangles]
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-    def areas(self):
-        return self.signed_areas()
 
     def diameters(self):
         p = self.nodes[self.triangles]
@@ -330,21 +327,6 @@ def refine(mesh, marked):
 def shape_regularity(mesh):
     """max over triangles of diam(T)^2 / |T|."""
     return float(np.max(mesh.diameters() ** 2 / mesh.areas()))
-
-
-def edge_patch(mesh, eid):
-    """Adjacent triangles and total area of the patch of an interior edge.
-
-    Returns ``(t_plus, t_minus, area)``.  Raises on boundary edges.
-    """
-    eid = int(eid)
-    if eid < 0 or eid >= mesh.num_edges:
-        raise ValueError("unknown edge id")
-    if mesh.is_boundary_edge[eid]:
-        raise ValueError("edge_patch requires an interior edge")
-    t_plus, t_minus = mesh.edge2tri[eid]
-    areas = mesh.areas()
-    return int(t_plus), int(t_minus), float(areas[t_plus] + areas[t_minus])
 
 
 def dump_mesh(mesh, path):

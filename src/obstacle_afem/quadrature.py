@@ -30,16 +30,17 @@ def triangle_points(mesh):
 
 
 def gauss_segment(p, q, n=5):
-    """Gauss-Legendre points and weights on the segment p-q.
+    """Gauss-Legendre points and weights on the segments p-q.
 
-    Returns ``(points, weights)`` with points of shape (n, 2) and weights
-    summing to the segment length.
+    ``p`` and ``q`` have shape (..., 2).  Returns ``(points, weights)``
+    with points of shape (..., n, 2) and weights of shape (..., n)
+    summing to each segment's length.
     """
     x, w = np.polynomial.legendre.leggauss(n)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     mid = 0.5 * (p + q)
     half = 0.5 * (q - p)
-    pts = mid[None, :] + x[:, None] * half[None, :]
-    length = np.linalg.norm(q - p)
-    return pts, w * (length / 2.0)
+    pts = mid[..., None, :] + x[:, None] * half[..., None, :]
+    length = np.linalg.norm(q - p, axis=-1)
+    return pts, w * (length[..., None] / 2.0)

@@ -9,7 +9,6 @@ lambda = (KU - b) restricted to interior nodes.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .fem import cg_solve
 
@@ -21,9 +20,6 @@ __all__ = [
     "projected_sor_solve",
     "check_kkt",
 ]
-
-DIRECT_SOLVE_LIMIT = 2000
-
 
 class PdasError(RuntimeError):
     """PDAS failed to converge; ``last`` holds the final iterate."""
@@ -66,19 +62,14 @@ def _interior_mask(mesh, gl):
     return mask
 
 
-def _linear_solve(matrix, rhs, x0=None):
-    if matrix.shape[0] <= DIRECT_SOLVE_LIMIT:
-        return spla.spsolve(matrix.tocsc(), rhs)
-    return cg_solve(matrix, rhs, x0=x0)
-
-
 def solve_obstacle(mesh, stiffness, load, gl, warm_active=None,
                    max_iter=100):
     """Minimize the discrete energy over {U >= 0 in Omega, U = g_l on Gamma}.
 
     Primal-dual active set iteration with complementarity parameter c = 1:
     given the active set A, solve the linear system with U = 0 on A and
-    U = g_l on the boundary, read off the multiplier, and update
+    U = g_l on the boundary (Jacobi-preconditioned CG, started from the
+    previous iterate), read off the multiplier, and update
     A <- {i interior : lambda_i - U_i > 0} until A is stable.
 
     ``warm_active`` seeds the active set (boolean mask over nodes; entries
@@ -107,7 +98,7 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None,
             sub = csr[idx][:, idx]
             rhs = load[idx] - csr[idx] @ u
             x0 = values[idx] if last is not None else None
-            u[idx] = _linear_solve(sub, rhs, x0=x0)
+            u[idx] = cg_solve(sub, rhs, x0=x0)
         lam = np.zeros(n)
         lam[interior] = (csr @ u - load)[interior]
         new_active = interior & ((lam - u) > 0)

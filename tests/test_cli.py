@@ -131,6 +131,16 @@ def test_cli_config_file_merges_with_flags(tmp_path):
         == out2.read_text().splitlines()[-1].split(",")[1]
 
 
+def test_cli_rejects_unknown_config_key(tmp_path, capsys):
+    for key in ("bogus", "seed"):
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({"problem": "example1", key: 1}))
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert repr(key) in capsys.readouterr().err
+    assert main(["run", "--seed", "1"]) == 1
+    capsys.readouterr()
+
+
 def test_cli_dump_flags(tmp_path):
     mesh_path = tmp_path / "mesh.txt"
     ind_path = tmp_path / "ind.csv"

@@ -4,10 +4,10 @@ import pytest
 from obstacle_afem import (BoundaryTrace, Square, build_initial_mesh,
                            refine)
 from obstacle_afem.boundary import interpolate_boundary
-from obstacle_afem.estimator import (assemble_indicators, boundary_residual,
-                                     dump_indicators, interior_osc,
-                                     jump_indicator)
+from obstacle_afem.estimator import assemble_indicators, dump_indicators
 from obstacle_afem.mesh import Mesh
+from tests.edge_oracles import (apx_indicator, boundary_residual,
+                                interior_osc, jump_indicator)
 
 
 def square_pair():
@@ -95,15 +95,21 @@ def test_per_edge_helpers_match_vectorized_assembly():
     rng = np.random.default_rng(8)
     v = rng.normal(size=mesh.num_nodes)
     f = lambda x, y: np.sin(x) + y ** 2
-    g = BoundaryTrace(lambda x, y: x ** 2 + np.cos(y))
-    gl = interpolate_boundary(g, mesh)
-    ind = assemble_indicators(mesh, v, f, g, gl)
+    bdry = mesh.boundary_edge_ids()
+    analytic = BoundaryTrace(lambda x, y: x ** 2 + np.cos(y),
+                             lambda x, y: (2.0 * x, -np.sin(y)))
+    fallback = BoundaryTrace(lambda x, y: x ** 2 + np.cos(y))
+    for g in (analytic, fallback):
+        gl = interpolate_boundary(g, mesh)
+        ind = assemble_indicators(mesh, v, f, g, gl)
+        per_edge = [apx_indicator(g, gl, eid) for eid in bdry]
+        assert np.array_equal(ind.apx2[bdry], per_edge)
     for eid in mesh.interior_edge_ids()[::5]:
         assert np.isclose(ind.eta2[eid], jump_indicator(mesh, v, eid),
                           rtol=1e-12)
         assert np.isclose(ind.osc2[eid], interior_osc(mesh, f, eid),
                           rtol=1e-12)
-    for eid in mesh.boundary_edge_ids()[::3]:
+    for eid in bdry[::3]:
         assert np.isclose(ind.osc2[eid], boundary_residual(mesh, f, eid),
                           rtol=1e-12)
         assert ind.apx2[eid] >= 0.0

@@ -33,6 +33,15 @@ def test_gauss_segment_exactness():
     # s^8 along the segment, s = arclength from p
     s = np.linalg.norm(pts - p, axis=1)
     assert np.isclose(np.sum(w * s ** 8), length ** 9 / 9.0)
+    # a batch of segments gives exactly the per-segment points and weights
+    rng = np.random.default_rng(3)
+    ps, qs = rng.normal(size=(2, 4, 3, 2))
+    pts_b, w_b = gauss_segment(ps, qs, n=5)
+    assert pts_b.shape == (4, 3, 5, 2) and w_b.shape == (4, 3, 5)
+    for i, j in np.ndindex(4, 3):
+        pts_1, w_1 = gauss_segment(ps[i, j], qs[i, j], n=5)
+        assert np.array_equal(pts_b[i, j], pts_1)
+        assert np.array_equal(w_b[i, j], w_1)
 
 
 def test_local_stiffness_right_isoceles():

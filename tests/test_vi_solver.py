@@ -6,8 +6,7 @@ from obstacle_afem import (BoundaryTrace, LShape, Square, assemble_load,
                            assemble_stiffness, build_initial_mesh, energy,
                            refine)
 from obstacle_afem.boundary import interpolate_boundary
-from obstacle_afem.vi import (DIRECT_SOLVE_LIMIT, check_kkt,
-                              projected_sor_solve, solve_obstacle)
+from obstacle_afem.vi import check_kkt, projected_sor_solve, solve_obstacle
 from tests.conftest import random_refined_mesh
 
 
@@ -21,10 +20,6 @@ def refined_square(levels=3):
     for _ in range(levels):
         mesh = refine(mesh, np.arange(mesh.num_edges))
     return mesh
-
-
-def test_direct_solve_limit_value():
-    assert DIRECT_SOLVE_LIMIT == 2000
 
 
 def test_negative_force_zero_data_gives_zero_solution(zero_trace):
