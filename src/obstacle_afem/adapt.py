@@ -44,7 +44,7 @@ class LoopRecord:
     eps: float = None           # |J(U_l) - J_ref| when a reference is known
     du_norm: float = None       # |||U_l - U_{l-1}||| on the current mesh
     pdas_iters: int = 0
-    wall_ms: float = 0.0
+    wall_ms: float = 0.0        # whole level, marking and refinement too
 
 
 @dataclass
@@ -108,7 +108,6 @@ def _run(problem, mark_fn, max_elements, max_level, reference_energy=None,
             if prev is not None:
                 du = energy_norm_diff(stiffness, sol.values,
                                       prolong(prev[1], prev[0], mesh))
-            wall_ms = (time.perf_counter() - t0) * 1e3
             records.append(LoopRecord(
                 level=level,
                 n_elements=mesh.num_triangles,
@@ -120,7 +119,7 @@ def _run(problem, mark_fn, max_elements, max_level, reference_energy=None,
                 eps=None if ref is None else abs(value - ref),
                 du_norm=du,
                 pdas_iters=sol.iterations,
-                wall_ms=wall_ms,
+                wall_ms=(time.perf_counter() - t0) * 1e3,
             ))
             if keep_history:
                 result.history.append((mesh, sol, indicators))
@@ -133,6 +132,7 @@ def _run(problem, mark_fn, max_elements, max_level, reference_energy=None,
             marked = mark_fn(indicators)
             prev = (mesh, sol.values, sol.active)
             mesh = refine(mesh, marked)
+            records[-1].wall_ms = (time.perf_counter() - t0) * 1e3
             level += 1
     except Exception as exc:
         exc.partial_records = records

@@ -88,6 +88,8 @@ def interpolate_boundary(g, mesh):
     ids = mesh.boundary_node_ids()
     x, y = mesh.nodes[ids, 0], mesh.nodes[ids, 1]
     values = np.broadcast_to(np.asarray(g(x, y), dtype=float), ids.shape)
+    if not np.isfinite(values).all():
+        raise ValueError("Dirichlet data g is not finite at a boundary node")
     return DiscreteTrace(mesh, ids, values.copy())
 
 

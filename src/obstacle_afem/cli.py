@@ -49,7 +49,10 @@ def _load_problem(name):
     if name == "example2":
         return example2()
     if name.startswith("custom:"):
-        return load_custom(name.split(":", 1)[1])
+        try:
+            return load_custom(name.split(":", 1)[1])
+        except KeyError as exc:
+            raise UsageError(f"custom problem config misses key {exc}")
     raise UsageError(f"unknown problem {name!r}")
 
 

@@ -61,6 +61,8 @@ def assemble_load(mesh, f):
     pts = triangle_points(mesh)
     fvals = f(pts[..., 0], pts[..., 1])
     fvals = np.broadcast_to(np.asarray(fvals, dtype=float), pts.shape[:2])
+    if not np.isfinite(fvals).all():
+        raise ValueError("load f is not finite at a quadrature point")
     areas = mesh.areas()
     contrib = np.einsum("q,mq,qi,m->mi", TRI_WEIGHTS, fvals, TRI_BARY, areas)
     b = np.zeros(mesh.num_nodes)

@@ -163,19 +163,11 @@ def _longest_edge_ref(nodes, triangles):
     """Reference edge per triangle: longest edge, ties by smallest
     opposite-vertex id."""
     p = nodes[triangles]
-    lengths = np.stack([
-        np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-        np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-        np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-    ], axis=1)
-    ref = np.empty(triangles.shape[0], dtype=np.int64)
-    for t in range(triangles.shape[0]):
-        lmax = lengths[t].max()
-        cands = np.nonzero(lengths[t] >= lmax * (1 - 1e-12))[0]
-        # local edge i is opposite vertex (i + 2) % 3
-        opp = triangles[t, (cands + 2) % 3]
-        ref[t] = cands[np.argmin(opp)]
-    return ref
+    lengths = np.linalg.norm(p[:, [1, 2, 0]] - p, axis=2)
+    cands = lengths >= lengths.max(axis=1, keepdims=True) * (1 - 1e-12)
+    # local edge i is opposite vertex (i + 2) % 3
+    opp = triangles[:, [2, 0, 1]]
+    return np.argmin(np.where(cands, opp, np.iinfo(np.int64).max), axis=1)
 
 
 def _square_blocks(blocks):
@@ -252,11 +244,11 @@ def refine(mesh, marked):
 
     An empty marked set returns the input mesh unchanged.
     """
-    marked = np.asarray(sorted(set(int(e) for e in marked)), dtype=np.int64)
-    if marked.size and (marked.min() < 0 or marked.max() >= mesh.num_edges):
-        raise ValueError("unknown edge id in marked set")
+    marked = np.unique(np.asarray(marked, dtype=np.int64))
     if marked.size == 0:
         return mesh
+    if marked[0] < 0 or marked[-1] >= mesh.num_edges:
+        raise ValueError("unknown edge id in marked set")
 
     marked_mask = np.zeros(mesh.num_edges, dtype=bool)
     marked_mask[marked] = True
@@ -273,55 +265,37 @@ def refine(mesh, marked):
 
     eids = np.nonzero(marked_mask)[0]
     n_old = mesh.num_nodes
-    midpoint_of = {}
-    for k, eid in enumerate(eids):
-        midpoint_of[eid] = n_old + k
-    mid_coords = 0.5 * (mesh.nodes[mesh.edges[eids, 0]]
-                        + mesh.nodes[mesh.edges[eids, 1]])
-    nodes = np.vstack([mesh.nodes, mid_coords])
-    node_parents = -np.ones((len(nodes), 2), dtype=np.int64)
-    node_parents[n_old:] = mesh.edges[eids]
+    midpoint = np.full(mesh.num_edges, -1, dtype=np.int64)
+    midpoint[eids] = n_old + np.arange(len(eids))
+    nodes = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[mesh.edges[eids, 0]]
+                                          + mesh.nodes[mesh.edges[eids, 1]])])
+    node_parents = np.vstack([np.full((n_old, 2), -1), mesh.edges[eids]])
 
-    new_tris = []
-    new_refs = []
-    parents = []
-    tri_marked = marked_mask[mesh.tri2edge]
-    for t in range(m):
-        if not tri_marked[t].any():
-            new_tris.append(mesh.triangles[t])
-            new_refs.append(mesh.ref_edge[t])
-            parents.append(t)
-            continue
-        rho = mesh.ref_edge[t]
-        a = mesh.triangles[t, rho]
-        b = mesh.triangles[t, (rho + 1) % 3]
-        c = mesh.triangles[t, (rho + 2) % 3]
-        e_ab = mesh.tri2edge[t, rho]
-        e_bc = mesh.tri2edge[t, (rho + 1) % 3]
-        e_ca = mesh.tri2edge[t, (rho + 2) % 3]
-        m_ab = midpoint_of[e_ab]
-        # first bisection: sons (a, m_ab, c) and (m_ab, b, c), reference
-        # edges opposite the newest vertex m_ab
-        if marked_mask[e_ca]:
-            m_ca = midpoint_of[e_ca]
-            sons = [((c, m_ca, m_ab), 2), ((m_ca, a, m_ab), 1)]
-        else:
-            sons = [((a, m_ab, c), 2)]
-        if marked_mask[e_bc]:
-            m_bc = midpoint_of[e_bc]
-            sons += [((b, m_bc, m_ab), 2), ((m_bc, c, m_ab), 1)]
-        else:
-            sons += [((m_ab, b, c), 1)]
-        for verts, ref in sons:
-            new_tris.append(verts)
-            new_refs.append(ref)
-            parents.append(t)
+    # rotate every triangle (a, b, c) so that its reference edge ab is
+    # local edge 0; midpoint -1 marks an edge that stays whole
+    rot = (mesh.ref_edge[:, None] + np.arange(3)) % 3
+    a, b, c = mesh.triangles[rows[:, None], rot].T
+    m_ab, m_bc, m_ca = midpoint[mesh.tri2edge[rows[:, None], rot]].T
+    split, has_ca, has_bc = m_ab >= 0, m_ca >= 0, m_bc >= 0
 
-    return Mesh(nodes, np.asarray(new_tris, dtype=np.int64),
-                np.asarray(new_refs, dtype=np.int64),
-                level=mesh.level + 1,
+    # four son slots per triangle, two left and two right of m_ab (the
+    # closure puts a midpoint on ab whenever ca or bc has one); an
+    # unsplit triangle keeps itself in slot 0
+    sons = np.stack([
+        np.where(split, np.where(has_ca, [c, m_ca, m_ab], [a, m_ab, c]),
+                 mesh.triangles.T),
+        [m_ca, a, m_ab],
+        np.where(has_bc, [b, m_bc, m_ab], [m_ab, b, c]),
+        [m_bc, c, m_ab],
+    ]).transpose(2, 0, 1)
+    one = np.ones(m, dtype=np.int64)
+    refs = np.stack([np.where(split, 2, mesh.ref_edge), one,
+                     np.where(has_bc, 2, 1), one], axis=1)
+    keep = np.stack([np.ones(m, dtype=bool), has_ca, split, has_bc], axis=1)
+
+    return Mesh(nodes, sons[keep], refs[keep], level=mesh.level + 1,
                 node_parents=node_parents,
-                parent_triangles=np.asarray(parents, dtype=np.int64))
+                parent_triangles=np.nonzero(keep)[0])
 
 
 def shape_regularity(mesh):

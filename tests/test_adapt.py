@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from obstacle_afem import adapt
 from obstacle_afem import (BoundaryTrace, ProblemSpec, Square, dorfler_mark,
                            example1, run_adaptive, run_uniform)
 
@@ -69,6 +72,20 @@ def test_adaptive_run_invariants():
     assert all(r.eps is not None and r.eps >= 0 for r in records)
     assert records[-1].eps < records[0].eps
     assert all(r.pdas_iters <= 100 for r in records)
+
+
+def test_wall_ms_covers_marking_and_refinement(monkeypatch):
+    refine = adapt.refine
+
+    def slow_refine(mesh, marked):
+        time.sleep(0.05)
+        return refine(mesh, marked)
+
+    monkeypatch.setattr(adapt, "refine", slow_refine)
+    records = run_adaptive(example1(), 0.6, max_elements=100).records
+    assert len(records) > 1
+    # the final level stops before marking, so it has no refine to time
+    assert all(r.wall_ms >= 50.0 for r in records[:-1])
 
 
 def test_estimator_decays_for_all_thetas():

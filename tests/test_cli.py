@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +81,28 @@ def test_run_deterministic_csv(tmp_path):
     assert texts[0] == texts[1]
 
 
+def test_cli_runs_are_deterministic(tmp_path):
+    # two CLI processes (different hash seeds) must write the same CSV
+    # apart from the wall-clock column
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    tables = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"run{hash_seed}.csv"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "obstacle_afem.cli", "run",
+                        "--problem", "example1", "--max-elements", "2000",
+                        "--out", str(out)], env=env, check=True,
+                       capture_output=True)
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        tables.append([{k: v for k, v in row.items() if k != "wall_ms"}
+                       for row in rows])
+    assert int(tables[0][-1]["N"]) >= 2000
+    assert tables[0] == tables[1]
+
+
 def test_cli_run_and_fit_roundtrip(tmp_path, capsys):
     out = tmp_path / "e1.csv"
     code = main(["run", "--problem", "example1", "--theta", "0.8",
@@ -112,6 +138,31 @@ def test_cli_numerical_failure_exit_two(tmp_path, capsys):
     assert main(["run", "--problem", f"custom:{missing}"]) == 2
     assert main(["fit-rates", str(tmp_path / "nope.csv")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("key,expr,message", [
+    ("g", "sqrt(x - 0.5)", "Dirichlet data g is not finite"),
+    ("f", "log(x - 0.5)", "load f is not finite"),
+])
+def test_cli_non_finite_data_exit_two(tmp_path, capsys, key, expr,
+                                      message):
+    cfg = {"domain": {"type": "square"}, "f": "1 + 0*x", "g": "0*x"}
+    cfg[key] = expr
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(cfg))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert main(["run", "--problem", f"custom:{path}"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_custom_config_missing_key_exit_one(tmp_path, capsys):
+    path = tmp_path / "nog.json"
+    path.write_text(json.dumps({"domain": {"type": "square"},
+                                "f": "1 + 0*x"}))
+    assert main(["run", "--problem", f"custom:{path}"]) == 1
+    err = capsys.readouterr().err
+    assert "'g'" in err
+    assert "Traceback" not in err
 
 
 def test_cli_config_file_merges_with_flags(tmp_path):

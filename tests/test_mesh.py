@@ -5,8 +5,10 @@ import pytest
 
 from obstacle_afem import (LShape, Mesh, Square, build_initial_mesh,
                            dump_mesh, refine, shape_regularity)
+from obstacle_afem.mesh import _longest_edge_ref
 from tests.conftest import random_refined_mesh
 from tests.edge_oracles import edge_patch
+from tests.mesh_oracles import longest_edge_ref_loop, refine_loop
 
 
 def test_initial_square_counts():
@@ -88,6 +90,61 @@ def test_marked_edges_are_halved(unit_square_mesh):
                          & (fine.node_parents[:, 1] == max(n0, n1)))[0]
         assert np.allclose(fine.nodes[mid[0]],
                            0.5 * (mesh.nodes[n0] + mesh.nodes[n1]))
+
+
+def _assert_refine_matches_loop(mesh, marked):
+    fine = refine(mesh, marked)
+    ref = refine_loop(mesh, marked)
+    for name in ("triangles", "ref_edge", "nodes", "node_parents",
+                 "parent_triangles"):
+        assert np.array_equal(getattr(fine, name), getattr(ref, name)), name
+    assert fine.level == ref.level
+    return fine
+
+
+def test_refine_matches_loop_oracle(unit_square_mesh, lshape_mesh):
+    # criterion 8's random sequence, which restarts on both domains
+    rng = np.random.default_rng(2024)
+    bases = (build_initial_mesh(Square(-1.5, -1.5, 1.5, 1.5)),
+             build_initial_mesh(LShape()))
+    mesh = bases[0]
+    restarts = set()
+    for _ in range(1000):
+        if mesh.num_triangles > 1500:
+            mesh = bases[0] if rng.random() < 0.5 else bases[1]
+            restarts.add(mesh.num_nodes)
+        k = int(rng.integers(1, max(2, mesh.num_edges // 4)))
+        marked = rng.choice(mesh.num_edges, size=min(k, mesh.num_edges),
+                            replace=False)
+        mesh = _assert_refine_matches_loop(mesh, marked)
+    assert restarts == {4, 8}
+
+    mesh = lshape_mesh
+    for _ in range(3):
+        mesh = _assert_refine_matches_loop(mesh, np.arange(mesh.num_edges))
+
+    # closure only: one boundary edge forces the diagonal
+    _assert_refine_matches_loop(unit_square_mesh,
+                                [unit_square_mesh.boundary_edge_ids()[0]])
+    # a plain list with duplicates, out of order
+    _assert_refine_matches_loop(lshape_mesh, [7, 2, 7, 0, 2, 11])
+
+
+def test_longest_edge_ref_matches_loop_oracle():
+    # a three-way, a two-way and no tie for the longest edge, each
+    # triangle under every vertex order so that the tie-break matters
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2],
+                      [3.0, 0.0], [4.0, 0.0], [3.5, 2.0],
+                      [6.0, 0.0], [8.0, 0.0], [6.5, 1.0]])
+    tris = np.array([np.roll(t, r)[::d]
+                     for t in np.arange(9).reshape(3, 3)
+                     for r in range(3) for d in (1, -1)])
+    assert np.array_equal(_longest_edge_ref(nodes, tris),
+                          longest_edge_ref_loop(nodes, tris))
+    mesh = random_refined_mesh(np.random.default_rng(3), LShape(),
+                               max_nodes=300)
+    assert np.array_equal(_longest_edge_ref(mesh.nodes, mesh.triangles),
+                          longest_edge_ref_loop(mesh.nodes, mesh.triangles))
 
 
 def test_son_area_bounds(unit_square_mesh):
