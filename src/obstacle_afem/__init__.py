@@ -3,17 +3,17 @@
 from .adapt import (LoopRecord, MarkingResult, RunResult, dorfler_mark,
                     run_adaptive, run_uniform)
 from .boundary import (BoundaryTrace, DiscreteTrace, apx_indicator,
-                       check_trace_continuity, interpolate_boundary)
+                       interpolate_boundary)
 from .estimator import IndicatorSet, assemble_indicators
 from .fem import (assemble_load, assemble_stiffness, energy,
-                  energy_norm_diff, h1_error, prolong)
+                  energy_norm_diff, prolong)
 from .mesh import (LShape, Mesh, Square, build_initial_mesh, dump_mesh,
-                   refine, shape_regularity)
+                   refine)
 from .problems import (Obstacle, ProblemSpec, TransformedProblem, example1,
                        example1_exact_energy, example2, load_custom,
                        reference_energy, to_zero_obstacle)
 from .vi import (DiscreteSolution, KKTReport, PdasError, check_kkt,
-                 projected_sor_solve, solve_obstacle)
+                 solve_obstacle)
 
 __version__ = "0.1.0"
 
@@ -21,16 +21,16 @@ __all__ = [
     "LoopRecord", "MarkingResult", "RunResult", "dorfler_mark",
     "run_adaptive", "run_uniform",
     "BoundaryTrace", "DiscreteTrace", "apx_indicator",
-    "check_trace_continuity", "interpolate_boundary",
+    "interpolate_boundary",
     "IndicatorSet", "assemble_indicators",
     "assemble_load", "assemble_stiffness", "energy", "energy_norm_diff",
-    "h1_error", "prolong",
+    "prolong",
     "LShape", "Mesh", "Square", "build_initial_mesh", "dump_mesh",
-    "refine", "shape_regularity",
+    "refine",
     "Obstacle", "ProblemSpec", "TransformedProblem", "example1",
     "example1_exact_energy", "example2", "load_custom", "reference_energy",
     "to_zero_obstacle",
     "DiscreteSolution", "KKTReport", "PdasError", "check_kkt",
-    "projected_sor_solve", "solve_obstacle",
+    "solve_obstacle",
     "__version__",
 ]

@@ -26,7 +26,6 @@ __all__ = [
 @dataclass
 class MarkingResult:
     marked: np.ndarray
-    theta: float
     achieved_fraction: float
 
 
@@ -36,7 +35,6 @@ class LoopRecord:
 
     level: int
     n_elements: int
-    n_nodes: int
     rho: float
     rho_tilde: float
     apx: float
@@ -73,7 +71,7 @@ def dorfler_mark(indicators, theta):
     threshold = theta * total * (1.0 - 1e-12)
     k = int(np.searchsorted(cum, threshold))
     marked = order[:k + 1]
-    return MarkingResult(marked=np.sort(marked), theta=theta,
+    return MarkingResult(marked=np.sort(marked),
                          achieved_fraction=float(cum[k] / total))
 
 
@@ -111,7 +109,6 @@ def _run(problem, mark_fn, max_elements, max_level, reference_energy=None,
             records.append(LoopRecord(
                 level=level,
                 n_elements=mesh.num_triangles,
-                n_nodes=mesh.num_nodes,
                 rho=indicators.rho,
                 rho_tilde=indicators.rho_tilde,
                 apx=float(np.sqrt(indicators.apx2_total)),

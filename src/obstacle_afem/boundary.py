@@ -10,7 +10,6 @@ __all__ = [
     "DiscreteTrace",
     "interpolate_boundary",
     "apx_indicator",
-    "check_trace_continuity",
 ]
 
 
@@ -93,7 +92,7 @@ def interpolate_boundary(g, mesh):
     return DiscreteTrace(mesh, ids, values.copy())
 
 
-def apx_indicator(g, gl, eid, n_quad=5):
+def apx_indicator(g, gl, eid):
     """Dirichlet oscillation h_E * int_E ((g - g_l)')^2 of boundary edges.
 
     ``eid`` is one edge id (returns a float) or an array of ids (returns
@@ -111,36 +110,9 @@ def apx_indicator(g, gl, eid, n_quad=5):
     h = mesh.edge_lengths[eid]
     tangent = (q - p) / h[..., None]
     slope = (gl.value_at(n1) - gl.value_at(n0)) / h
-    pts, w = gauss_segment(p, q, n_quad)
+    pts, w = gauss_segment(p, q)
     gp = g.arc_derivative(pts[..., 0], pts[..., 1],
                           (tangent[..., 0, None], tangent[..., 1, None]),
                           h[..., None])
     apx = h * np.sum(w * (np.asarray(gp) - slope[..., None]) ** 2, axis=-1)
     return float(apx) if scalar else apx
-
-
-def check_trace_continuity(g, mesh, tol=1e-10, delta=1e-7):
-    """Largest two-sided evaluation mismatch of g at boundary nodes.
-
-    At each boundary node the trace is approached along each adjacent
-    boundary edge and linearly extrapolated to the node; the defect is the
-    spread of those one-sided limits.  Raises if any defect exceeds
-    ``tol`` (relative to the data scale).
-    """
-    limits = {}
-    scale = 1.0
-    for eid in mesh.boundary_edge_ids():
-        n0, n1 = mesh.edges[eid]
-        p, q = mesh.nodes[n0], mesh.nodes[n1]
-        for node, other in ((n0, q), (n1, p)):
-            z = mesh.nodes[node]
-            d = delta * (other - z)
-            v1 = float(np.asarray(g(z[0] + d[0], z[1] + d[1])))
-            v2 = float(np.asarray(g(z[0] + 2 * d[0], z[1] + 2 * d[1])))
-            limit = 2 * v1 - v2  # linear extrapolation to the node
-            limits.setdefault(int(node), []).append(limit)
-            scale = max(scale, abs(v1))
-    worst = max(max(vals) - min(vals) for vals in limits.values())
-    if worst > tol * scale:
-        raise ValueError("boundary trace discontinuous at a node")
-    return worst

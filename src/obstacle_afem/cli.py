@@ -53,6 +53,8 @@ def _load_problem(name):
             return load_custom(name.split(":", 1)[1])
         except KeyError as exc:
             raise UsageError(f"custom problem config misses key {exc}")
+        except (ValueError, SyntaxError) as exc:
+            raise UsageError(f"bad custom problem config: {exc}")
     raise UsageError(f"unknown problem {name!r}")
 
 
@@ -60,7 +62,8 @@ def run(config):
     """Execute one experiment and write the per-level CSV.
 
     Returns the list of records.  The ``eps`` column is present only when
-    an exact or reference energy is available.
+    an exact or reference energy is available.  A run that fails writes
+    the levels it finished before the error propagates.
     """
     if config.mode not in ("adaptive", "uniform"):
         raise UsageError(f"unknown mode {config.mode!r}")
@@ -74,10 +77,16 @@ def run(config):
 
     kwargs = dict(max_elements=config.max_elements,
                   max_level=config.max_level, reference_energy=ref)
-    if config.mode == "adaptive":
-        result = run_adaptive(problem, config.theta, **kwargs)
-    else:
-        result = run_uniform(problem, **kwargs)
+    try:
+        if config.mode == "adaptive":
+            result = run_adaptive(problem, config.theta, **kwargs)
+        else:
+            result = run_uniform(problem, **kwargs)
+    except Exception as exc:
+        partial = getattr(exc, "partial_records", None)
+        if config.out and partial:
+            write_csv(partial, config.out)
+        raise
 
     if config.out:
         write_csv(result.records, config.out)
@@ -106,38 +115,25 @@ def write_csv(records, path):
             writer.writerow([row[c] for c in columns])
 
 
-def read_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return list(reader)
-
-
 def fit_rates(source, quantity, window=None):
     """Least-squares slope of log(quantity) against log(N).
 
     ``source`` is a CSV path or a list of records; ``window`` selects the
-    last k levels (int) or an explicit (start, stop) level slice.  At
-    least 4 points are required.
+    last k levels.  At least 4 points are required.
     """
     field = "eps" if quantity == "sqrt_eps" else quantity
     if isinstance(source, (str, bytes)):
-        rows = read_csv(source)
-        pairs = [(float(r["N"]), float(r[field])) for r in rows
-                 if r.get(field)]
+        with open(source, newline="") as fh:
+            pairs = [(float(r["N"]), float(r[field]))
+                     for r in csv.DictReader(fh) if r.get(field)]
     else:
-        pairs = []
-        for r in source:
-            value = getattr(r, field)
-            if value is not None:
-                pairs.append((float(r.n_elements), float(value)))
+        pairs = [(float(r.n_elements), float(getattr(r, field)))
+                 for r in source if getattr(r, field) is not None]
     if quantity == "sqrt_eps":
         pairs = [(n, np.sqrt(v)) for n, v in pairs]
 
-    if isinstance(window, int):
+    if window is not None:
         pairs = pairs[-window:]
-    elif window is not None:
-        start, stop = window
-        pairs = pairs[start:stop]
     pairs = [(n, v) for n, v in pairs if v > 0]
     if len(pairs) < 4:
         raise ValueError("rate fit needs at least 4 positive data points")
@@ -154,6 +150,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
+    """The top-level parser and its ``run`` subparser."""
     parser = _Parser(prog="obstacle-afem",
                      description="Adaptive P1 FEM for 2D obstacle problems")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -179,47 +176,41 @@ def _build_parser():
                        help="CSV column, or sqrt_eps")
     p_fit.add_argument("--window", type=int, default=None,
                        help="use only the last k levels")
-    return parser
+    return parser, p_run
 
 
-def _config_from_args(args):
-    """RunConfig from the ``--config`` file and the flags; a flag wins
-    over the file unless it still has its default value."""
-    defaults = vars(_build_parser().parse_args(["run"]))
-    keys = vars(RunConfig())
-    values = {}
-    if args.config:
+def _parse_args(parser, p_run, argv):
+    """Parse ``argv``; a ``run --config`` file supplies the defaults of
+    the run flags, so that a flag given on the command line wins."""
+    args = parser.parse_args(argv)
+    if args.command == "run" and args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
         for key, val in file_cfg.items():
             name = key.replace("-", "_")
-            if name not in keys:
+            if name not in vars(RunConfig()):
                 raise UsageError(f"unknown config key {key!r}")
-            values[name] = val
-    for key in keys:
-        cli_val = getattr(args, key)
-        if cli_val != defaults[key] or key not in values:
-            values[key] = cli_val
-    return RunConfig(**values)
+            p_run.set_defaults(**{name: val})
+        args = parser.parse_args(argv)
+    return args
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser, p_run = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, p_run, argv)
         if args.command == "run":
-            config = _config_from_args(args)
+            config = RunConfig(**{key: getattr(args, key)
+                                  for key in vars(RunConfig())})
             records = run(config)
             final = records[-1]
             print(f"levels={len(records)} N={final.n_elements} "
                   f"rho={final.rho:.6e}")
             return 0
-        if args.command == "fit-rates":
-            fit = fit_rates(args.csv, args.quantity, window=args.window)
-            print(f"slope={fit.slope:.6f} intercept={fit.intercept:.6f} "
-                  f"points={fit.n_points}")
-            return 0
-        return 1
+        fit = fit_rates(args.csv, args.quantity, window=args.window)
+        print(f"slope={fit.slope:.6f} intercept={fit.intercept:.6f} "
+              f"points={fit.n_points}")
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -1,8 +1,8 @@
 """P1 finite element machinery.
 
 Stiffness and load assembly, energy evaluation, prolongation between
-nested meshes, and quadrature-based error norms.  Stiffness entries are
-exact (piecewise-constant gradients); area integrals of data use the
+nested meshes, and the CG solver of the PDAS systems.  Stiffness entries
+are exact (piecewise-constant gradients); area integrals of data use the
 order-5 triangle rule from :mod:`obstacle_afem.quadrature`.
 """
 
@@ -20,8 +20,9 @@ __all__ = [
     "prolong",
     "energy_norm_diff",
     "solution_gradients",
-    "h1_error",
 ]
+
+CG_RTOL = 1e-12
 
 
 def hat_gradients(mesh):
@@ -43,9 +44,6 @@ def hat_gradients(mesh):
 
 def assemble_stiffness(mesh):
     """Sparse symmetric stiffness matrix of the Dirichlet form."""
-    areas = mesh.areas()
-    if (areas <= 0).any():
-        raise ValueError("degenerate triangle in mesh")
     grads, areas = hat_gradients(mesh)
     local = np.einsum("mid,mjd,m->mij", grads, grads, areas)
     tri = mesh.triangles
@@ -81,11 +79,10 @@ def prolong(values, coarse, fine):
     New nodes are edge midpoints of the coarse mesh; their values are the
     averages of the parent endpoint values.
     """
-    if fine.node_parents is None or fine.level != coarse.level + 1:
-        raise ValueError("meshes are not nested refinements")
     n_old = coarse.num_nodes
-    if fine.num_nodes < n_old or not np.array_equal(
-            fine.nodes[:n_old], coarse.nodes):
+    if (fine.node_parents is None or fine.level != coarse.level + 1
+            or fine.num_nodes < n_old
+            or not np.array_equal(fine.nodes[:n_old], coarse.nodes)):
         raise ValueError("meshes are not nested refinements")
     values = np.asarray(values, dtype=float)
     out = np.empty(fine.num_nodes)
@@ -107,31 +104,12 @@ def solution_gradients(mesh, values):
     return np.einsum("mid,mi->md", grads, values[mesh.triangles])
 
 
-def h1_error(mesh, values, exact, exact_grad):
-    """Full H1 norm of (exact - P1 function) by order-5 quadrature."""
-    pts = triangle_points(mesh)
-    x, y = pts[..., 0], pts[..., 1]
-    areas = mesh.areas()
-
-    bary = TRI_BARY  # (7, 3)
-    uh = np.einsum("qi,mi->mq", bary, values[mesh.triangles])
-    du = np.asarray(exact(x, y)) - uh
-
-    gh = solution_gradients(mesh, values)
-    gx, gy = exact_grad(x, y)
-    dgx = np.asarray(gx) - gh[:, 0][:, None]
-    dgy = np.asarray(gy) - gh[:, 1][:, None]
-
-    sq = np.einsum("q,mq,m->", TRI_WEIGHTS, du ** 2 + dgx ** 2 + dgy ** 2,
-                   areas)
-    return float(np.sqrt(max(0.0, sq)))
-
-
-def cg_solve(matrix, rhs, x0=None, rtol=1e-12):
+def cg_solve(matrix, rhs, x0=None):
     """Jacobi-preconditioned conjugate gradients."""
     diag = matrix.diagonal()
     precond = spla.LinearOperator(matrix.shape, matvec=lambda r: r / diag)
-    x, info = spla.cg(matrix, rhs, x0=x0, rtol=rtol, M=precond, maxiter=10000)
+    x, info = spla.cg(matrix, rhs, x0=x0, rtol=CG_RTOL, M=precond,
+                      maxiter=10000)
     if info != 0:
         raise RuntimeError(f"CG failed to converge (info={info})")
     return x

@@ -16,7 +16,6 @@ __all__ = [
     "Mesh",
     "build_initial_mesh",
     "refine",
-    "shape_regularity",
     "dump_mesh",
     "boundary_polygon",
 ]
@@ -129,13 +128,6 @@ class Mesh:
         d2 = p[:, 2] - p[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
-    def diameters(self):
-        p = self.nodes[self.triangles]
-        s0 = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
-        s1 = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
-        s2 = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
-        return np.maximum(np.maximum(s0, s1), s2)
-
     def boundary_edge_ids(self):
         return np.nonzero(self.is_boundary_edge)[0]
 
@@ -145,18 +137,6 @@ class Mesh:
     def boundary_node_ids(self):
         """Ids of nodes lying on the boundary, ascending."""
         return np.unique(self.edges[self.is_boundary_edge])
-
-    def min_angle(self):
-        """Smallest interior angle over all triangles, in radians."""
-        p = self.nodes[self.triangles]
-        angles = []
-        for i in range(3):
-            u = p[:, (i + 1) % 3] - p[:, i]
-            v = p[:, (i + 2) % 3] - p[:, i]
-            cosa = np.einsum("ij,ij->i", u, v) / (
-                np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
-            angles.append(np.arccos(np.clip(cosa, -1.0, 1.0)))
-        return float(np.min(angles))
 
 
 def _longest_edge_ref(nodes, triangles):
@@ -296,11 +276,6 @@ def refine(mesh, marked):
     return Mesh(nodes, sons[keep], refs[keep], level=mesh.level + 1,
                 node_parents=node_parents,
                 parent_triangles=np.nonzero(keep)[0])
-
-
-def shape_regularity(mesh):
-    """max over triangles of diam(T)^2 / |T|."""
-    return float(np.max(mesh.diameters() ** 2 / mesh.areas()))
 
 
 def dump_mesh(mesh, path):

@@ -5,6 +5,7 @@ are shifted away by replacing the data (chi, g, f) with
 (0, g - chi|_Gamma, f + Laplace(chi)) and adding chi back to the solution.
 """
 
+import ast
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,12 +72,16 @@ class TransformedProblem:
         return values + np.asarray(self.chi.value(x, y), dtype=float)
 
 
-def _sample_boundary(domain, per_side=50):
+# Points per polygon side at which the shifted Dirichlet data are checked.
+_SAMPLES_PER_SIDE = 50
+
+
+def _sample_boundary(domain):
     poly = boundary_polygon(domain)
     pts = []
     for i in range(len(poly)):
         p, q = poly[i], poly[(i + 1) % len(poly)]
-        s = np.linspace(0.0, 1.0, per_side, endpoint=False)[:, None]
+        s = np.linspace(0.0, 1.0, _SAMPLES_PER_SIDE, endpoint=False)[:, None]
         pts.append(p[None, :] + s * (q - p)[None, :])
     return np.vstack(pts)
 
@@ -267,15 +272,46 @@ _EXPR_NAMES = {
     "maximum": np.maximum, "minimum": np.minimum, "pi": np.pi,
 }
 
+# Syntax an expression may use besides names, numbers and calls:
+# arithmetic, bitwise and/or (to combine comparisons inside ``where``)
+# and comparisons.
+_EXPR_NODES = (
+    ast.Expression, ast.Load, ast.BinOp, ast.Add, ast.Sub, ast.Mult,
+    ast.Div, ast.FloorDiv, ast.Mod, ast.Pow, ast.BitAnd, ast.BitOr,
+    ast.UnaryOp, ast.UAdd, ast.USub, ast.Compare, ast.Eq, ast.NotEq,
+    ast.Lt, ast.LtE, ast.Gt, ast.GtE,
+)
+
+
+def _allowed(node):
+    """Whitelist: the names x, y, r and those of ``_EXPR_NAMES``, numeric
+    constants, keyword-free calls of its functions, ``_EXPR_NODES``."""
+    if isinstance(node, ast.Name):
+        return node.id in ("x", "y", "r") or node.id in _EXPR_NAMES
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    if isinstance(node, ast.Call):
+        return (not node.keywords and isinstance(node.func, ast.Name)
+                and callable(_EXPR_NAMES.get(node.func.id)))
+    return isinstance(node, _EXPR_NODES)
+
 
 def _compile_expr(expr):
-    code = compile(expr, "<problem config>", "eval")
+    tree = ast.parse(expr, "<problem config>", mode="eval")
+    for node in ast.walk(tree):
+        if not _allowed(node):
+            raise ValueError(f"expression {expr!r}: "
+                             f"{type(node).__name__} is not allowed")
+    code = compile(tree, "<problem config>", "eval")
 
     def fn(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        env = dict(_EXPR_NAMES, x=x, y=y, r=np.hypot(x, y))
-        return np.asarray(eval(code, {"__builtins__": {}}, env), dtype=float)
+        # non-finite values are reported by the callers' checks
+        with np.errstate(all="ignore"):
+            env = dict(_EXPR_NAMES, x=x, y=y, r=np.hypot(x, y))
+            return np.asarray(eval(code, {"__builtins__": {}}, env),
+                              dtype=float)
 
     return fn
 
@@ -283,8 +319,10 @@ def _compile_expr(expr):
 def load_custom(path):
     """Problem from a JSON config with expression-valued data.
 
-    Expressions use ``x``, ``y``, ``r`` and elementary functions
-    (polynomial, radial, and sinusoidal pieces via ``where``).  Layout::
+    Expressions use ``x``, ``y``, ``r``, ``pi``, numbers, arithmetic,
+    comparisons, ``&``/``|`` and calls of the functions in
+    ``_EXPR_NAMES`` (polynomial, radial, and sinusoidal pieces via
+    ``where``); anything else raises ValueError.  Layout::
 
         {"domain": {"type": "square", "xmin": 0, ...} | {"type": "lshape"},
          "f": "expr", "g": "expr",

@@ -22,6 +22,9 @@ TRI_BARY = np.array([
 ])
 TRI_WEIGHTS = np.array([9 / 40, _w1, _w1, _w1, _w2, _w2, _w2])
 
+# Gauss-Legendre points per segment (exact up to degree 9).
+SEGMENT_POINTS = 5
+
 
 def triangle_points(mesh):
     """Quadrature points for every triangle, shape (M, 7, 2)."""
@@ -29,14 +32,14 @@ def triangle_points(mesh):
     return np.einsum("qk,mkd->mqd", TRI_BARY, p)
 
 
-def gauss_segment(p, q, n=5):
+def gauss_segment(p, q):
     """Gauss-Legendre points and weights on the segments p-q.
 
     ``p`` and ``q`` have shape (..., 2).  Returns ``(points, weights)``
-    with points of shape (..., n, 2) and weights of shape (..., n)
-    summing to each segment's length.
+    with points of shape (..., SEGMENT_POINTS, 2) and weights of shape
+    (..., SEGMENT_POINTS) summing to each segment's length.
     """
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = np.polynomial.legendre.leggauss(SEGMENT_POINTS)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     mid = 0.5 * (p + q)

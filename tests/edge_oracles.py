@@ -3,7 +3,8 @@
 Each function answers a question about a single edge from whole-mesh
 arrays, one edge at a time, so that the tests can cross-check
 ``assemble_indicators`` and ``apx_indicator`` against an independent
-implementation of the same formulas.
+implementation of the same formulas.  ``check_trace_continuity`` probes
+a Dirichlet datum along the boundary edges of a mesh.
 """
 
 import numpy as np
@@ -81,7 +82,7 @@ def boundary_residual(mesh, f, eid):
     return float(area * area * (_f_at_points(mesh, f)[t] ** 2 @ TRI_WEIGHTS))
 
 
-def apx_indicator(g, gl, eid, n_quad=5):
+def apx_indicator(g, gl, eid):
     """h_E * int_E ((g - g_l)')^2 of one boundary edge, edge by edge."""
     mesh = gl.mesh
     eid = int(eid)
@@ -92,6 +93,33 @@ def apx_indicator(g, gl, eid, n_quad=5):
     h = mesh.edge_lengths[eid]
     tangent = (q - p) / h
     slope = (gl.value_at(n1) - gl.value_at(n0)) / h
-    pts, w = gauss_segment(p, q, n_quad)
+    pts, w = gauss_segment(p, q)
     gp = g.arc_derivative(pts[:, 0], pts[:, 1], tangent, h)
     return float(h * np.sum(w * (np.asarray(gp) - slope) ** 2))
+
+
+def check_trace_continuity(g, mesh, tol=1e-10, delta=1e-7):
+    """Largest two-sided evaluation mismatch of g at boundary nodes.
+
+    At each boundary node the trace is approached along each adjacent
+    boundary edge and linearly extrapolated to the node; the defect is the
+    spread of those one-sided limits.  Raises if any defect exceeds
+    ``tol`` (relative to the data scale).
+    """
+    limits = {}
+    scale = 1.0
+    for eid in mesh.boundary_edge_ids():
+        n0, n1 = mesh.edges[eid]
+        p, q = mesh.nodes[n0], mesh.nodes[n1]
+        for node, other in ((n0, q), (n1, p)):
+            z = mesh.nodes[node]
+            d = delta * (other - z)
+            v1 = float(np.asarray(g(z[0] + d[0], z[1] + d[1])))
+            v2 = float(np.asarray(g(z[0] + 2 * d[0], z[1] + 2 * d[1])))
+            limit = 2 * v1 - v2  # linear extrapolation to the node
+            limits.setdefault(int(node), []).append(limit)
+            scale = max(scale, abs(v1))
+    worst = max(max(vals) - min(vals) for vals in limits.values())
+    if worst > tol * scale:
+        raise ValueError("boundary trace discontinuous at a node")
+    return worst

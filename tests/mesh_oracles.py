@@ -5,6 +5,8 @@ newest-vertex bisection branches written out, and
 ``longest_edge_ref_loop`` picks each reference edge in its own loop
 iteration, so that the tests can cross-check the array versions in
 :mod:`obstacle_afem.mesh` against a direct reading of the rules.
+``diameters``, ``min_angle`` and ``shape_regularity`` measure the shape
+of a mesh's triangles for the refinement invariants.
 """
 
 import numpy as np
@@ -104,3 +106,29 @@ def refine_loop(mesh, marked):
                 level=mesh.level + 1,
                 node_parents=node_parents,
                 parent_triangles=np.asarray(parents, dtype=np.int64))
+
+
+def diameters(mesh):
+    p = mesh.nodes[mesh.triangles]
+    s0 = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
+    s1 = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
+    s2 = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
+    return np.maximum(np.maximum(s0, s1), s2)
+
+
+def min_angle(mesh):
+    """Smallest interior angle over all triangles, in radians."""
+    p = mesh.nodes[mesh.triangles]
+    angles = []
+    for i in range(3):
+        u = p[:, (i + 1) % 3] - p[:, i]
+        v = p[:, (i + 2) % 3] - p[:, i]
+        cosa = np.einsum("ij,ij->i", u, v) / (
+            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+        angles.append(np.arccos(np.clip(cosa, -1.0, 1.0)))
+    return float(np.min(angles))
+
+
+def shape_regularity(mesh):
+    """max over triangles of diam(T)^2 / |T|."""
+    return float(np.max(diameters(mesh) ** 2 / mesh.areas()))

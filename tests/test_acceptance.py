@@ -17,9 +17,11 @@ from obstacle_afem import (BoundaryTrace, LShape, ProblemSpec, Square,
 from obstacle_afem.boundary import apx_indicator, interpolate_boundary
 from obstacle_afem.cli import fit_rates
 from obstacle_afem.fem import (assemble_load, assemble_stiffness, energy,
-                               energy_norm_diff, h1_error, prolong)
-from obstacle_afem.vi import check_kkt, projected_sor_solve, solve_obstacle
+                               energy_norm_diff, prolong)
+from obstacle_afem.vi import check_kkt, solve_obstacle
 from tests.conftest import random_refined_mesh
+from tests.mesh_oracles import min_angle
+from tests.solver_oracles import h1_error, projected_sor_solve
 
 
 def report(num, ok, detail):
@@ -227,7 +229,7 @@ def test_criterion_8_mesh_and_marking_properties():
     def two_sweep_angle(m):
         for _ in range(2):
             m = refine(m, np.arange(m.num_edges))
-        return m.min_angle()
+        return min_angle(m)
 
     angle_bound = min(two_sweep_angle(base_sq), two_sweep_angle(base_l))
     mesh = base_sq
@@ -249,7 +251,7 @@ def test_criterion_8_mesh_and_marking_properties():
         split = np.array([counts[t] > 1 for t in fine.parent_triangles])
         areas_ok = ((fa[split] >= pa[split] / 4 - 1e-13).all()
                     and (fa[split] <= pa[split] / 2 + 1e-13).all())
-        angle_ok = fine.min_angle() >= angle_bound - 1e-12
+        angle_ok = min_angle(fine) >= angle_bound - 1e-12
         if not (halved and areas_ok and angle_ok):
             mesh_ok = False
             break

@@ -3,8 +3,8 @@ import pytest
 
 from obstacle_afem import (BoundaryTrace, Square, build_initial_mesh,
                            refine)
-from obstacle_afem.boundary import (apx_indicator, check_trace_continuity,
-                                    interpolate_boundary)
+from obstacle_afem.boundary import apx_indicator, interpolate_boundary
+from tests.edge_oracles import check_trace_continuity
 
 
 def test_nodal_interpolation_constant(unit_square_mesh):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -150,9 +151,11 @@ def test_cli_non_finite_data_exit_two(tmp_path, capsys, key, expr,
     cfg[key] = expr
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(cfg))
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["run", "--problem", f"custom:{path}"]) == 2
     assert message in capsys.readouterr().err
+    assert not [w for w in caught if w.category is RuntimeWarning]
 
 
 def test_cli_custom_config_missing_key_exit_one(tmp_path, capsys):
@@ -163,6 +166,67 @@ def test_cli_custom_config_missing_key_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'g'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text,message", [
+    (json.dumps({"domain": {"type": "pentagon"}, "f": "0*x", "g": "0*x"}),
+     "unknown domain type 'pentagon'"),
+    (json.dumps({"domain": {"type": "square"}, "f": "0*x", "g": "x +"}),
+     "invalid syntax"),
+    (json.dumps({"domain": {"type": "square"}, "f": "0*x",
+                 "g": "().__class__.__base__.__subclasses__()"}),
+     "is not allowed"),
+    ('{"domain": ', "Expecting value"),
+], ids=["domain", "syntax", "sandbox", "json"])
+def test_cli_custom_config_errors_exit_one(tmp_path, capsys, text,
+                                           message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["run", "--problem", f"custom:{path}"]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_cli_failed_run_writes_finished_levels(tmp_path, monkeypatch,
+                                               capsys):
+    import obstacle_afem.adapt as adapt
+    solve = adapt.solve_obstacle
+    calls = []
+
+    def failing_solve(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 4:
+            raise RuntimeError("solver broke")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(adapt, "solve_obstacle", failing_solve)
+    out = tmp_path / "partial.csv"
+    assert main(["run", "--problem", "example1", "--out", str(out)]) == 2
+    assert "solver broke" in capsys.readouterr().err
+    rows = list(csv.DictReader(open(out)))
+    assert [int(r["level"]) for r in rows] == [0, 1, 2]
+
+
+def test_cli_flag_equal_to_default_beats_config_file(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "example1", "theta": 0.8,
+                               "max-elements": 300}))
+    out = tmp_path / "flag.csv"
+    assert main(["run", "--config", str(cfg), "--theta", "0.5",
+                 "--out", str(out)]) == 0
+    plain = tmp_path / "plain.csv"
+    run(RunConfig(problem="example1", theta=0.5, max_elements=300,
+                  out=str(plain)))
+    from_file = tmp_path / "file.csv"
+    run(RunConfig(problem="example1", theta=0.8, max_elements=300,
+                  out=str(from_file)))
+
+    def n_column(path):
+        return [row["N"] for row in csv.DictReader(open(path))]
+
+    assert n_column(out) == n_column(plain)
+    assert n_column(plain) != n_column(from_file)
 
 
 def test_cli_config_file_merges_with_flags(tmp_path):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from obstacle_afem import (LShape, Mesh, Square, build_initial_mesh,
-                           dump_mesh, refine, shape_regularity)
+                           dump_mesh, refine)
 from obstacle_afem.mesh import _longest_edge_ref
 from tests.conftest import random_refined_mesh
 from tests.edge_oracles import edge_patch
-from tests.mesh_oracles import longest_edge_ref_loop, refine_loop
+from tests.mesh_oracles import (longest_edge_ref_loop, min_angle,
+                                refine_loop, shape_regularity)
 
 
 def test_initial_square_counts():
@@ -186,7 +187,7 @@ def test_min_angle_never_degrades_below_two_sweep_bound():
     base = build_initial_mesh(Square(0.0, 0.0, 1.0, 1.0))
     two = refine(refine(base, np.arange(base.num_edges)),
                  np.arange(refine(base, np.arange(base.num_edges)).num_edges))
-    bound = two.min_angle()
+    bound = min_angle(two)
     rng = np.random.default_rng(11)
     mesh = base
     for _ in range(40):
@@ -194,7 +195,7 @@ def test_min_angle_never_degrades_below_two_sweep_bound():
         marked = rng.choice(mesh.num_edges, size=min(k, mesh.num_edges),
                             replace=False)
         mesh = refine(mesh, marked)
-        assert mesh.min_angle() >= bound - 1e-12
+        assert min_angle(mesh) >= bound - 1e-12
         if mesh.num_triangles > 800:
             mesh = base
 

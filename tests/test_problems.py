@@ -192,3 +192,37 @@ def test_load_custom_rejects_unknown_domain(tmp_path):
                                 "f": "0*x", "g": "0*x"}))
     with pytest.raises(ValueError):
         load_custom(path)
+
+
+@pytest.mark.parametrize("expr", [
+    "[c for c in ().__class__.__base__.__subclasses__()][0] + x",
+    "x.real",
+    "__import__('os').getpid() + x",
+    "sin(x, out=y)",
+    "pi(x)",
+    "lambda: x",
+    "'x' + x",
+], ids=["subclasses", "attribute", "import", "keyword", "call-constant",
+        "lambda", "string"])
+def test_load_custom_rejects_expressions_outside_the_grammar(tmp_path,
+                                                             expr):
+    path = tmp_path / "escape.json"
+    path.write_text(json.dumps({"domain": {"type": "square"},
+                                "f": "0*x", "g": expr}))
+    with pytest.raises(ValueError):
+        load_custom(path)
+
+
+def test_load_custom_accepts_the_whole_grammar(tmp_path):
+    expr = ("where((x > 0.5) & (y <= 0.5) | (r == 0), -x ** 2 // 1, "
+            "+y % 2) + maximum(sin(pi * x), 0.25) / 2 - (x != y) * 1e-3")
+    path = tmp_path / "grammar.json"
+    path.write_text(json.dumps({"domain": {"type": "square"},
+                                "f": expr, "g": "0*x"}))
+    f = load_custom(path).f
+    x, y = np.array([0.75, 0.25, 0.0]), np.array([0.25, 0.75, 0.0])
+    r = np.hypot(x, y)
+    want = (np.where((x > 0.5) & (y <= 0.5) | (r == 0), -x ** 2 // 1,
+                     +y % 2) + np.maximum(np.sin(np.pi * x), 0.25) / 2
+            - (x != y) * 1e-3)
+    assert np.array_equal(f(x, y), want)

@@ -6,8 +6,9 @@ from obstacle_afem import (BoundaryTrace, LShape, Square, assemble_load,
                            assemble_stiffness, build_initial_mesh, energy,
                            refine)
 from obstacle_afem.boundary import interpolate_boundary
-from obstacle_afem.vi import check_kkt, projected_sor_solve, solve_obstacle
+from obstacle_afem.vi import check_kkt, solve_obstacle
 from tests.conftest import random_refined_mesh
+from tests.solver_oracles import projected_sor_solve
 
 
 def setup_problem(mesh, f, g):
