@@ -1,7 +1,7 @@
 """Adaptive P1 finite elements for 2D elliptic obstacle problems."""
 
-from .adapt import (LoopRecord, MarkingResult, RunResult, dorfler_mark,
-                    run_adaptive, run_uniform)
+from .adapt import (LoopRecord, RunResult, dorfler_mark, run_adaptive,
+                    run_uniform)
 from .boundary import (BoundaryTrace, DiscreteTrace, apx_indicator,
                        interpolate_boundary)
 from .estimator import IndicatorSet, assemble_indicators
@@ -18,8 +18,8 @@ from .vi import (DiscreteSolution, KKTReport, PdasError, check_kkt,
 __version__ = "0.1.0"
 
 __all__ = [
-    "LoopRecord", "MarkingResult", "RunResult", "dorfler_mark",
-    "run_adaptive", "run_uniform",
+    "LoopRecord", "RunResult", "dorfler_mark", "run_adaptive",
+    "run_uniform",
     "BoundaryTrace", "DiscreteTrace", "apx_indicator",
     "interpolate_boundary",
     "IndicatorSet", "assemble_indicators",

@@ -14,19 +14,12 @@ from .problems import to_zero_obstacle
 from .vi import solve_obstacle
 
 __all__ = [
-    "MarkingResult",
     "LoopRecord",
     "RunResult",
     "dorfler_mark",
     "run_adaptive",
     "run_uniform",
 ]
-
-
-@dataclass
-class MarkingResult:
-    marked: np.ndarray
-    achieved_fraction: float
 
 
 @dataclass
@@ -59,6 +52,7 @@ def dorfler_mark(indicators, theta):
 
     Edges are sorted by contribution descending (ties by edge id
     ascending) and the shortest prefix reaching the threshold is marked.
+    Returns the marked edge ids in ascending order.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
@@ -70,9 +64,7 @@ def dorfler_mark(indicators, theta):
     cum = np.cumsum(contrib[order])
     threshold = theta * total * (1.0 - 1e-12)
     k = int(np.searchsorted(cum, threshold))
-    marked = order[:k + 1]
-    return MarkingResult(marked=np.sort(marked),
-                         achieved_fraction=float(cum[k] / total))
+    return np.sort(order[:k + 1])
 
 
 def _run(problem, mark_fn, max_elements, max_level, reference_energy=None,
@@ -93,15 +85,14 @@ def _run(problem, mark_fn, max_elements, max_level, reference_energy=None,
             gl = interpolate_boundary(tp.g, mesh)
             stiffness = assemble_stiffness(mesh)
             load = assemble_load(mesh, tp.f)
-            warm = None
-            if prev is not None:
-                warm = np.zeros(mesh.num_nodes, dtype=bool)
-                warm[:len(prev[2])] = prev[2]
             sol = solve_obstacle(mesh, stiffness, load, gl,
-                                 warm_active=warm)
+                                 warm_active=prev[2] if prev else None)
             indicators = assemble_indicators(mesh, sol.values, tp.f, tp.g,
                                              gl)
             value = energy(stiffness, load, sol.values)
+            for name, v in (("estimator", indicators.rho2), ("energy", value)):
+                if not np.isfinite(v):
+                    raise ValueError(f"level {level}: {name} is not finite")
             du = None
             if prev is not None:
                 du = energy_norm_diff(stiffness, sol.values,
@@ -145,7 +136,7 @@ def run_adaptive(problem, theta, max_elements=50000, max_level=40,
     propagate with the records collected so far attached as
     ``partial_records``.
     """
-    return _run(problem, lambda ind: dorfler_mark(ind, theta).marked,
+    return _run(problem, lambda ind: dorfler_mark(ind, theta),
                 max_elements, max_level, reference_energy, keep_history)
 
 

@@ -4,7 +4,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -181,16 +181,25 @@ def _build_parser():
 
 def _parse_args(parser, p_run, argv):
     """Parse ``argv``; a ``run --config`` file supplies the defaults of
-    the run flags, so that a flag given on the command line wins."""
+    the run flags, so that a flag given on the command line wins.  A
+    file value has its flag's type, or is null where the default is."""
     args = parser.parse_args(argv)
     if args.command == "run" and args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if type(file_cfg) is not dict:
+            raise UsageError("config file must hold a JSON object")
+        run_fields = {f.name: f for f in fields(RunConfig)}
         for key, val in file_cfg.items():
-            name = key.replace("-", "_")
-            if name not in vars(RunConfig()):
+            field = run_fields.get(key.replace("-", "_"))
+            if field is None:
                 raise UsageError(f"unknown config key {key!r}")
-            p_run.set_defaults(**{name: val})
+            if not (val is None and field.default is None
+                    or type(val) is field.type
+                    or type(val) is int and field.type is float):
+                raise UsageError(f"config key {key!r} must be "
+                                 f"{field.type.__name__}, not {val!r}")
+            p_run.set_defaults(**{field.name: val})
         args = parser.parse_args(argv)
     return args
 

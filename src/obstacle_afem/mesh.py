@@ -139,78 +139,40 @@ class Mesh:
         return np.unique(self.edges[self.is_boundary_edge])
 
 
-def _longest_edge_ref(nodes, triangles):
-    """Reference edge per triangle: longest edge, ties by smallest
-    opposite-vertex id."""
-    p = nodes[triangles]
-    lengths = np.linalg.norm(p[:, [1, 2, 0]] - p, axis=2)
-    cands = lengths >= lengths.max(axis=1, keepdims=True) * (1 - 1e-12)
-    # local edge i is opposite vertex (i + 2) % 3
-    opp = triangles[:, [2, 0, 1]]
-    return np.argmin(np.where(cands, opp, np.iinfo(np.int64).max), axis=1)
-
-
-def _square_blocks(blocks):
-    """Mesh from a list of square blocks (x0, y0, x1, y1), two CCW
-    triangles per block split along the (x0, y0)-(x1, y1) diagonal."""
-    coords = {}
-    tris = []
-
-    def nid(x, y):
-        key = (round(x, 12), round(y, 12))
-        if key not in coords:
-            coords[key] = len(coords)
-        return coords[key]
-
-    for x0, y0, x1, y1 in blocks:
-        a = nid(x0, y0)
-        b = nid(x1, y0)
-        c = nid(x1, y1)
-        d = nid(x0, y1)
-        tris.append((a, b, c))
-        tris.append((a, c, d))
-    nodes = np.empty((len(coords), 2))
-    for (x, y), i in coords.items():
-        nodes[i] = (x, y)
-    triangles = np.asarray(tris, dtype=np.int64)
-    return Mesh(nodes, triangles, _longest_edge_ref(nodes, triangles))
-
-
-def build_initial_mesh(domain):
-    """Coarsest conforming mesh of the given domain.
-
-    A square yields 2 triangles; the L-shape is assembled from its three
-    square blocks with diagonals through the reentrant corner, yielding
-    6 triangles on 8 nodes.
-    """
+def _coarse(domain):
+    """Coarse nodes, counterclockwise triangles and counterclockwise
+    boundary loop of a domain.  Each rectangular block is halved along
+    its diagonal from the lower-left corner, local edge 2 of the first
+    triangle and local edge 0 of the second."""
     if isinstance(domain, Square):
-        if domain.xmax <= domain.xmin or domain.ymax <= domain.ymin:
+        x0, y0, x1, y1 = domain.xmin, domain.ymin, domain.xmax, domain.ymax
+        if x1 <= x0 or y1 <= y0:
             raise ValueError("degenerate square domain")
-        return _square_blocks(
-            [(domain.xmin, domain.ymin, domain.xmax, domain.ymax)])
+        return (np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)]),
+                [(0, 1, 2), (0, 2, 3)], [0, 1, 2, 3])
     if isinstance(domain, LShape):
         w = domain.half_width
         if w <= 0:
             raise ValueError("degenerate L-shape domain")
-        return _square_blocks([
-            (0.0, 0.0, w, w),
-            (-w, 0.0, 0.0, w),
-            (0.0, -w, w, 0.0),
-        ])
+        return (w * np.array([(0, 0), (1, 0), (1, 1), (0, 1), (-1, 0),
+                              (-1, 1), (0, -1), (1, -1)], dtype=float),
+                [(0, 1, 2), (0, 2, 3), (4, 0, 3), (4, 3, 5), (6, 7, 1),
+                 (6, 1, 0)], [0, 6, 7, 2, 5, 4])
     raise ValueError(f"unsupported domain description: {domain!r}")
+
+
+def build_initial_mesh(domain):
+    """Coarsest conforming mesh of the given domain: 2 triangles on the
+    square, 6 triangles on 8 nodes on the L-shape.  Each block diagonal,
+    the longest edge of both its halves, is their reference edge."""
+    nodes, triangles, _ = _coarse(domain)
+    return Mesh(nodes, triangles, np.tile([2, 0], len(triangles) // 2))
 
 
 def boundary_polygon(domain):
     """Vertex loop of the domain boundary, counterclockwise."""
-    if isinstance(domain, Square):
-        return np.array([
-            (domain.xmin, domain.ymin), (domain.xmax, domain.ymin),
-            (domain.xmax, domain.ymax), (domain.xmin, domain.ymax)])
-    if isinstance(domain, LShape):
-        w = domain.half_width
-        return np.array([
-            (0.0, 0.0), (0.0, -w), (w, -w), (w, w), (-w, w), (-w, 0.0)])
-    raise ValueError(f"unsupported domain description: {domain!r}")
+    nodes, _, loop = _coarse(domain)
+    return nodes[loop]
 
 
 def refine(mesh, marked):

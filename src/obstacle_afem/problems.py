@@ -6,7 +6,8 @@ are shifted away by replacing the data (chi, g, f) with
 """
 
 import ast
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -247,11 +248,7 @@ def reference_energy(problem, n_target=200000, history=False):
         gl = interpolate_boundary(tp.g, mesh)
         stiffness = assemble_stiffness(mesh)
         load = assemble_load(mesh, tp.f)
-        warm = None
-        if active is not None:
-            warm = np.zeros(mesh.num_nodes, dtype=bool)
-            warm[:len(active)] = active
-        sol = solve_obstacle(mesh, stiffness, load, gl, warm_active=warm)
+        sol = solve_obstacle(mesh, stiffness, load, gl, warm_active=active)
         value = energy(stiffness, load, sol.values)
         levels.append((mesh.num_triangles, value))
         if mesh.num_triangles * 4 > n_target:
@@ -302,18 +299,36 @@ def _compile_expr(expr):
         if not _allowed(node):
             raise ValueError(f"expression {expr!r}: "
                              f"{type(node).__name__} is not allowed")
+        if isinstance(node, ast.Constant):
+            # floats only: no big-integer arithmetic; a huge literal is inf
+            node.value = float(str(node.value))
     code = compile(tree, "<problem config>", "eval")
 
     def fn(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         # non-finite values are reported by the callers' checks
-        with np.errstate(all="ignore"):
-            env = dict(_EXPR_NAMES, x=x, y=y, r=np.hypot(x, y))
-            return np.asarray(eval(code, {"__builtins__": {}}, env),
-                              dtype=float)
+        try:
+            with np.errstate(all="ignore"):
+                env = dict(_EXPR_NAMES, x=x, y=y, r=np.hypot(x, y))
+                return np.asarray(eval(code, {"__builtins__": {}}, env),
+                                  dtype=float)
+        except ArithmeticError as exc:
+            raise ValueError(f"expression {expr!r}: {exc}") from None
 
     return fn
+
+
+_JSON_KINDS = {"object": (dict,), "string": (str,), "number": (int, float)}
+
+
+def _entry(obj, key, kind, default=None):
+    """``obj[key]`` (``default`` if given and the key is absent), which
+    must be a JSON ``object``, ``string`` or ``number``."""
+    val = obj[key] if default is None else obj.get(key, default)
+    if type(val) not in _JSON_KINDS[kind]:
+        raise ValueError(f"key {key!r} must be a {kind}")
+    return val
 
 
 def load_custom(path):
@@ -322,33 +337,37 @@ def load_custom(path):
     Expressions use ``x``, ``y``, ``r``, ``pi``, numbers, arithmetic,
     comparisons, ``&``/``|`` and calls of the functions in
     ``_EXPR_NAMES`` (polynomial, radial, and sinusoidal pieces via
-    ``where``); anything else raises ValueError.  Layout::
+    ``where``); anything else, and a value of the wrong JSON type,
+    raises ValueError.  Layout::
 
         {"domain": {"type": "square", "xmin": 0, ...} | {"type": "lshape"},
          "f": "expr", "g": "expr",
          "chi": {"value": "expr", "laplacian": "expr"}}   # optional
     """
-    import json
-
     with open(path) as fh:
         cfg = json.load(fh)
-    dom = cfg["domain"]
-    if dom["type"] == "square":
-        domain = Square(dom.get("xmin", 0.0), dom.get("ymin", 0.0),
-                        dom.get("xmax", 1.0), dom.get("ymax", 1.0))
-    elif dom["type"] == "lshape":
-        domain = LShape(dom.get("half_width", 2.0))
-    else:
+    if type(cfg) is not dict:
+        raise ValueError("the config must be a JSON object")
+    dom = _entry(cfg, "domain", "object")
+    shape = {"square": Square, "lshape": LShape}.get(
+        _entry(dom, "type", "string"))
+    if shape is None:
         raise ValueError(f"unknown domain type {dom['type']!r}")
+    domain = shape(**{f.name: _entry(dom, f.name, "number", f.default)
+                      for f in fields(shape)})
+
+    def expr(obj, key):
+        return _compile_expr(_entry(obj, key, "string"))
 
     chi = None
     if "chi" in cfg:
-        chi = Obstacle(value=_compile_expr(cfg["chi"]["value"]),
-                       laplacian=_compile_expr(cfg["chi"]["laplacian"]))
+        obstacle = _entry(cfg, "chi", "object")
+        chi = Obstacle(value=expr(obstacle, "value"),
+                       laplacian=expr(obstacle, "laplacian"))
     return ProblemSpec(
         name=cfg.get("name", "custom"),
         domain=domain,
-        g=BoundaryTrace(_compile_expr(cfg["g"])),
-        f=_compile_expr(cfg["f"]),
+        g=BoundaryTrace(expr(cfg, "g")),
+        f=expr(cfg, "f"),
         chi=chi,
     )

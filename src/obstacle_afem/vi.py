@@ -68,8 +68,9 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
     previous iterate), read off the multiplier, and update
     A <- {i interior : lambda_i - U_i > 0} until A is stable.
 
-    ``warm_active`` seeds the active set (boolean mask over nodes; entries
-    at boundary nodes are ignored).
+    ``warm_active`` seeds the active set: a boolean mask over the first
+    nodes, e.g. the previous level's (refinement appends the new nodes,
+    which start inactive); entries at boundary nodes are ignored.
     """
     interior = _interior_mask(mesh, gl)
     if np.min(gl.values, initial=0.0) < -1e-12:
@@ -84,7 +85,8 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
 
     active = np.zeros(n, dtype=bool)
     if warm_active is not None:
-        active = np.asarray(warm_active, dtype=bool) & interior
+        active[:len(warm_active)] = warm_active
+        active &= interior
 
     for iteration in range(1, MAX_PDAS_ITER + 1):
         u[active] = 0.0

@@ -1,10 +1,9 @@
 """Per-triangle reference implementations of the mesh layer.
 
 ``refine_loop`` walks the triangles one at a time with the three
-newest-vertex bisection branches written out, and
-``longest_edge_ref_loop`` picks each reference edge in its own loop
-iteration, so that the tests can cross-check the array versions in
-:mod:`obstacle_afem.mesh` against a direct reading of the rules.
+newest-vertex bisection branches written out, so that the tests can
+cross-check the array version in :mod:`obstacle_afem.mesh` against a
+direct reading of the rules.
 ``diameters``, ``min_angle`` and ``shape_regularity`` measure the shape
 of a mesh's triangles for the refinement invariants.
 """
@@ -12,25 +11,6 @@ of a mesh's triangles for the refinement invariants.
 import numpy as np
 
 from obstacle_afem.mesh import Mesh
-
-
-def longest_edge_ref_loop(nodes, triangles):
-    """Reference edge per triangle: longest edge, ties by smallest
-    opposite-vertex id."""
-    p = nodes[triangles]
-    lengths = np.stack([
-        np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-        np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-        np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-    ], axis=1)
-    ref = np.empty(triangles.shape[0], dtype=np.int64)
-    for t in range(triangles.shape[0]):
-        lmax = lengths[t].max()
-        cands = np.nonzero(lengths[t] >= lmax * (1 - 1e-12))[0]
-        # local edge i is opposite vertex (i + 2) % 3
-        opp = triangles[t, (cands + 2) % 3]
-        ref[t] = cands[np.argmin(opp)]
-    return ref
 
 
 def refine_loop(mesh, marked):

@@ -267,7 +267,7 @@ def test_criterion_8_mesh_and_marking_properties():
         n = int(rng.integers(1, 16))
         contrib = rng.uniform(0.0, 1.0, n) ** 2
         theta = float(rng.uniform(0.05, 0.95))
-        marked = dorfler_mark(Fake(contrib), theta).marked
+        marked = dorfler_mark(Fake(contrib), theta)
         if (contrib[marked].sum() < theta * contrib.sum() * (1 - 1e-9)
                 or len(marked) != brute_force_min_cardinality(contrib,
                                                               theta)):

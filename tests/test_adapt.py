@@ -28,21 +28,35 @@ def zero_problem():
                        g=BoundaryTrace(z), f=z)
 
 
+def achieved_fraction(contrib, marked):
+    contrib = np.asarray(contrib, dtype=float)
+    return contrib[marked].sum() / contrib.sum()
+
+
 def test_dorfler_small_fraction_marks_single_largest():
-    result = dorfler_mark(FakeIndicators([4.0, 3.0, 2.0, 1.0]), 0.4)
-    assert list(result.marked) == [0]
-    assert result.achieved_fraction >= 0.4
+    contrib = [4.0, 3.0, 2.0, 1.0]
+    marked = dorfler_mark(FakeIndicators(contrib), 0.4)
+    assert list(marked) == [0]
+    assert achieved_fraction(contrib, marked) >= 0.4
 
 
 def test_dorfler_large_fraction_marks_three():
-    result = dorfler_mark(FakeIndicators([4.0, 3.0, 2.0, 1.0]), 0.8)
-    assert list(result.marked) == [0, 1, 2]
-    assert np.isclose(result.achieved_fraction, 0.9)
+    contrib = [4.0, 3.0, 2.0, 1.0]
+    marked = dorfler_mark(FakeIndicators(contrib), 0.8)
+    assert list(marked) == [0, 1, 2]
+    assert np.isclose(achieved_fraction(contrib, marked), 0.9)
 
 
 def test_dorfler_tie_breaks_by_edge_id():
-    result = dorfler_mark(FakeIndicators([2.0, 2.0, 1.0]), 0.4)
-    assert list(result.marked) == [0]
+    marked = dorfler_mark(FakeIndicators([2.0, 2.0, 1.0]), 0.4)
+    assert list(marked) == [0]
+
+
+def test_dorfler_returns_sorted_edge_id_array():
+    marked = dorfler_mark(FakeIndicators([1.0, 3.0, 0.5, 2.0]), 0.7)
+    assert isinstance(marked, np.ndarray)
+    assert marked.dtype.kind == "i"
+    assert marked.tolist() == [1, 3]
 
 
 def test_dorfler_validates_inputs():
@@ -58,7 +72,7 @@ def test_dorfler_minimality_matches_brute_force():
         n = int(rng.integers(1, 13))
         contrib = rng.uniform(0.0, 1.0, n) ** 2
         theta = float(rng.uniform(0.05, 0.95))
-        marked = dorfler_mark(FakeIndicators(contrib), theta).marked
+        marked = dorfler_mark(FakeIndicators(contrib), theta)
         assert contrib[marked].sum() >= theta * contrib.sum() * (1 - 1e-9)
         assert len(marked) == brute_force_min_cardinality(contrib, theta)
 

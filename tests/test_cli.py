@@ -82,16 +82,20 @@ def test_run_deterministic_csv(tmp_path):
     assert texts[0] == texts[1]
 
 
+def cli_env(**extra):
+    """Environment for a CLI subprocess that imports this ``src/``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_cli_runs_are_deterministic(tmp_path):
     # two CLI processes (different hash seeds) must write the same CSV
     # apart from the wall-clock column
-    src = str(Path(__file__).resolve().parents[1] / "src")
     tables = []
     for hash_seed in ("1", "2"):
         out = tmp_path / f"run{hash_seed}.csv"
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = cli_env(PYTHONHASHSEED=hash_seed)
         subprocess.run([sys.executable, "-m", "obstacle_afem.cli", "run",
                         "--problem", "example1", "--max-elements", "2000",
                         "--out", str(out)], env=env, check=True,
@@ -186,6 +190,83 @@ def test_cli_custom_config_errors_exit_one(tmp_path, capsys, text,
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr", [
+    "9**9**9 + 0*x", "1/0 + 0*x", "0**-1 + 0*x", "1 % 0 + 0*x",
+    "10.0**400 + 0*x", "1" + "0" * 400 + " + 0*x",
+], ids=["tower", "div", "pow", "mod", "overflow", "huge-literal"])
+def test_cli_constant_arithmetic_exit_two(tmp_path, expr):
+    # constants are floats, so no big-integer power runs unbounded, and
+    # an arithmetic error is one error line, not a traceback
+    path = tmp_path / "const.json"
+    path.write_text(json.dumps({"domain": {"type": "square"},
+                                "f": "-2 + 0*x", "g": expr}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "obstacle_afem.cli", "run", "--problem",
+         f"custom:{path}", "--max-elements", "50"],
+        env=cli_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+_SQUARE = {"domain": {"type": "square"}, "f": "0*x", "g": "0*x"}
+
+
+@pytest.mark.parametrize("flag,cfg,message", [
+    ("--config", [1, 2], "JSON object"),
+    ("--config", {"theta": [0.5]}, "'theta'"),
+    ("--config", {"theta": None}, "'theta'"),
+    ("--config", {"max_elements": 300.5}, "'max_elements'"),
+    ("--config", {"max-level": True}, "'max-level'"),
+    ("--config", {"problem": 1}, "'problem'"),
+    ("--config", {"out": 5}, "'out'"),
+    ("--problem", ["square"], "JSON object"),
+    ("--problem", {**_SQUARE, "g": 0}, "'g'"),
+    ("--problem", {**_SQUARE, "domain": ["square"]}, "'domain'"),
+    ("--problem", {**_SQUARE, "domain": {"type": 1}}, "'type'"),
+    ("--problem", {**_SQUARE, "domain": {"type": "square", "xmin": "a"}},
+     "'xmin'"),
+    ("--problem", {**_SQUARE, "domain": {"type": "lshape",
+                                         "half_width": None}},
+     "'half_width'"),
+    ("--problem", {**_SQUARE, "chi": "0*x"}, "'chi'"),
+    ("--problem", {**_SQUARE, "chi": {"value": "0*x", "laplacian": 0}},
+     "'laplacian'"),
+])
+def test_cli_config_of_the_wrong_shape_exit_one(tmp_path, capsys, flag,
+                                                cfg, message):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(cfg))
+    arg = str(path) if flag == "--config" else f"custom:{path}"
+    assert main(["run", flag, arg, "--max-elements", "10"]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_cli_config_null_where_the_default_is_null(tmp_path, capsys):
+    cfg = tmp_path / "null.json"
+    cfg.write_text(json.dumps({"out": None, "reference_elements": None,
+                               "max_elements": 10, "theta": 1}))
+    # theta 1 is a number, so the file is read; run() then rejects it
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "theta must lie in (0, 1)" in capsys.readouterr().err
+    assert main(["run", "--config", str(cfg), "--theta", "0.5"]) == 0
+    capsys.readouterr()
+
+
+def test_cli_non_finite_estimator_stops_at_its_level(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"domain": {"type": "square"},
+                                "f": "1e200 + 0*x", "g": "0*x"}))
+    out = tmp_path / "huge.csv"
+    assert main(["run", "--problem", f"custom:{path}",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "level 0" in err and "not finite" in err
+    assert not out.exists()
 
 
 def test_cli_failed_run_writes_finished_levels(tmp_path, monkeypatch,

@@ -5,11 +5,10 @@ import pytest
 
 from obstacle_afem import (LShape, Mesh, Square, build_initial_mesh,
                            dump_mesh, refine)
-from obstacle_afem.mesh import _longest_edge_ref
+from obstacle_afem.mesh import boundary_polygon
 from tests.conftest import random_refined_mesh
 from tests.edge_oracles import edge_patch
-from tests.mesh_oracles import (longest_edge_ref_loop, min_angle,
-                                refine_loop, shape_regularity)
+from tests.mesh_oracles import min_angle, refine_loop, shape_regularity
 
 
 def test_initial_square_counts():
@@ -131,21 +130,11 @@ def test_refine_matches_loop_oracle(unit_square_mesh, lshape_mesh):
     _assert_refine_matches_loop(lshape_mesh, [7, 2, 7, 0, 2, 11])
 
 
-def test_longest_edge_ref_matches_loop_oracle():
-    # a three-way, a two-way and no tie for the longest edge, each
-    # triangle under every vertex order so that the tie-break matters
-    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2],
-                      [3.0, 0.0], [4.0, 0.0], [3.5, 2.0],
-                      [6.0, 0.0], [8.0, 0.0], [6.5, 1.0]])
-    tris = np.array([np.roll(t, r)[::d]
-                     for t in np.arange(9).reshape(3, 3)
-                     for r in range(3) for d in (1, -1)])
-    assert np.array_equal(_longest_edge_ref(nodes, tris),
-                          longest_edge_ref_loop(nodes, tris))
-    mesh = random_refined_mesh(np.random.default_rng(3), LShape(),
-                               max_nodes=300)
-    assert np.array_equal(_longest_edge_ref(mesh.nodes, mesh.triangles),
-                          longest_edge_ref_loop(mesh.nodes, mesh.triangles))
+def test_coarse_nodes_keep_the_exact_bounds():
+    domain = Square(0.0, 0.0, 1 / 3, 1.0)
+    mesh = build_initial_mesh(domain)
+    assert np.array_equal(mesh.nodes, boundary_polygon(domain))
+    assert mesh.nodes[1, 0] == 1 / 3
 
 
 def test_son_area_bounds(unit_square_mesh):

@@ -122,6 +122,24 @@ def test_warm_start_reaches_same_solution(zero_trace):
     assert warm.iterations <= cold.iterations
 
 
+def test_short_warm_mask_is_padded_with_inactive_nodes(zero_trace):
+    # the previous level's mask covers the nodes that refinement keeps
+    # in front; solve_obstacle pads it with inactive new nodes itself
+    f = lambda x, y: x - y
+    coarse = refined_square(2)
+    prev = solve_obstacle(coarse, *setup_problem(coarse, f, zero_trace))
+    mesh = refine(coarse, np.arange(coarse.num_edges))
+    k, b, gl = setup_problem(mesh, f, zero_trace)
+    padded = np.zeros(mesh.num_nodes, dtype=bool)
+    padded[:coarse.num_nodes] = prev.active
+    short = solve_obstacle(mesh, k, b, gl, warm_active=prev.active)
+    full = solve_obstacle(mesh, k, b, gl, warm_active=padded)
+    assert prev.active.any() and len(prev.active) < mesh.num_nodes
+    assert np.array_equal(short.values, full.values)
+    assert np.array_equal(short.active, full.active)
+    assert short.iterations == full.iterations
+
+
 def test_infeasible_boundary_data_rejected():
     mesh = refined_square(1)
     g = BoundaryTrace(lambda x, y: np.full_like(x, -1.0))
