@@ -156,19 +156,18 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment")
-    p_run.add_argument("--problem", default="example1",
+    p_run.add_argument("--problem",
                        help="example1 | example2 | custom:<path>")
-    p_run.add_argument("--mode", default="adaptive",
-                       choices=["adaptive", "uniform"])
-    p_run.add_argument("--theta", type=float, default=0.5)
-    p_run.add_argument("--max-elements", type=int, default=50000)
-    p_run.add_argument("--max-level", type=int, default=40)
-    p_run.add_argument("--out", default=None, help="per-level CSV path")
-    p_run.add_argument("--dump-mesh", default=None)
-    p_run.add_argument("--dump-indicators", default=None)
-    p_run.add_argument("--reference-elements", type=int, default=None)
-    p_run.add_argument("--config", default=None,
-                       help="JSON config mirroring the flags")
+    p_run.add_argument("--mode", choices=["adaptive", "uniform"])
+    p_run.add_argument("--theta", type=float)
+    p_run.add_argument("--max-elements", type=int)
+    p_run.add_argument("--max-level", type=int)
+    p_run.add_argument("--out", help="per-level CSV path")
+    p_run.add_argument("--dump-mesh")
+    p_run.add_argument("--dump-indicators")
+    p_run.add_argument("--reference-elements", type=int)
+    p_run.add_argument("--config", help="JSON config mirroring the flags")
+    p_run.set_defaults(**vars(RunConfig()))
 
     p_fit = sub.add_parser("fit-rates", help="log-log rate fit on a CSV")
     p_fit.add_argument("csv")
@@ -186,7 +185,10 @@ def _parse_args(parser, p_run, argv):
     args = parser.parse_args(argv)
     if args.command == "run" and args.config:
         with open(args.config) as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except ValueError as exc:
+                raise UsageError(f"bad config file: {exc}")
         if type(file_cfg) is not dict:
             raise UsageError("config file must hold a JSON object")
         run_fields = {f.name: f for f in fields(RunConfig)}

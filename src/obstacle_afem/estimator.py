@@ -62,10 +62,11 @@ def _triangle_f_moments(mesh, f):
     pts = triangle_points(mesh)
     fv = np.broadcast_to(
         np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2])
-    areas = mesh.areas()
-    int_f = areas * (fv @ TRI_WEIGHTS)
-    int_f2 = areas * ((fv ** 2) @ TRI_WEIGHTS)
-    return fv, areas, int_f, int_f2
+    int_f = mesh.areas * (fv @ TRI_WEIGHTS)
+    # an overflow to inf reaches the loop as a non-finite estimator
+    with np.errstate(over="ignore"):
+        int_f2 = mesh.areas * ((fv ** 2) @ TRI_WEIGHTS)
+    return fv, int_f, int_f2
 
 
 def assemble_indicators(mesh, values, f, g, gl):
@@ -76,7 +77,8 @@ def assemble_indicators(mesh, values, f, g, gl):
     eta2 = np.zeros(n_edges)
     osc2 = np.zeros(n_edges)
     apx2 = np.zeros(n_edges)
-    fv, areas, int_f, int_f2 = _triangle_f_moments(mesh, f)
+    fv, int_f, int_f2 = _triangle_f_moments(mesh, f)
+    areas = mesh.areas
 
     interior = mesh.interior_edge_ids()
     grads = solution_gradients(mesh, values)

@@ -26,26 +26,23 @@ CG_RTOL = 1e-12
 
 
 def hat_gradients(mesh):
-    """Gradients of the three nodal hat functions on each triangle.
-
-    Returns ``(grads, areas)`` with grads of shape (M, 3, 2).
-    """
+    """Gradients of the three nodal hat functions on each triangle,
+    shape (M, 3, 2)."""
     p = mesh.nodes[mesh.triangles]
-    areas = mesh.areas()
     grads = np.empty((mesh.num_triangles, 3, 2))
     for i in range(3):
         # edge opposite vertex i, rotated by 90 degrees
         e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
         grads[:, i, 0] = -e[:, 1]
         grads[:, i, 1] = e[:, 0]
-    grads /= (2.0 * areas)[:, None, None]
-    return grads, areas
+    grads /= (2.0 * mesh.areas)[:, None, None]
+    return grads
 
 
 def assemble_stiffness(mesh):
     """Sparse symmetric stiffness matrix of the Dirichlet form."""
-    grads, areas = hat_gradients(mesh)
-    local = np.einsum("mid,mjd,m->mij", grads, grads, areas)
+    grads = hat_gradients(mesh)
+    local = np.einsum("mid,mjd,m->mij", grads, grads, mesh.areas)
     tri = mesh.triangles
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
@@ -61,8 +58,8 @@ def assemble_load(mesh, f):
     fvals = np.broadcast_to(np.asarray(fvals, dtype=float), pts.shape[:2])
     if not np.isfinite(fvals).all():
         raise ValueError("load f is not finite at a quadrature point")
-    areas = mesh.areas()
-    contrib = np.einsum("q,mq,qi,m->mi", TRI_WEIGHTS, fvals, TRI_BARY, areas)
+    contrib = np.einsum("q,mq,qi,m->mi", TRI_WEIGHTS, fvals, TRI_BARY,
+                        mesh.areas)
     b = np.zeros(mesh.num_nodes)
     np.add.at(b, mesh.triangles, contrib)
     return b
@@ -100,7 +97,7 @@ def energy_norm_diff(stiffness, v, w):
 
 def solution_gradients(mesh, values):
     """Constant gradient of a P1 function on each triangle, shape (M, 2)."""
-    grads, _ = hat_gradients(mesh)
+    grads = hat_gradients(mesh)
     return np.einsum("mid,mi->md", grads, values[mesh.triangles])
 
 

@@ -61,8 +61,10 @@ class Mesh:
     parent_triangles : (M,) int array, optional
         Index of the father triangle in the previous mesh.
 
-    Edge connectivity is rebuilt eagerly on construction.  Interior edges
-    have exactly two adjacent triangles, boundary edges exactly one.
+    The triangle areas ``areas`` (positive, since the vertices run
+    counterclockwise) and the edge tables are computed once on
+    construction.  Interior edges have exactly two adjacent triangles,
+    boundary edges exactly one.
     """
 
     def __init__(self, nodes, triangles, ref_edge, level=0,
@@ -75,35 +77,38 @@ class Mesh:
         self.parent_triangles = parent_triangles
         if not np.isfinite(self.nodes).all():
             raise ValueError("non-finite node coordinates")
-        if (self.areas() <= 0).any():
+        p = self.nodes[self.triangles]
+        d1 = p[:, 1] - p[:, 0]
+        d2 = p[:, 2] - p[:, 0]
+        self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        if (self.areas <= 0).any():
             raise ValueError("triangle with non-positive signed area")
         self._build_edges()
 
     # -- connectivity -----------------------------------------------------
 
     def _build_edges(self):
-        tri = self.triangles
-        m = tri.shape[0]
-        local = tri[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
+        m = self.num_triangles
+        local = self.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
         pairs = np.sort(local, axis=1)
-        edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        self.edges = edges
-        self.tri2edge = inverse.reshape(m, 3)
-
-        e = self.tri2edge.ravel()
-        t = np.repeat(np.arange(m), 3)
-        order = np.argsort(e, kind="stable")
-        counts = np.bincount(e, minlength=len(edges))
-        if counts.max(initial=0) > 2:
+        # one stable sort of the key a * N + b (a < b) numbers the edges
+        # lexicographically and lists each edge's triangles ascending
+        key = pairs[:, 0] * self.num_nodes + pairs[:, 1]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.ones(3 * m, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        if (~first[1:] & ~first[:-1]).any():
             raise ValueError("edge shared by more than two triangles")
-        starts = np.zeros(len(edges), dtype=np.int64)
-        starts[1:] = np.cumsum(counts)[:-1]
-        edge2tri = -np.ones((len(edges), 2), dtype=np.int64)
-        edge2tri[:, 0] = t[order][starts]
-        both = counts == 2
-        edge2tri[both, 1] = t[order][starts[both] + 1]
-        self.edge2tri = edge2tri
-        self.is_boundary_edge = ~both
+        ids = np.cumsum(first) - 1
+        tri2edge = np.empty(3 * m, dtype=np.int64)
+        tri2edge[order] = ids
+        self.tri2edge = tri2edge.reshape(m, 3)
+        self.edges = edges = pairs[order[first]]
+        self.edge2tri = np.full((len(edges), 2), -1, dtype=np.int64)
+        self.edge2tri[:, 0] = order[first] // 3
+        self.edge2tri[ids[~first], 1] = order[~first] // 3
+        self.is_boundary_edge = self.edge2tri[:, 1] < 0
         diff = self.nodes[edges[:, 0]] - self.nodes[edges[:, 1]]
         self.edge_lengths = np.hypot(diff[:, 0], diff[:, 1])
 
@@ -120,13 +125,6 @@ class Mesh:
     @property
     def num_edges(self):
         return self.edges.shape[0]
-
-    def areas(self):
-        """Signed triangle areas, positive for counterclockwise vertices."""
-        p = self.nodes[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
     def boundary_edge_ids(self):
         return np.nonzero(self.is_boundary_edge)[0]

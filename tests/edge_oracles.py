@@ -32,7 +32,7 @@ def edge_patch(mesh, eid):
     if mesh.is_boundary_edge[eid]:
         raise ValueError("edge_patch requires an interior edge")
     t_plus, t_minus = mesh.edge2tri[eid]
-    areas = mesh.areas()
+    areas = mesh.areas
     return int(t_plus), int(t_minus), float(areas[t_plus] + areas[t_minus])
 
 
@@ -63,7 +63,7 @@ def interior_osc(mesh, f, eid):
     if mesh.is_boundary_edge[eid]:
         raise ValueError("interior_osc requires an interior edge")
     fv = _f_at_points(mesh, f)
-    areas = mesh.areas()
+    areas = mesh.areas
     tp, tm, patch = edge_patch(mesh, eid)
     mean = (areas[tp] * (fv[tp] @ TRI_WEIGHTS)
             + areas[tm] * (fv[tm] @ TRI_WEIGHTS)) / patch
@@ -78,7 +78,7 @@ def boundary_residual(mesh, f, eid):
     if not mesh.is_boundary_edge[eid]:
         raise ValueError("boundary_residual requires a boundary edge")
     t = mesh.edge2tri[eid, 0]
-    area = mesh.areas()[t]
+    area = mesh.areas[t]
     return float(area * area * (_f_at_points(mesh, f)[t] ** 2 @ TRI_WEIGHTS))
 
 

@@ -4,6 +4,9 @@
 newest-vertex bisection branches written out, so that the tests can
 cross-check the array version in :mod:`obstacle_afem.mesh` against a
 direct reading of the rules.
+``build_edges_unique`` numbers the edges with ``np.unique`` over the
+vertex pairs and a second sort for the edge-to-triangle map, to
+cross-check the single-sort edge tables of :class:`obstacle_afem.mesh.Mesh`.
 ``diameters``, ``min_angle`` and ``shape_regularity`` measure the shape
 of a mesh's triangles for the refinement invariants.
 """
@@ -88,6 +91,33 @@ def refine_loop(mesh, marked):
                 parent_triangles=np.asarray(parents, dtype=np.int64))
 
 
+def build_edges_unique(mesh):
+    """Edge tables of a mesh as ``(edges, tri2edge, edge2tri,
+    is_boundary_edge, edge_lengths)``, same contract as the attributes
+    of :class:`obstacle_afem.mesh.Mesh`."""
+    tri = mesh.triangles
+    m = tri.shape[0]
+    local = tri[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
+    pairs = np.sort(local, axis=1)
+    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    tri2edge = inverse.reshape(m, 3)
+
+    e = tri2edge.ravel()
+    t = np.repeat(np.arange(m), 3)
+    order = np.argsort(e, kind="stable")
+    counts = np.bincount(e, minlength=len(edges))
+    if counts.max(initial=0) > 2:
+        raise ValueError("edge shared by more than two triangles")
+    starts = np.zeros(len(edges), dtype=np.int64)
+    starts[1:] = np.cumsum(counts)[:-1]
+    edge2tri = -np.ones((len(edges), 2), dtype=np.int64)
+    edge2tri[:, 0] = t[order][starts]
+    both = counts == 2
+    edge2tri[both, 1] = t[order][starts[both] + 1]
+    diff = mesh.nodes[edges[:, 0]] - mesh.nodes[edges[:, 1]]
+    return edges, tri2edge, edge2tri, ~both, np.hypot(diff[:, 0], diff[:, 1])
+
+
 def diameters(mesh):
     p = mesh.nodes[mesh.triangles]
     s0 = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
@@ -111,4 +141,4 @@ def min_angle(mesh):
 
 def shape_regularity(mesh):
     """max over triangles of diam(T)^2 / |T|."""
-    return float(np.max(diameters(mesh) ** 2 / mesh.areas()))
+    return float(np.max(diameters(mesh) ** 2 / mesh.areas))

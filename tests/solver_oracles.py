@@ -63,7 +63,7 @@ def h1_error(mesh, values, exact, exact_grad):
     """Full H1 norm of (exact - P1 function) by order-5 quadrature."""
     pts = triangle_points(mesh)
     x, y = pts[..., 0], pts[..., 1]
-    areas = mesh.areas()
+    areas = mesh.areas
 
     bary = TRI_BARY  # (7, 3)
     uh = np.einsum("qi,mi->mq", bary, values[mesh.triangles])

@@ -246,8 +246,8 @@ def test_criterion_8_mesh_and_marking_properties():
         halved = all(tuple(sorted(mesh.edges[e])) in parent_pairs
                      for e in marked)
         counts = collections.Counter(fine.parent_triangles.tolist())
-        pa = mesh.areas()[fine.parent_triangles]
-        fa = fine.areas()
+        pa = mesh.areas[fine.parent_triangles]
+        fa = fine.areas
         split = np.array([counts[t] > 1 for t in fine.parent_triangles])
         areas_ok = ((fa[split] >= pa[split] / 4 - 1e-13).all()
                     and (fa[split] <= pa[split] / 2 + 1e-13).all())

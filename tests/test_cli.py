@@ -172,21 +172,25 @@ def test_cli_custom_config_missing_key_exit_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("text,message", [
-    (json.dumps({"domain": {"type": "pentagon"}, "f": "0*x", "g": "0*x"}),
+@pytest.mark.parametrize("flag,text,message", [
+    ("--problem",
+     json.dumps({"domain": {"type": "pentagon"}, "f": "0*x", "g": "0*x"}),
      "unknown domain type 'pentagon'"),
-    (json.dumps({"domain": {"type": "square"}, "f": "0*x", "g": "x +"}),
+    ("--problem",
+     json.dumps({"domain": {"type": "square"}, "f": "0*x", "g": "x +"}),
      "invalid syntax"),
-    (json.dumps({"domain": {"type": "square"}, "f": "0*x",
-                 "g": "().__class__.__base__.__subclasses__()"}),
+    ("--problem", json.dumps({"domain": {"type": "square"}, "f": "0*x",
+                              "g": "().__class__.__base__.__subclasses__()"}),
      "is not allowed"),
-    ('{"domain": ', "Expecting value"),
-], ids=["domain", "syntax", "sandbox", "json"])
-def test_cli_custom_config_errors_exit_one(tmp_path, capsys, text,
+    ("--problem", '{"domain": ', "Expecting value"),
+    ("--config", '{"theta": ', "Expecting value"),
+], ids=["domain", "syntax", "sandbox", "json", "config-json"])
+def test_cli_custom_config_errors_exit_one(tmp_path, capsys, flag, text,
                                            message):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    assert main(["run", "--problem", f"custom:{path}"]) == 1
+    arg = str(path) if flag == "--config" else f"custom:{path}"
+    assert main(["run", flag, arg]) == 1
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
@@ -262,11 +266,14 @@ def test_cli_non_finite_estimator_stops_at_its_level(tmp_path, capsys):
     path.write_text(json.dumps({"domain": {"type": "square"},
                                 "f": "1e200 + 0*x", "g": "0*x"}))
     out = tmp_path / "huge.csv"
-    assert main(["run", "--problem", f"custom:{path}",
-                 "--out", str(out)]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--problem", f"custom:{path}",
+                     "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "level 0" in err and "not finite" in err
     assert not out.exists()
+    assert not [w for w in caught if w.category is RuntimeWarning]
 
 
 def test_cli_failed_run_writes_finished_levels(tmp_path, monkeypatch,

@@ -88,7 +88,7 @@ def test_load_linear_exact(unit_square_mesh):
     for t in range(unit_square_mesh.num_triangles):
         tri = unit_square_mesh.triangles[t]
         xs = unit_square_mesh.nodes[tri, 0]
-        area = unit_square_mesh.areas()[t]
+        area = unit_square_mesh.areas[t]
         for i in range(3):
             # int_T x phi_i = area/12 * (sum x + x_i)
             exact[tri[i]] += area / 12.0 * (xs.sum() + xs[i])

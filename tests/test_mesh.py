@@ -8,7 +8,8 @@ from obstacle_afem import (LShape, Mesh, Square, build_initial_mesh,
 from obstacle_afem.mesh import boundary_polygon
 from tests.conftest import random_refined_mesh
 from tests.edge_oracles import edge_patch
-from tests.mesh_oracles import min_angle, refine_loop, shape_regularity
+from tests.mesh_oracles import (build_edges_unique, min_angle, refine_loop,
+                                shape_regularity)
 
 
 def test_initial_square_counts():
@@ -16,15 +17,15 @@ def test_initial_square_counts():
     assert mesh.num_nodes == 4
     assert mesh.num_triangles == 2
     assert mesh.num_edges == 5
-    assert np.isclose(mesh.areas().sum(), 9.0)
-    assert (mesh.areas() > 0).all()
+    assert np.isclose(mesh.areas.sum(), 9.0)
+    assert (mesh.areas > 0).all()
 
 
 def test_initial_lshape_counts():
     mesh = build_initial_mesh(LShape())
     assert mesh.num_nodes == 8
     assert mesh.num_triangles == 6
-    assert np.isclose(mesh.areas().sum(), 12.0)
+    assert np.isclose(mesh.areas.sum(), 12.0)
 
 
 def test_degenerate_domains_rejected():
@@ -60,7 +61,7 @@ def test_refine_diagonal_gives_four_quarters(unit_square_mesh):
             if not mesh.is_boundary_edge[e]][0]
     fine = refine(mesh, [diag])
     assert fine.num_triangles == 4
-    assert np.allclose(fine.areas(), 0.25)
+    assert np.allclose(fine.areas, 0.25)
     assert fine.num_nodes == 5
 
 
@@ -72,7 +73,7 @@ def test_closure_forces_reference_edge_split(unit_square_mesh):
     fine = refine(mesh, [bdry])
     counts = collections.Counter(fine.parent_triangles.tolist())
     assert sorted(counts.values()) == [2, 3]
-    assert np.isclose(fine.areas().sum(), 1.0)
+    assert np.isclose(fine.areas.sum(), 1.0)
 
 
 def test_marked_edges_are_halved(unit_square_mesh):
@@ -102,8 +103,9 @@ def _assert_refine_matches_loop(mesh, marked):
     return fine
 
 
-def test_refine_matches_loop_oracle(unit_square_mesh, lshape_mesh):
-    # criterion 8's random sequence, which restarts on both domains
+def _criterion8_sequence(step):
+    """Criterion 8's random sequence of 1000 refines, which restarts on
+    both domains; ``step(mesh, marked)`` returns the refined mesh."""
     rng = np.random.default_rng(2024)
     bases = (build_initial_mesh(Square(-1.5, -1.5, 1.5, 1.5)),
              build_initial_mesh(LShape()))
@@ -116,8 +118,12 @@ def test_refine_matches_loop_oracle(unit_square_mesh, lshape_mesh):
         k = int(rng.integers(1, max(2, mesh.num_edges // 4)))
         marked = rng.choice(mesh.num_edges, size=min(k, mesh.num_edges),
                             replace=False)
-        mesh = _assert_refine_matches_loop(mesh, marked)
+        mesh = step(mesh, marked)
     assert restarts == {4, 8}
+
+
+def test_refine_matches_loop_oracle(unit_square_mesh, lshape_mesh):
+    _criterion8_sequence(_assert_refine_matches_loop)
 
     mesh = lshape_mesh
     for _ in range(3):
@@ -128,6 +134,39 @@ def test_refine_matches_loop_oracle(unit_square_mesh, lshape_mesh):
                                 [unit_square_mesh.boundary_edge_ids()[0]])
     # a plain list with duplicates, out of order
     _assert_refine_matches_loop(lshape_mesh, [7, 2, 7, 0, 2, 11])
+
+
+def _assert_edges_match_unique_oracle(mesh):
+    names = ("edges", "tri2edge", "edge2tri", "is_boundary_edge",
+             "edge_lengths")
+    for name, ref in zip(names, build_edges_unique(mesh)):
+        got = getattr(mesh, name)
+        assert got.dtype == ref.dtype, name
+        assert np.array_equal(got, ref), name
+
+
+def test_edge_tables_match_unique_oracle():
+    def step(mesh, marked):
+        fine = refine(mesh, marked)
+        _assert_edges_match_unique_oracle(fine)
+        return fine
+
+    _assert_edges_match_unique_oracle(
+        build_initial_mesh(Square(-1.5, -1.5, 1.5, 1.5)))
+    _criterion8_sequence(step)
+    for width in (2.0, 0.75, 1 / 3):
+        mesh = build_initial_mesh(LShape(width))
+        for _ in range(6):
+            _assert_edges_match_unique_oracle(mesh)
+            mesh = refine(mesh, np.arange(mesh.num_edges))
+        _assert_edges_match_unique_oracle(mesh)
+
+
+def test_three_triangles_on_one_edge_are_rejected():
+    nodes = [(0, 0), (1, 0), (0, 1), (0, -1), (0.5, 1)]
+    triangles = [(0, 1, 2), (1, 0, 3), (0, 1, 4)]
+    with pytest.raises(ValueError, match="more than two triangles"):
+        Mesh(nodes, triangles, np.zeros(3))
 
 
 def test_coarse_nodes_keep_the_exact_bounds():
@@ -147,8 +186,8 @@ def test_son_area_bounds(unit_square_mesh):
         marked = rng.choice(mesh.num_edges, size=k, replace=False)
         fine = refine(mesh, marked)
         counts = collections.Counter(fine.parent_triangles.tolist())
-        pa = mesh.areas()[fine.parent_triangles]
-        fa = fine.areas()
+        pa = mesh.areas[fine.parent_triangles]
+        fa = fine.areas
         split = np.array([counts[t] > 1 for t in fine.parent_triangles])
         assert (fa[split] >= pa[split] / 4 - 1e-13).all()
         assert (fa[split] <= pa[split] / 2 + 1e-13).all()

@@ -54,9 +54,9 @@ def test_coarse_reference_edge_is_longest_edge(domain):
 def test_refinement_keeps_area_and_bisects_marked_edges(domain, data):
     mesh = build_initial_mesh(domain)
     area = domain_area(domain)
-    assert np.isclose(mesh.areas().sum(), area, rtol=1e-12)
+    assert np.isclose(mesh.areas.sum(), area, rtol=1e-12)
     for coarse, marked, fine in refine_randomly(data, mesh, steps=4):
-        assert np.isclose(fine.areas().sum(), area, rtol=1e-12)
+        assert np.isclose(fine.areas.sum(), area, rtol=1e-12)
         nodes = set(map(tuple, fine.nodes))
         ends = coarse.nodes[coarse.edges[marked]]
         mids = 0.5 * (ends[:, 0] + ends[:, 1])
