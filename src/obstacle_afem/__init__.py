@@ -9,9 +9,9 @@ from .fem import (assemble_load, assemble_stiffness, energy,
                   energy_norm_diff, prolong)
 from .mesh import (LShape, Mesh, Square, build_initial_mesh, dump_mesh,
                    refine)
-from .problems import (Obstacle, ProblemSpec, TransformedProblem, example1,
-                       example1_exact_energy, example2, load_custom,
-                       reference_energy, to_zero_obstacle)
+from .problems import (Obstacle, ProblemSpec, example1, example1_exact_energy,
+                       example2, load_custom, reference_energy,
+                       to_zero_obstacle)
 from .vi import (DiscreteSolution, KKTReport, PdasError, check_kkt,
                  solve_obstacle)
 
@@ -27,9 +27,8 @@ __all__ = [
     "prolong",
     "LShape", "Mesh", "Square", "build_initial_mesh", "dump_mesh",
     "refine",
-    "Obstacle", "ProblemSpec", "TransformedProblem", "example1",
-    "example1_exact_energy", "example2", "load_custom", "reference_energy",
-    "to_zero_obstacle",
+    "Obstacle", "ProblemSpec", "example1", "example1_exact_energy",
+    "example2", "load_custom", "reference_energy", "to_zero_obstacle",
     "DiscreteSolution", "KKTReport", "PdasError", "check_kkt",
     "solve_obstacle",
     "__version__",

@@ -1,7 +1,7 @@
 """Doerfler marking and the Solve-Estimate-Mark-Refine loop."""
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class RunResult:
     mesh: object = None
     solution: object = None
     indicators: object = None
-    history: list = field(default_factory=list)
 
 
 def dorfler_mark(indicators, theta):
@@ -67,8 +66,7 @@ def dorfler_mark(indicators, theta):
     return np.sort(order[:k + 1])
 
 
-def _run(problem, mark_fn, max_elements, max_level, reference_energy=None,
-         keep_history=False):
+def _run(problem, mark_fn, max_elements, max_level, reference_energy=None):
     tp = to_zero_obstacle(problem)
     ref = reference_energy
     if ref is None:
@@ -109,8 +107,6 @@ def _run(problem, mark_fn, max_elements, max_level, reference_energy=None,
                 pdas_iters=sol.iterations,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
             ))
-            if keep_history:
-                result.history.append((mesh, sol, indicators))
             result.mesh, result.solution, result.indicators = \
                 mesh, sol, indicators
             if (indicators.rho2 <= 0.0
@@ -128,7 +124,7 @@ def _run(problem, mark_fn, max_elements, max_level, reference_energy=None,
 
 
 def run_adaptive(problem, theta, max_elements=50000, max_level=40,
-                 reference_energy=None, keep_history=False):
+                 reference_energy=None):
     """Algorithm loop with Doerfler marking; one record per level.
 
     Terminates when the estimator vanishes, the element budget is
@@ -137,11 +133,11 @@ def run_adaptive(problem, theta, max_elements=50000, max_level=40,
     ``partial_records``.
     """
     return _run(problem, lambda ind: dorfler_mark(ind, theta),
-                max_elements, max_level, reference_energy, keep_history)
+                max_elements, max_level, reference_energy)
 
 
 def run_uniform(problem, max_elements=50000, max_level=40,
-                reference_energy=None, keep_history=False):
+                reference_energy=None):
     """Same loop with every edge marked (uniform refinement)."""
     return _run(problem, lambda ind: np.arange(ind.mesh.num_edges),
-                max_elements, max_level, reference_energy, keep_history)
+                max_elements, max_level, reference_energy)

@@ -95,13 +95,11 @@ def interpolate_boundary(g, mesh):
 def apx_indicator(g, gl, eid):
     """Dirichlet oscillation h_E * int_E ((g - g_l)')^2 of boundary edges.
 
-    ``eid`` is one edge id (returns a float) or an array of ids (returns
-    an array of the same shape).  The interpolant slope is the endpoint
-    difference over the edge length; g' is evaluated at Gauss points
-    along each edge.
+    ``eid`` is one edge id or an array of ids; the result has its shape.
+    The interpolant slope is the endpoint difference over the edge
+    length; g' is evaluated at Gauss points along each edge.
     """
     mesh = gl.mesh
-    scalar = np.ndim(eid) == 0
     eid = np.asarray(eid, dtype=np.int64)
     if not mesh.is_boundary_edge[eid].all():
         raise ValueError("apx_indicator requires a boundary edge")
@@ -114,5 +112,4 @@ def apx_indicator(g, gl, eid):
     gp = g.arc_derivative(pts[..., 0], pts[..., 1],
                           (tangent[..., 0, None], tangent[..., 1, None]),
                           h[..., None])
-    apx = h * np.sum(w * (np.asarray(gp) - slope[..., None]) ** 2, axis=-1)
-    return float(apx) if scalar else apx
+    return h * np.sum(w * (np.asarray(gp) - slope[..., None]) ** 2, axis=-1)

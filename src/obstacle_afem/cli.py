@@ -69,6 +69,10 @@ def run(config):
         raise UsageError(f"unknown mode {config.mode!r}")
     if config.mode == "adaptive" and not 0.0 < config.theta < 1.0:
         raise UsageError("theta must lie in (0, 1) in adaptive mode")
+    if config.reference_elements is not None \
+            and config.reference_elements < 1:
+        raise UsageError(f"--reference-elements must be at least 1, "
+                         f"not {config.reference_elements}")
 
     problem = _load_problem(config.problem)
     ref = None
@@ -115,33 +119,35 @@ def write_csv(records, path):
             writer.writerow([row[c] for c in columns])
 
 
-def fit_rates(source, quantity, window=None):
-    """Least-squares slope of log(quantity) against log(N).
-
-    ``source`` is a CSV path or a list of records; ``window`` selects the
-    last k levels.  At least 4 points are required.
-    """
-    field = "eps" if quantity == "sqrt_eps" else quantity
-    if isinstance(source, (str, bytes)):
-        with open(source, newline="") as fh:
-            pairs = [(float(r["N"]), float(r[field]))
-                     for r in csv.DictReader(fh) if r.get(field)]
-    else:
-        pairs = [(float(r.n_elements), float(getattr(r, field)))
-                 for r in source if getattr(r, field) is not None]
-    if quantity == "sqrt_eps":
-        pairs = [(n, np.sqrt(v)) for n, v in pairs]
-
-    if window is not None:
-        pairs = pairs[-window:]
-    pairs = [(n, v) for n, v in pairs if v > 0]
-    if len(pairs) < 4:
+def fit_rates(n, q):
+    """Least-squares slope of log(q) against log(n) over the points with
+    q > 0, of which at least 4 are required."""
+    n, q = np.asarray(n, dtype=float), np.asarray(q, dtype=float)
+    n, q = n[q > 0], q[q > 0]
+    if len(q) < 4:
         raise ValueError("rate fit needs at least 4 positive data points")
-    logn = np.log([n for n, _ in pairs])
-    logq = np.log([v for _, v in pairs])
-    slope, intercept = np.polyfit(logn, logq, 1)
+    slope, intercept = np.polyfit(np.log(n), np.log(q), 1)
     return RateFit(slope=float(slope), intercept=float(intercept),
-                   n_points=len(pairs))
+                   n_points=len(q))
+
+
+def _rate_data(path, quantity, window):
+    """``(N, quantity)`` of the last ``window`` levels of a run CSV that
+    have a value; ``sqrt_eps`` is the square root of the ``eps`` column."""
+    if window is not None and window < 1:
+        raise UsageError(f"--window must be at least 1, not {window}")
+    column = "eps" if quantity == "sqrt_eps" else quantity
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if column not in (reader.fieldnames or ()):
+            raise UsageError(f"--quantity {quantity!r} is not a column "
+                             f"of {path} or sqrt_eps")
+        rows = [r for r in reader if r[column]]
+    if window:
+        rows = rows[-window:]
+    q = [float(r[column]) for r in rows]
+    return ([float(r["N"]) for r in rows],
+            np.sqrt(q) if quantity == "sqrt_eps" else q)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -218,7 +224,7 @@ def main(argv=None):
             print(f"levels={len(records)} N={final.n_elements} "
                   f"rho={final.rho:.6e}")
             return 0
-        fit = fit_rates(args.csv, args.quantity, window=args.window)
+        fit = fit_rates(*_rate_data(args.csv, args.quantity, args.window))
         print(f"slope={fit.slope:.6f} intercept={fit.intercept:.6f} "
               f"points={fit.n_points}")
         return 0

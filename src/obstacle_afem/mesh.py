@@ -30,6 +30,10 @@ class Square:
     xmax: float = 1.0
     ymax: float = 1.0
 
+    def __post_init__(self):
+        if not (self.xmin < self.xmax and self.ymin < self.ymax):
+            raise ValueError("degenerate square domain")
+
 
 @dataclass(frozen=True)
 class LShape:
@@ -39,6 +43,10 @@ class LShape:
     """
 
     half_width: float = 2.0
+
+    def __post_init__(self):
+        if not self.half_width > 0:
+            raise ValueError("degenerate L-shape domain")
 
 
 class Mesh:
@@ -144,14 +152,10 @@ def _coarse(domain):
     triangle and local edge 0 of the second."""
     if isinstance(domain, Square):
         x0, y0, x1, y1 = domain.xmin, domain.ymin, domain.xmax, domain.ymax
-        if x1 <= x0 or y1 <= y0:
-            raise ValueError("degenerate square domain")
         return (np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)]),
                 [(0, 1, 2), (0, 2, 3)], [0, 1, 2, 3])
     if isinstance(domain, LShape):
         w = domain.half_width
-        if w <= 0:
-            raise ValueError("degenerate L-shape domain")
         return (w * np.array([(0, 0), (1, 0), (1, 1), (0, 1), (-1, 0),
                               (-1, 1), (0, -1), (1, -1)], dtype=float),
                 [(0, 1, 2), (0, 2, 3), (4, 0, 3), (4, 3, 5), (6, 7, 1),

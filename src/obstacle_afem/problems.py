@@ -2,7 +2,8 @@
 
 The solver pipeline only handles zero obstacles; general smooth obstacles
 are shifted away by replacing the data (chi, g, f) with
-(0, g - chi|_Gamma, f + Laplace(chi)) and adding chi back to the solution.
+(0, g - chi|_Gamma, f + Laplace(chi)).  The shifted solution plus chi
+solves the original problem.
 """
 
 import ast
@@ -20,7 +21,6 @@ from .vi import solve_obstacle
 __all__ = [
     "Obstacle",
     "ProblemSpec",
-    "TransformedProblem",
     "to_zero_obstacle",
     "example1",
     "example2",
@@ -57,22 +57,6 @@ class ProblemSpec:
     exact_energy: float = None
 
 
-@dataclass
-class TransformedProblem:
-    """Zero-obstacle data with the shift needed to recover the solution."""
-
-    g: BoundaryTrace
-    f: callable
-    chi: Obstacle = None
-
-    def recover(self, mesh, values):
-        """Add the obstacle back to a transformed nodal solution."""
-        if self.chi is None:
-            return values
-        x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-        return values + np.asarray(self.chi.value(x, y), dtype=float)
-
-
 # Points per polygon side at which the shifted Dirichlet data are checked.
 _SAMPLES_PER_SIDE = 50
 
@@ -88,13 +72,14 @@ def _sample_boundary(domain):
 
 
 def to_zero_obstacle(problem):
-    """Shift the data so the obstacle becomes identically zero.
+    """Problem with the same domain and the data shifted so that the
+    obstacle is identically zero (``problem`` itself if it has none).
 
     Requires an analytic Laplacian of chi; raises if the shifted boundary
     data g - chi|_Gamma turn negative beyond tolerance.
     """
     if problem.chi is None:
-        return TransformedProblem(g=problem.g, f=problem.f, chi=None)
+        return problem
     chi = problem.chi
     if chi.laplacian is None:
         raise ValueError("obstacle transformation requires an analytic "
@@ -112,7 +97,7 @@ def to_zero_obstacle(problem):
     if np.min(vals, initial=0.0) < -1e-10:
         raise ValueError("chi > g on the boundary: shifted Dirichlet data "
                          "negative")
-    return TransformedProblem(g=g, f=f, chi=chi)
+    return ProblemSpec(name=problem.name, domain=problem.domain, g=g, f=f)
 
 
 # -- Example 1: constant obstacle on the square -------------------------
@@ -233,30 +218,25 @@ def example2():
 
 # -- reference energies -------------------------------------------------
 
-def reference_energy(problem, n_target=200000, history=False):
+def reference_energy(problem, n_target=200000):
     """Energy of the Galerkin solution on the finest uniform mesh with at
-    most ``n_target`` elements.
-
-    With ``history=True`` the per-level list of ``(n_elements, energy)``
-    is returned alongside the final value.
-    """
+    most ``n_target`` elements; raises if the coarse mesh has more."""
     tp = to_zero_obstacle(problem)
     mesh = build_initial_mesh(problem.domain)
+    if mesh.num_triangles > n_target:
+        raise ValueError(f"reference target of {n_target} elements is below "
+                         f"the {mesh.num_triangles}-element coarse mesh")
     active = None
-    levels = []
     while True:
         gl = interpolate_boundary(tp.g, mesh)
         stiffness = assemble_stiffness(mesh)
         load = assemble_load(mesh, tp.f)
         sol = solve_obstacle(mesh, stiffness, load, gl, warm_active=active)
         value = energy(stiffness, load, sol.values)
-        levels.append((mesh.num_triangles, value))
         if mesh.num_triangles * 4 > n_target:
             break
         active = sol.active
         mesh = refine(mesh, np.arange(mesh.num_edges))
-    if history:
-        return value, levels
     return value
 
 

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,29 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in CRITERION_LINES:
             terminalreporter.write_line(line)
+
+
+@contextlib.contextmanager
+def recording(module, name):
+    """Record ``(args, result)`` of each call of the module global
+    ``module.name`` made while the block runs.
+
+    The wrapper replaces the global where its callers look it up, so
+    per-level data of a loop can be read without the loop keeping them.
+    """
+    calls = []
+    original = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    setattr(module, name, recorded)
+    try:
+        yield calls
+    finally:
+        setattr(module, name, original)
 
 
 def random_refined_mesh(rng, domain, max_nodes=200):

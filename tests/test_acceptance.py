@@ -10,16 +10,16 @@ import sys
 import numpy as np
 import pytest
 
-from obstacle_afem import (BoundaryTrace, LShape, ProblemSpec, Square,
+from obstacle_afem import (BoundaryTrace, LShape, ProblemSpec, Square, adapt,
                            build_initial_mesh, dorfler_mark, example1,
-                           example2, refine, reference_energy, run_adaptive,
-                           run_uniform)
+                           example2, problems, refine, reference_energy,
+                           run_adaptive, run_uniform)
 from obstacle_afem.boundary import apx_indicator, interpolate_boundary
 from obstacle_afem.cli import fit_rates
 from obstacle_afem.fem import (assemble_load, assemble_stiffness, energy,
                                energy_norm_diff, prolong)
 from obstacle_afem.vi import check_kkt, solve_obstacle
-from tests.conftest import random_refined_mesh
+from tests.conftest import random_refined_mesh, recording
 from tests.mesh_oracles import min_angle
 from tests.solver_oracles import h1_error, projected_sor_solve
 
@@ -32,15 +32,23 @@ def report(num, ok, detail):
     assert ok, line
 
 
+def sqrt_eps_slope(records):
+    return fit_rates([r.n_elements for r in records],
+                     np.sqrt([r.eps for r in records])).slope
+
+
 @pytest.fixture(scope="module")
 def example1_run():
-    return run_adaptive(example1(), 0.8, max_elements=4000,
-                        keep_history=True)
+    """Adaptive run at theta = 0.8 and the (mesh, nodal values,
+    indicators) of each of its levels."""
+    with recording(adapt, "assemble_indicators") as calls:
+        result = run_adaptive(example1(), 0.8, max_elements=4000)
+    return result, [(args[0], args[1], ind) for args, ind in calls]
 
 
 @pytest.fixture(scope="module")
 def theta_runs(example1_run):
-    runs = {0.8: example1_run}
+    runs = {0.8: example1_run[0]}
     for theta in (0.4, 0.6):
         runs[theta] = run_adaptive(example1(), theta, max_elements=4000)
     return runs
@@ -48,15 +56,17 @@ def theta_runs(example1_run):
 
 @pytest.fixture(scope="module")
 def example2_reference():
-    ref, hist = reference_energy(example2(), n_target=200000, history=True)
-    ref_err = abs(hist[-1][1] - hist[-2][1]) / 3.0
+    with recording(problems, "energy") as calls:
+        ref = reference_energy(example2(), n_target=200000)
+    ref_err = abs(calls[-1][1] - calls[-2][1]) / 3.0
     return ref, ref_err
 
 
 def test_criterion_1_example1_adaptive_rates(example1_run):
-    records = example1_run.records
-    eps_slope = fit_rates(records[-5:], "sqrt_eps").slope
-    apx_slope = fit_rates(records[-5:], "apx").slope
+    records = example1_run[0].records
+    eps_slope = sqrt_eps_slope(records[-5:])
+    apx_slope = fit_rates([r.n_elements for r in records[-5:]],
+                          [r.apx for r in records[-5:]]).slope
     ok = abs(eps_slope + 0.5) <= 0.15 and abs(apx_slope + 0.75) <= 0.15
     report(1, ok, f"sqrt(eps) slope {eps_slope:+.3f} (want -0.5±0.15), "
            f"apx slope {apx_slope:+.3f} (want -0.75±0.15), "
@@ -95,8 +105,8 @@ def test_criterion_3_example2_adaptive_vs_uniform(example2_reference):
     # drop levels contaminated by the reference discretization error
     ada = [r for r in adaptive if r.eps >= 10.0 * ref_err]
     uni = [r for r in uniform if r.eps >= 10.0 * ref_err]
-    ada_slope = fit_rates(ada[-8:], "sqrt_eps").slope
-    uni_slope = fit_rates(uni[-4:], "sqrt_eps").slope
+    ada_slope = sqrt_eps_slope(ada[-8:])
+    uni_slope = sqrt_eps_slope(uni[-4:])
     ok = (abs(ada_slope + 0.5) <= 0.15
           and abs(uni_slope + 5.0 / 12.0) <= 0.1)
     report(3, ok, f"adaptive slope {ada_slope:+.3f} (want -0.5±0.15), "
@@ -106,19 +116,19 @@ def test_criterion_3_example2_adaptive_vs_uniform(example2_reference):
 
 def test_criterion_4_reliability_band(example1_run):
     problem = example1()
+    result, levels = example1_run
     ratios = []
-    for (mesh, sol, ind), rec in zip(example1_run.history,
-                                     example1_run.records):
+    for (mesh, values, ind), rec in zip(levels, result.records):
         if rec.level < 3:
             continue
-        err = h1_error(mesh, sol.values, problem.exact_solution,
+        err = h1_error(mesh, values, problem.exact_solution,
                        problem.exact_gradient)
         ratios.append(err / ind.rho)
     factor = max(ratios) / min(ratios)
     ok = factor < 10.0
     report(4, ok, f"H1-error/estimator ratio in "
            f"[{min(ratios):.3f}, {max(ratios):.3f}], factor {factor:.2f} "
-           f"(want < 10) over levels 3..{example1_run.records[-1].level}")
+           f"(want < 10) over levels 3..{result.records[-1].level}")
 
 
 def test_criterion_5_solver_oracle_equivalence():
@@ -290,10 +300,10 @@ def test_criterion_9_trivial_termination(zero_trace):
     p_neg = ProblemSpec(name="fully-active", domain=Square(0, 0, 1, 1),
                         g=zero_trace,
                         f=lambda x, y: np.full_like(x, -2.0))
-    result = run_uniform(p_neg, max_elements=600, keep_history=True)
-    flat_ok = all(np.abs(sol.values).max() == 0.0
-                  for _, sol, _ in result.history)
+    with recording(adapt, "assemble_indicators") as calls:
+        run_uniform(p_neg, max_elements=600)
+    flat_ok = all(np.abs(args[1]).max() == 0.0 for args, _ in calls)
     ok = zero_ok and flat_ok
     report(9, ok, f"zero data: {len(records)} level(s), rho0 = "
            f"{records[0].rho}; negative force: U identically zero on "
-           f"{len(result.history)} uniform levels: {flat_ok}")
+           f"{len(calls)} uniform levels: {flat_ok}")

@@ -14,9 +14,7 @@ from obstacle_afem.cli import RunConfig, fit_rates, main, run
 
 def test_fit_rates_exact_half_slope():
     n = np.array([100, 200, 400, 800, 1600], dtype=float)
-    rows = [type("R", (), {"n_elements": ni, "rho": ni ** -0.5})()
-            for ni in n]
-    fit = fit_rates(rows, "rho")
+    fit = fit_rates(n, n ** -0.5)
     assert abs(fit.slope + 0.5) < 1e-12
     assert fit.n_points == 5
 
@@ -24,25 +22,18 @@ def test_fit_rates_exact_half_slope():
 def test_fit_rates_noisy_three_quarters_slope():
     rng = np.random.default_rng(1)
     n = np.geomspace(100, 100000, 12)
-    rows = [type("R", (), {"n_elements": ni,
-                           "rho": 3.0 * ni ** -0.75
-                           * (1 + 0.01 * rng.normal())})()
-            for ni in n]
-    fit = fit_rates(rows, "rho")
+    rho = [3.0 * ni ** -0.75 * (1 + 0.01 * rng.normal()) for ni in n]
+    fit = fit_rates(n, rho)
     assert abs(fit.slope + 0.75) < 0.02
 
 
 def test_fit_rates_constant_gives_zero_slope():
-    rows = [type("R", (), {"n_elements": ni, "rho": 2.0})()
-            for ni in [10, 20, 40, 80]]
-    assert abs(fit_rates(rows, "rho").slope) < 1e-12
+    assert abs(fit_rates([10, 20, 40, 80], [2.0] * 4).slope) < 1e-12
 
 
 def test_fit_rates_requires_four_points():
-    rows = [type("R", (), {"n_elements": ni, "rho": 1.0})()
-            for ni in [10, 20, 40]]
     with pytest.raises(ValueError):
-        fit_rates(rows, "rho")
+        fit_rates([10, 20, 40], [1.0] * 3)
 
 
 def test_run_writes_csv_with_eps_column(tmp_path):
@@ -119,6 +110,7 @@ def test_cli_run_and_fit_roundtrip(tmp_path, capsys):
                  "--window", "5"])
     assert code == 0
     line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert line.endswith("points=5")
     slope = float(line.split()[0].split("=")[1])
     assert -0.8 < slope < -0.3
 
@@ -136,6 +128,30 @@ def test_cli_usage_errors_exit_one(capsys):
     assert main(["run", "--problem", "nonsense"]) == 1
     assert main(["run", "--mode", "sideways"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value,code,message", [
+    ("-5", 1, "--reference-elements must be at least 1, not -5"),
+    ("0", 1, "--reference-elements must be at least 1, not 0"),
+    ("5", 2, "below the 6-element coarse mesh"),
+])
+def test_cli_reference_elements_out_of_range(capsys, value, code, message):
+    assert main(["run", "--problem", "example2", "--reference-elements",
+                 value, "--max-elements", "10"]) == code
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--window", "0"], "--window must be at least 1, not 0"),
+    (["--window", "-3"], "--window must be at least 1, not -3"),
+    (["--quantity", "foo"], "--quantity 'foo' is not a column"),
+], ids=["window-zero", "window-negative", "quantity"])
+def test_cli_fit_rates_bad_input_exit_one(tmp_path, capsys, args, message):
+    path = tmp_path / "rates.csv"  # 13 levels, rho = N^(-1/2)
+    path.write_text("level,N,rho\n" + "".join(
+        f"{k},{2 * 4 ** k},{(2 * 4 ** k) ** -0.5!r}\n" for k in range(13)))
+    assert main(["fit-rates", str(path), *args]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_cli_numerical_failure_exit_two(tmp_path, capsys):
@@ -184,7 +200,14 @@ def test_cli_custom_config_missing_key_exit_one(tmp_path, capsys):
      "is not allowed"),
     ("--problem", '{"domain": ', "Expecting value"),
     ("--config", '{"theta": ', "Expecting value"),
-], ids=["domain", "syntax", "sandbox", "json", "config-json"])
+    ("--problem", json.dumps({"domain": {"type": "square", "xmin": 1,
+                                         "xmax": 0}, "f": "0*x", "g": "0*x"}),
+     "degenerate square domain"),
+    ("--problem", json.dumps({"domain": {"type": "lshape", "half_width": -1},
+                              "f": "0*x", "g": "0*x"}),
+     "degenerate L-shape domain"),
+], ids=["domain", "syntax", "sandbox", "json", "config-json", "square",
+        "lshape"])
 def test_cli_custom_config_errors_exit_one(tmp_path, capsys, flag, text,
                                            message):
     path = tmp_path / "bad.json"

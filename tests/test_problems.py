@@ -51,8 +51,6 @@ def test_transformation_is_identity_without_obstacle():
     p = example1()
     tp = to_zero_obstacle(p)
     assert tp.g is p.g and tp.f is p.f and tp.chi is None
-    v = np.array([1.0, 2.0])
-    assert tp.recover(None, v) is v
 
 
 def test_affine_obstacle_shifts_data_only():
@@ -135,14 +133,6 @@ def test_example2_transformed_boundary_data_vanish():
     assert np.abs(np.asarray(tp.g(xs, ys))).max() == 0.0
 
 
-def test_example2_recover_adds_obstacle_back(lshape_mesh):
-    tp = to_zero_obstacle(example2())
-    vals = np.zeros(lshape_mesh.num_nodes)
-    rec = tp.recover(lshape_mesh, vals)
-    x, y = lshape_mesh.nodes[:, 0], lshape_mesh.nodes[:, 1]
-    assert np.allclose(rec, _chi_value(x, y))
-
-
 def test_reference_energy_converges_to_exact():
     p = example1()
     ref = reference_energy(p, n_target=100000)
@@ -163,6 +153,12 @@ def test_reference_energy_trivial_and_monotone(zero_trace):
     coarse = reference_energy(prob, n_target=50)
     fine = reference_energy(prob, n_target=800)
     assert fine <= coarse + 1e-12
+
+
+def test_reference_energy_rejects_a_target_below_the_coarse_mesh():
+    with pytest.raises(ValueError, match="6-element coarse mesh"):
+        reference_energy(example2(), n_target=5)
+    assert reference_energy(example2(), n_target=6) == 0.0
 
 
 def test_load_custom_round_trip(tmp_path):
