@@ -36,6 +36,7 @@ class LoopRecord:
     du_norm: float = None       # |||U_l - U_{l-1}||| on the current mesh
     pdas_iters: int = 0
     wall_ms: float = 0.0        # whole level, marking and refinement too
+    cg_iters: int = 0           # CG iterations of all PDAS iterations
 
 
 @dataclass
@@ -106,6 +107,7 @@ def _run(problem, mark_fn, max_elements, max_level, reference_energy=None):
                 du_norm=du,
                 pdas_iters=sol.iterations,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
+                cg_iters=sol.cg_iterations,
             ))
             result.mesh, result.solution, result.indicators = \
                 mesh, sol, indicators

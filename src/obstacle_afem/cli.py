@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -16,7 +17,7 @@ from .problems import example1, example2, load_custom, reference_energy
 __all__ = ["RunConfig", "RateFit", "run", "fit_rates", "main"]
 
 CSV_COLUMNS = ["level", "N", "rho", "rho_tilde", "apx", "J", "eps",
-               "pdas_iters", "wall_ms"]
+               "pdas_iters", "wall_ms", "cg_iters"]
 
 
 @dataclass
@@ -73,6 +74,15 @@ def run(config):
             and config.reference_elements < 1:
         raise UsageError(f"--reference-elements must be at least 1, "
                          f"not {config.reference_elements}")
+    if config.max_level < 0:
+        raise UsageError(f"--max-level must be at least 0, "
+                         f"not {config.max_level}")
+    if config.max_elements < 1:
+        raise UsageError(f"--max-elements must be at least 1, "
+                         f"not {config.max_elements}")
+    for path in (config.out, config.dump_mesh, config.dump_indicators):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise UsageError(f"output directory of {path!r} does not exist")
 
     problem = _load_problem(config.problem)
     ref = None
@@ -115,6 +125,7 @@ def write_csv(records, path):
                 "J": repr(r.energy),
                 "eps": repr(r.eps) if r.eps is not None else "",
                 "pdas_iters": r.pdas_iters, "wall_ms": repr(r.wall_ms),
+                "cg_iters": r.cg_iters,
             }
             writer.writerow([row[c] for c in columns])
 

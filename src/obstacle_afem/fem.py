@@ -1,7 +1,8 @@
 """P1 finite element machinery.
 
 Stiffness and load assembly, energy evaluation, prolongation between
-nested meshes, and the CG solver of the PDAS systems.  Stiffness entries
+nested meshes, and the CG solver of the PDAS systems (preconditioned by
+:func:`obstacle_afem.multigrid.vcycle`).  Stiffness entries
 are exact (piecewise-constant gradients); area integrals of data use the
 order-5 triangle rule from :mod:`obstacle_afem.quadrature`.
 """
@@ -101,12 +102,14 @@ def solution_gradients(mesh, values):
     return np.einsum("mid,mi->md", grads, values[mesh.triangles])
 
 
-def cg_solve(matrix, rhs, x0=None):
-    """Jacobi-preconditioned conjugate gradients."""
-    diag = matrix.diagonal()
-    precond = spla.LinearOperator(matrix.shape, matvec=lambda r: r / diag)
-    x, info = spla.cg(matrix, rhs, x0=x0, rtol=CG_RTOL, M=precond,
-                      maxiter=10000)
+def cg_solve(matrix, rhs, x0, precond):
+    """Conjugate gradients preconditioned by ``precond``, a function of
+    the residual, started from ``x0``; returns the solution and the
+    number of iterations."""
+    steps = []
+    x, info = spla.cg(matrix, rhs, x0=x0, rtol=CG_RTOL, maxiter=10000,
+                      M=spla.LinearOperator(matrix.shape, matvec=precond),
+                      callback=lambda _: steps.append(1))
     if info != 0:
         raise RuntimeError(f"CG failed to converge (info={info})")
-    return x
+    return x, len(steps)

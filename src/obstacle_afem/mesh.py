@@ -68,6 +68,11 @@ class Mesh:
         endpoints; ``-1`` rows mark original nodes.
     parent_triangles : (M,) int array, optional
         Index of the father triangle in the previous mesh.
+    level_nodes : (L + 1,) int array, optional
+        Node count of each mesh in the bisection history, coarsest
+        first and ending with N; ``node_parents`` holds the parent edge
+        of every node past the first count.  Default: a one-level
+        history ``[N]``.
 
     The triangle areas ``areas`` (positive, since the vertices run
     counterclockwise) and the edge tables are computed once on
@@ -76,13 +81,15 @@ class Mesh:
     """
 
     def __init__(self, nodes, triangles, ref_edge, level=0,
-                 node_parents=None, parent_triangles=None):
+                 node_parents=None, parent_triangles=None, level_nodes=None):
         self.nodes = np.ascontiguousarray(nodes, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.ref_edge = np.ascontiguousarray(ref_edge, dtype=np.int64)
         self.level = int(level)
         self.node_parents = node_parents
         self.parent_triangles = parent_triangles
+        self.level_nodes = np.array(
+            [len(self.nodes)] if level_nodes is None else level_nodes)
         if not np.isfinite(self.nodes).all():
             raise ValueError("non-finite node coordinates")
         p = self.nodes[self.triangles]
@@ -186,7 +193,9 @@ def refine(mesh, marked):
     2, 3, or 4 sons following the newest-vertex rule; son reference edges
     lie opposite the newest vertex.
 
-    An empty marked set returns the input mesh unchanged.
+    An empty marked set returns the input mesh unchanged.  The refined
+    mesh extends the input's bisection history (``node_parents`` and
+    ``level_nodes``) by one level.
     """
     marked = np.unique(np.asarray(marked, dtype=np.int64))
     if marked.size == 0:
@@ -213,7 +222,10 @@ def refine(mesh, marked):
     midpoint[eids] = n_old + np.arange(len(eids))
     nodes = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[mesh.edges[eids, 0]]
                                           + mesh.nodes[mesh.edges[eids, 1]])])
-    node_parents = np.vstack([np.full((n_old, 2), -1), mesh.edges[eids]])
+    old_parents = mesh.node_parents
+    if old_parents is None:
+        old_parents = np.full((n_old, 2), -1)
+    node_parents = np.vstack([old_parents, mesh.edges[eids]])
 
     # rotate every triangle (a, b, c) so that its reference edge ab is
     # local edge 0; midpoint -1 marks an edge that stays whole
@@ -239,7 +251,8 @@ def refine(mesh, marked):
 
     return Mesh(nodes, sons[keep], refs[keep], level=mesh.level + 1,
                 node_parents=node_parents,
-                parent_triangles=np.nonzero(keep)[0])
+                parent_triangles=np.nonzero(keep)[0],
+                level_nodes=np.append(mesh.level_nodes, len(nodes)))
 
 
 def dump_mesh(mesh, path):

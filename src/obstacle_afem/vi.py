@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import cg_solve
+from .multigrid import level_prolongations, vcycle
 
 __all__ = [
     "DiscreteSolution",
@@ -32,13 +33,15 @@ class DiscreteSolution:
 
     ``active`` is a boolean mask over all nodes (True only at interior
     nodes where U touches the obstacle); ``multiplier`` is (KU - b) at
-    interior nodes, zero at boundary nodes.
+    interior nodes, zero at boundary nodes; ``cg_iterations`` sums the
+    CG iterations of all PDAS iterations.
     """
 
     values: np.ndarray
     active: np.ndarray
     multiplier: np.ndarray
     iterations: int
+    cg_iterations: int = 0
 
 
 @dataclass
@@ -64,8 +67,9 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
 
     Primal-dual active set iteration with complementarity parameter c = 1:
     given the active set A, solve the linear system with U = 0 on A and
-    U = g_l on the boundary (Jacobi-preconditioned CG, started from the
-    previous iterate), read off the multiplier, and update
+    U = g_l on the boundary (CG preconditioned by a V-cycle on the mesh's
+    bisection history truncated to the inactive interior nodes, started
+    from the previous iterate), read off the multiplier, and update
     A <- {i interior : lambda_i - U_i > 0} until A is stable.
 
     ``warm_active`` seeds the active set: a boolean mask over the first
@@ -88,17 +92,23 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
         active[:len(warm_active)] = warm_active
         active &= interior
 
+    prolongations = level_prolongations(mesh)
+    cg_iterations = 0
     for iteration in range(1, MAX_PDAS_ITER + 1):
         u[active] = 0.0
         idx = np.nonzero(interior & ~active)[0]
         if idx.size:
-            u[idx] = cg_solve(csr[idx][:, idx], rhs[idx], x0=u[idx])
+            a = csr[idx][:, idx]
+            u[idx], steps = cg_solve(a, rhs[idx], u[idx],
+                                     vcycle(a, prolongations, idx))
+            cg_iterations += steps
         lam = np.zeros(n)
         lam[interior] = (csr @ u - load)[interior]
         new_active = interior & ((lam - u) > 0)
         if np.array_equal(new_active, active):
             return DiscreteSolution(values=u, active=new_active,
-                                    multiplier=lam, iterations=iteration)
+                                    multiplier=lam, iterations=iteration,
+                                    cg_iterations=cg_iterations)
         active = new_active
     raise PdasError(
         f"PDAS did not converge within {MAX_PDAS_ITER} iterations")

@@ -3,13 +3,17 @@
 ``projected_sor_solve`` reaches the discrete obstacle solution by
 projected Gauss-Seidel sweeps, with no active set and no linear solver,
 so that the tests can cross-check the PDAS solution of
-:func:`obstacle_afem.vi.solve_obstacle`; ``h1_error`` measures a P1
-function against a closed-form solution by quadrature.
+:func:`obstacle_afem.vi.solve_obstacle`; ``jacobi_cg_solve`` solves one
+PDAS system by Jacobi-preconditioned CG, with no mesh hierarchy, to
+cross-check the multilevel-preconditioned :func:`obstacle_afem.fem.cg_solve`;
+``h1_error`` measures a P1 function against a closed-form solution by
+quadrature.
 """
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
-from obstacle_afem.fem import solution_gradients
+from obstacle_afem.fem import CG_RTOL, solution_gradients
 from obstacle_afem.quadrature import TRI_BARY, TRI_WEIGHTS, triangle_points
 from obstacle_afem.vi import DiscreteSolution, _interior_mask
 
@@ -57,6 +61,17 @@ def projected_sor_solve(mesh, stiffness, load, gl, omega=1.5,
     active = interior & (u <= tol) & (lam > 0)
     return DiscreteSolution(values=u, active=active, multiplier=lam,
                             iterations=sweep)
+
+
+def jacobi_cg_solve(matrix, rhs, x0=None):
+    """Jacobi-preconditioned conjugate gradients."""
+    diag = matrix.diagonal()
+    precond = spla.LinearOperator(matrix.shape, matvec=lambda r: r / diag)
+    x, info = spla.cg(matrix, rhs, x0=x0, rtol=CG_RTOL, M=precond,
+                      maxiter=10000)
+    if info != 0:
+        raise RuntimeError(f"CG failed to converge (info={info})")
+    return x
 
 
 def h1_error(mesh, values, exact, exact_grad):

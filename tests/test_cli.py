@@ -45,10 +45,12 @@ def test_run_writes_csv_with_eps_column(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(records)
     assert list(rows[0]) == ["level", "N", "rho", "rho_tilde", "apx", "J",
-                             "eps", "pdas_iters", "wall_ms"]
-    for row in rows:
+                             "eps", "pdas_iters", "wall_ms", "cg_iters"]
+    for row, record in zip(rows, records):
         for key in ("rho", "rho_tilde", "apx", "J", "eps", "wall_ms"):
             assert np.isfinite(float(row[key]))
+        assert int(row["cg_iters"]) == record.cg_iters
+    assert records[-1].cg_iters > 0
 
 
 def test_run_without_reference_omits_eps_column(tmp_path):
@@ -67,9 +69,9 @@ def test_run_deterministic_csv(tmp_path):
         run(RunConfig(problem="example1", theta=0.5, max_elements=300,
                       out=str(out)))
         # everything except the wall-clock column must be reproducible
-        lines = [line.rsplit(",", 1)[0]
-                 for line in out.read_text().splitlines()]
-        texts.append(lines)
+        with open(out, newline="") as fh:
+            texts.append([{k: v for k, v in row.items() if k != "wall_ms"}
+                          for row in csv.DictReader(fh)])
     assert texts[0] == texts[1]
 
 
@@ -139,6 +141,38 @@ def test_cli_reference_elements_out_of_range(capsys, value, code, message):
     assert main(["run", "--problem", "example2", "--reference-elements",
                  value, "--max-elements", "10"]) == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("max_level", -1), ("max_elements", 0), ("max_elements", -7),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_run_bounds_out_of_range(tmp_path, capsys, key, value, source):
+    flag = "--" + key.replace("_", "-")
+    args = [flag, str(value)]
+    if source == "config":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        args = ["--config", str(path)]
+    assert main(["run", "--problem", "example1", *args]) == 1
+    assert f"{flag} must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-mesh",
+                                  "--dump-indicators"])
+def test_cli_missing_output_directory_exit_one(tmp_path, capsys,
+                                               monkeypatch, flag):
+    # the path is checked before any level is solved
+    import obstacle_afem.adapt as adapt
+
+    def solve_obstacle(*args, **kwargs):
+        raise AssertionError("a level was solved")
+
+    monkeypatch.setattr(adapt, "solve_obstacle", solve_obstacle)
+    path = tmp_path / "missing" / "x.out"
+    assert main(["run", "--problem", "example1", flag, str(path)]) == 1
+    assert repr(str(path)) in capsys.readouterr().err
+    assert not path.parent.exists()
 
 
 @pytest.mark.parametrize("args,message", [

@@ -8,7 +8,8 @@ from obstacle_afem.fem import cg_solve, solution_gradients
 from obstacle_afem.mesh import Mesh
 from obstacle_afem.quadrature import (TRI_BARY, TRI_WEIGHTS, gauss_segment,
                                       triangle_points)
-from tests.solver_oracles import h1_error
+from obstacle_afem.multigrid import level_prolongations, vcycle
+from tests.solver_oracles import h1_error, jacobi_cg_solve
 
 
 def single_triangle():
@@ -167,15 +168,25 @@ def test_h1_error_vanishes_for_reproduced_function(unit_square_mesh):
 
 
 def test_cg_matches_direct(unit_square_mesh):
+    # the V-cycle CG and the Jacobi CG oracle against a direct solve, on
+    # the full interior system and on one truncated at a random active set
     mesh = unit_square_mesh
     for _ in range(3):
         mesh = refine(mesh, np.arange(mesh.num_edges))
     k = assemble_stiffness(mesh)
+    load = assemble_load(mesh, lambda x, y: np.ones_like(x))
     interior = np.ones(mesh.num_nodes, bool)
     interior[mesh.boundary_node_ids()] = False
-    idx = np.nonzero(interior)[0]
-    sub = k[idx][:, idx]
-    rhs = assemble_load(mesh, lambda x, y: np.ones_like(x))[idx]
+    active = np.random.default_rng(5).random(mesh.num_nodes) < 0.3
+    prolongations = level_prolongations(mesh)
+    assert len(prolongations) == 3
     import scipy.sparse.linalg as spla
-    direct = spla.spsolve(sub.tocsc(), rhs)
-    assert np.abs(cg_solve(sub, rhs) - direct).max() < 1e-10
+    for idx in (np.nonzero(interior)[0], np.nonzero(interior & ~active)[0]):
+        sub = k[idx][:, idx]
+        rhs = load[idx]
+        direct = spla.spsolve(sub.tocsc(), rhs)
+        x, steps = cg_solve(sub, rhs, np.zeros(len(idx)),
+                            vcycle(sub, prolongations, idx))
+        assert np.abs(x - direct).max() < 1e-10
+        assert 0 < steps < 20
+        assert np.abs(jacobi_cg_solve(sub, rhs) - direct).max() < 1e-10

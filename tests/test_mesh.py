@@ -96,9 +96,19 @@ def test_marked_edges_are_halved(unit_square_mesh):
 def _assert_refine_matches_loop(mesh, marked):
     fine = refine(mesh, marked)
     ref = refine_loop(mesh, marked)
-    for name in ("triangles", "ref_edge", "nodes", "node_parents",
-                 "parent_triangles"):
+    for name in ("triangles", "ref_edge", "nodes", "parent_triangles"):
         assert np.array_equal(getattr(fine, name), getattr(ref, name)), name
+    # the parent table is cumulative: the new rows are the oracle's, the
+    # old rows the input mesh's history
+    n_old = mesh.num_nodes
+    old = mesh.node_parents
+    if old is None:
+        old = np.full((n_old, 2), -1)
+    assert np.array_equal(fine.node_parents[n_old:],
+                          ref.node_parents[n_old:])
+    assert np.array_equal(fine.node_parents[:n_old], old)
+    assert np.array_equal(fine.level_nodes,
+                          [*mesh.level_nodes, fine.num_nodes])
     assert fine.level == ref.level
     return fine
 

@@ -3,15 +3,18 @@
 Hypothesis draws square and rectangle bounds, L-shape widths and short
 sequences of random mark sets; every refined mesh must keep the area,
 put a node at the midpoint of each marked edge, give each triangle one
-to four sons and keep its boundary edges on the domain's polygon.
+to four sons and keep its boundary edges on the domain's polygon.  The
+bisection history it carries must give the same prolongations as the
+level-by-level ``prolong``.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obstacle_afem import LShape, Square, build_initial_mesh, refine
+from obstacle_afem import LShape, Square, build_initial_mesh, prolong, refine
 from obstacle_afem.mesh import boundary_polygon
+from obstacle_afem.multigrid import level_prolongations
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None,
                              database=None, max_examples=60)
@@ -95,3 +98,28 @@ def test_boundary_edges_lie_on_the_boundary_polygon(domain, data):
         assert on_side.all(axis=1).any(axis=1).all()
         length = fine.edge_lengths[fine.is_boundary_edge].sum()
         assert np.isclose(length, np.hypot(*side.T).sum(), rtol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(domains, st.data())
+def test_history_prolongations_chain_level_by_level_prolong(domain, data):
+    meshes = [build_initial_mesh(domain)]
+    steps = data.draw(st.integers(1, 6))
+    meshes += [fine for _, _, fine in refine_randomly(data, meshes[0], steps)]
+    counts = [m.num_nodes for m in meshes]
+    assert list(meshes[-1].level_nodes) == counts
+    rng = np.random.default_rng(len(counts))
+    fine = len(counts) - 1
+    for p in level_prolongations(meshes[-1]):
+        assert p.shape[0] == counts[fine]
+        coarse = counts.index(p.shape[1])
+        # the finest earlier level with at most half the nodes, else 0
+        assert coarse == max([0] + [level for level in range(fine)
+                                    if 2 * counts[level] <= counts[fine]])
+        v = rng.normal(size=counts[coarse])
+        chained = v
+        for level in range(coarse, fine):
+            chained = prolong(chained, meshes[level], meshes[level + 1])
+        assert np.allclose(p @ v, chained, rtol=0.0, atol=1e-12)
+        fine = coarse
+    assert fine == 0

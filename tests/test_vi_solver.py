@@ -4,10 +4,13 @@ import scipy.sparse.linalg as spla
 
 from obstacle_afem import (BoundaryTrace, LShape, Square, assemble_load,
                            assemble_stiffness, build_initial_mesh, energy,
-                           refine)
+                           example2, refine, run_adaptive)
+from obstacle_afem import vi
 from obstacle_afem.boundary import interpolate_boundary
+from obstacle_afem.multigrid import COARSE_LIMIT
 from obstacle_afem.vi import check_kkt, solve_obstacle
-from tests.conftest import random_refined_mesh
+from tests.conftest import random_refined_mesh, recording
+from tests.mesh_oracles import refine_loop
 from tests.solver_oracles import projected_sor_solve
 
 
@@ -138,6 +141,41 @@ def test_short_warm_mask_is_padded_with_inactive_nodes(zero_trace):
     assert np.array_equal(short.values, full.values)
     assert np.array_equal(short.active, full.active)
     assert short.iterations == full.iterations
+
+
+def test_mesh_without_history_solves_like_the_refined_mesh(zero_trace):
+    # a Mesh built directly has a one-level history: its only level is
+    # too large for the dense coarse solve and is smoothed instead
+    f = lambda x, y: np.sin(6.0 * x) + y - 0.5
+    coarse = refined_square(4)
+    refined = refine(coarse, np.arange(coarse.num_edges))
+    flat = refine_loop(coarse, np.arange(coarse.num_edges))
+    assert list(flat.level_nodes) == [flat.num_nodes]
+    solutions = []
+    for mesh in (refined, flat):
+        k, b, gl = setup_problem(mesh, f, zero_trace)
+        with recording(np.linalg, "pinv") as dense:
+            solutions.append(solve_obstacle(mesh, k, b, gl))
+        sizes = [args[0].shape[0] for args, _ in dense]
+        assert all(size <= COARSE_LIMIT for size in sizes)
+        assert bool(sizes) == (mesh is refined)
+    interior = flat.num_nodes - len(gl.node_ids)
+    assert interior > COARSE_LIMIT
+    sol, sol_flat = solutions
+    assert sol.active.any() and not sol.active.all()
+    assert np.array_equal(sol.active, sol_flat.active)
+    assert np.abs(sol.values - sol_flat.values).max() < 1e-10
+
+
+def test_cg_iterations_stay_bounded_along_an_adaptive_run():
+    # the multilevel preconditioner keeps every PDAS system's CG count
+    # small as the adaptive mesh grows
+    with recording(vi, "cg_solve") as calls:
+        result = run_adaptive(example2(), 0.5, max_elements=20000)
+    steps = [res[1] for _, res in calls]
+    assert result.records[-1].n_elements >= 20000
+    assert max(steps) <= 30
+    assert sum(steps) == sum(r.cg_iters for r in result.records)
 
 
 def test_infeasible_boundary_data_rejected():
