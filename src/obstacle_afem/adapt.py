@@ -42,9 +42,9 @@ class LoopRecord:
 @dataclass
 class RunResult:
     records: list
-    mesh: object = None
-    solution: object = None
-    indicators: object = None
+    mesh: object
+    solution: object
+    indicators: object
 
 
 def dorfler_mark(indicators, theta):
@@ -74,9 +74,8 @@ def _run(problem, mark_fn, max_elements, max_level, reference_energy=None):
         ref = problem.exact_energy
 
     mesh = build_initial_mesh(problem.domain)
-    prev = None  # (mesh, solution values, active mask)
+    prev = None  # the previous level's (solution values, active mask)
     records = []
-    result = RunResult(records=records)
     level = 0
     try:
         while True:
@@ -85,7 +84,7 @@ def _run(problem, mark_fn, max_elements, max_level, reference_energy=None):
             stiffness = assemble_stiffness(mesh)
             load = assemble_load(mesh, tp.f)
             sol = solve_obstacle(mesh, stiffness, load, gl,
-                                 warm_active=prev[2] if prev else None)
+                                 warm_active=prev[1] if prev else None)
             indicators = assemble_indicators(mesh, sol.values, tp.f, tp.g,
                                              gl)
             value = energy(stiffness, load, sol.values)
@@ -95,7 +94,7 @@ def _run(problem, mark_fn, max_elements, max_level, reference_energy=None):
             du = None
             if prev is not None:
                 du = energy_norm_diff(stiffness, sol.values,
-                                      prolong(prev[1], prev[0], mesh))
+                                      prolong(prev[0], mesh))
             records.append(LoopRecord(
                 level=level,
                 n_elements=mesh.num_triangles,
@@ -109,14 +108,12 @@ def _run(problem, mark_fn, max_elements, max_level, reference_energy=None):
                 wall_ms=(time.perf_counter() - t0) * 1e3,
                 cg_iters=sol.cg_iterations,
             ))
-            result.mesh, result.solution, result.indicators = \
-                mesh, sol, indicators
             if (indicators.rho2 <= 0.0
                     or mesh.num_triangles >= max_elements
                     or level >= max_level):
-                return result
+                return RunResult(records, mesh, sol, indicators)
             marked = mark_fn(indicators)
-            prev = (mesh, sol.values, sol.active)
+            prev = (sol.values, sol.active)
             mesh = refine(mesh, marked)
             records[-1].wall_ms = (time.perf_counter() - t0) * 1e3
             level += 1

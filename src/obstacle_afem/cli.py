@@ -83,6 +83,8 @@ def run(config):
     for path in (config.out, config.dump_mesh, config.dump_indicators):
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise UsageError(f"output directory of {path!r} does not exist")
+        if path and os.path.isdir(path):
+            raise UsageError(f"output path {path!r} is a directory")
 
     problem = _load_problem(config.problem)
     ref = None
@@ -132,11 +134,12 @@ def write_csv(records, path):
 
 def fit_rates(n, q):
     """Least-squares slope of log(q) against log(n) over the points with
-    q > 0, of which at least 4 are required."""
+    finite n > 0 and finite q > 0, of which at least 4 are required."""
     n, q = np.asarray(n, dtype=float), np.asarray(q, dtype=float)
-    n, q = n[q > 0], q[q > 0]
+    keep = (n > 0) & (q > 0) & np.isfinite(n) & np.isfinite(q)
+    n, q = n[keep], q[keep]
     if len(q) < 4:
-        raise ValueError("rate fit needs at least 4 positive data points")
+        raise ValueError("rate fit needs at least 4 finite positive points")
     slope, intercept = np.polyfit(np.log(n), np.log(q), 1)
     return RateFit(slope=float(slope), intercept=float(intercept),
                    n_points=len(q))
@@ -153,6 +156,8 @@ def _rate_data(path, quantity, window):
         if column not in (reader.fieldnames or ()):
             raise UsageError(f"--quantity {quantity!r} is not a column "
                              f"of {path} or sqrt_eps")
+        if "N" not in reader.fieldnames:
+            raise UsageError(f"{path} has no N column")
         rows = [r for r in reader if r[column]]
     if window:
         rows = rows[-window:]

@@ -71,18 +71,13 @@ def energy(stiffness, load, values):
     return float(0.5 * values @ (stiffness @ values) - load @ values)
 
 
-def prolong(values, coarse, fine):
-    """Represent a coarse P1 function exactly on the refined mesh.
-
-    New nodes are edge midpoints of the coarse mesh; their values are the
-    averages of the parent endpoint values.
-    """
-    n_old = coarse.num_nodes
-    if (fine.node_parents is None or fine.level != coarse.level + 1
-            or fine.num_nodes < n_old
-            or not np.array_equal(fine.nodes[:n_old], coarse.nodes)):
-        raise ValueError("meshes are not nested refinements")
-    values = np.asarray(values, dtype=float)
+def prolong(values, fine):
+    """Represent a P1 function exactly on ``fine``, one bisection
+    generation after the mesh of ``values``: new nodes are edge
+    midpoints, valued as the averages of the parent endpoint values."""
+    n_old = len(values)
+    if fine.level < 1 or fine.level_nodes[-2] != n_old:
+        raise ValueError("values do not live on the mesh refined by fine")
     out = np.empty(fine.num_nodes)
     out[:n_old] = values
     parents = fine.node_parents[n_old:]

@@ -61,18 +61,14 @@ class Mesh:
     ref_edge : (M,) int array
         Local index of the reference edge; local edge ``i`` connects
         vertices ``i`` and ``(i + 1) % 3``.
-    level : int
-        Refinement generation counter.
     node_parents : (N, 2) int array, optional
         For nodes created as edge midpoints, the ids of the parent edge
-        endpoints; ``-1`` rows mark original nodes.
-    parent_triangles : (M,) int array, optional
-        Index of the father triangle in the previous mesh.
+        endpoints; ``-1`` rows (all, by default) mark coarse nodes.
     level_nodes : (L + 1,) int array, optional
         Node count of each mesh in the bisection history, coarsest
         first and ending with N; ``node_parents`` holds the parent edge
         of every node past the first count.  Default: a one-level
-        history ``[N]``.
+        history ``[N]``.  ``level`` is L.
 
     The triangle areas ``areas`` (positive, since the vertices run
     counterclockwise) and the edge tables are computed once on
@@ -80,16 +76,16 @@ class Mesh:
     boundary edges exactly one.
     """
 
-    def __init__(self, nodes, triangles, ref_edge, level=0,
-                 node_parents=None, parent_triangles=None, level_nodes=None):
+    def __init__(self, nodes, triangles, ref_edge, node_parents=None,
+                 level_nodes=None):
         self.nodes = np.ascontiguousarray(nodes, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.ref_edge = np.ascontiguousarray(ref_edge, dtype=np.int64)
-        self.level = int(level)
-        self.node_parents = node_parents
-        self.parent_triangles = parent_triangles
+        self.node_parents = np.full((self.num_nodes, 2), -1) \
+            if node_parents is None else node_parents
         self.level_nodes = np.array(
-            [len(self.nodes)] if level_nodes is None else level_nodes)
+            [self.num_nodes] if level_nodes is None else level_nodes)
+        self.level = len(self.level_nodes) - 1
         if not np.isfinite(self.nodes).all():
             raise ValueError("non-finite node coordinates")
         p = self.nodes[self.triangles]
@@ -222,10 +218,7 @@ def refine(mesh, marked):
     midpoint[eids] = n_old + np.arange(len(eids))
     nodes = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[mesh.edges[eids, 0]]
                                           + mesh.nodes[mesh.edges[eids, 1]])])
-    old_parents = mesh.node_parents
-    if old_parents is None:
-        old_parents = np.full((n_old, 2), -1)
-    node_parents = np.vstack([old_parents, mesh.edges[eids]])
+    node_parents = np.vstack([mesh.node_parents, mesh.edges[eids]])
 
     # rotate every triangle (a, b, c) so that its reference edge ab is
     # local edge 0; midpoint -1 marks an edge that stays whole
@@ -249,10 +242,8 @@ def refine(mesh, marked):
                      np.where(has_bc, 2, 1), one], axis=1)
     keep = np.stack([np.ones(m, dtype=bool), has_ca, split, has_bc], axis=1)
 
-    return Mesh(nodes, sons[keep], refs[keep], level=mesh.level + 1,
-                node_parents=node_parents,
-                parent_triangles=np.nonzero(keep)[0],
-                level_nodes=np.append(mesh.level_nodes, len(nodes)))
+    return Mesh(nodes, sons[keep], refs[keep], node_parents,
+                np.append(mesh.level_nodes, len(nodes)))
 
 
 def dump_mesh(mesh, path):

@@ -4,6 +4,9 @@
 newest-vertex bisection branches written out, so that the tests can
 cross-check the array version in :mod:`obstacle_afem.mesh` against a
 direct reading of the rules.
+``father_triangles`` recovers each son's father from the bisection
+history alone, so that the son counts and areas check ``refine``
+without trusting its own bookkeeping.
 ``build_edges_unique`` numbers the edges with ``np.unique`` over the
 vertex pairs and a second sort for the edge-to-triangle map, to
 cross-check the single-sort edge tables of :class:`obstacle_afem.mesh.Mesh`.
@@ -46,18 +49,15 @@ def refine_loop(mesh, marked):
     mid_coords = 0.5 * (mesh.nodes[mesh.edges[eids, 0]]
                         + mesh.nodes[mesh.edges[eids, 1]])
     nodes = np.vstack([mesh.nodes, mid_coords])
-    node_parents = -np.ones((len(nodes), 2), dtype=np.int64)
-    node_parents[n_old:] = mesh.edges[eids]
+    node_parents = np.vstack([mesh.node_parents, mesh.edges[eids]])
 
     new_tris = []
     new_refs = []
-    parents = []
     tri_marked = marked_mask[mesh.tri2edge]
     for t in range(m):
         if not tri_marked[t].any():
             new_tris.append(mesh.triangles[t])
             new_refs.append(mesh.ref_edge[t])
-            parents.append(t)
             continue
         rho = mesh.ref_edge[t]
         a = mesh.triangles[t, rho]
@@ -82,13 +82,28 @@ def refine_loop(mesh, marked):
         for verts, ref in sons:
             new_tris.append(verts)
             new_refs.append(ref)
-            parents.append(t)
 
     return Mesh(nodes, np.asarray(new_tris, dtype=np.int64),
-                np.asarray(new_refs, dtype=np.int64),
-                level=mesh.level + 1,
-                node_parents=node_parents,
-                parent_triangles=np.asarray(parents, dtype=np.int64))
+                np.asarray(new_refs, dtype=np.int64), node_parents,
+                [*mesh.level_nodes, len(nodes)])
+
+
+def father_triangles(coarse, fine):
+    """Index in ``coarse`` of the father of each triangle of ``fine``,
+    the mesh one bisection generation later.
+
+    A son's father is read off the bisection history alone: the son's
+    old vertices and the parent edge endpoints of its new vertices are
+    exactly the three vertices of its father.
+    """
+    n_old = coarse.num_nodes
+    if fine.level < 1 or fine.level_nodes[-2] != n_old:
+        raise ValueError("fine is not one generation after coarse")
+    tri = fine.triangles
+    ends = np.where((tri >= n_old)[..., None], fine.node_parents[tri],
+                    tri[..., None]).reshape(len(tri), 6)
+    index = {frozenset(t): i for i, t in enumerate(coarse.triangles.tolist())}
+    return np.array([index[frozenset(e)] for e in ends.tolist()])
 
 
 def build_edges_unique(mesh):

@@ -20,7 +20,7 @@ from obstacle_afem.fem import (assemble_load, assemble_stiffness, energy,
                                energy_norm_diff, prolong)
 from obstacle_afem.vi import check_kkt, solve_obstacle
 from tests.conftest import random_refined_mesh, recording
-from tests.mesh_oracles import min_angle
+from tests.mesh_oracles import father_triangles, min_angle
 from tests.solver_oracles import h1_error, projected_sor_solve
 
 
@@ -199,7 +199,7 @@ def test_criterion_7_pythagoras_identity():
             gl_f = interpolate_boundary(g, fine)
             vc = np.zeros(mesh.num_nodes)
             vc[gl_c.node_ids] = gl_c.values
-            vc_f = prolong(vc, mesh, fine)
+            vc_f = prolong(vc, fine)
             vf = np.zeros(fine.num_nodes)
             vf[gl_f.node_ids] = gl_f.values
             # all three terms weighted with the coarse width 2 h_fine
@@ -255,10 +255,11 @@ def test_criterion_8_mesh_and_marking_properties():
                         for p in fine.node_parents[mesh.num_nodes:]}
         halved = all(tuple(sorted(mesh.edges[e])) in parent_pairs
                      for e in marked)
-        counts = collections.Counter(fine.parent_triangles.tolist())
-        pa = mesh.areas[fine.parent_triangles]
+        fathers = father_triangles(mesh, fine)
+        counts = collections.Counter(fathers.tolist())
+        pa = mesh.areas[fathers]
         fa = fine.areas
-        split = np.array([counts[t] > 1 for t in fine.parent_triangles])
+        split = np.array([counts[t] > 1 for t in fathers])
         areas_ok = ((fa[split] >= pa[split] / 4 - 1e-13).all()
                     and (fa[split] <= pa[split] / 2 + 1e-13).all())
         angle_ok = min_angle(fine) >= angle_bound - 1e-12

@@ -31,6 +31,15 @@ def test_fit_rates_constant_gives_zero_slope():
     assert abs(fit_rates([10, 20, 40, 80], [2.0] * 4).slope) < 1e-12
 
 
+def test_fit_rates_skips_zero_n_and_infinite_points():
+    # q = N^(-1/2) on four points, then one N = 0 and one q = inf point
+    n = [10.0, 40.0, 640.0, 2560.0, 0.0, 160.0]
+    q = [x ** -0.5 for x in n[:4]] + [1.0, np.inf]
+    fit = fit_rates(n, q)
+    assert abs(fit.slope + 0.5) < 1e-12
+    assert fit.n_points == 4
+
+
 def test_fit_rates_requires_four_points():
     with pytest.raises(ValueError):
         fit_rates([10, 20, 40], [1.0] * 3)
@@ -173,6 +182,9 @@ def test_cli_missing_output_directory_exit_one(tmp_path, capsys,
     assert main(["run", "--problem", "example1", flag, str(path)]) == 1
     assert repr(str(path)) in capsys.readouterr().err
     assert not path.parent.exists()
+    # an existing directory is no file path either
+    assert main(["run", "--problem", "example1", flag, str(tmp_path)]) == 1
+    assert f"{str(tmp_path)!r} is a directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args,message", [
@@ -186,6 +198,16 @@ def test_cli_fit_rates_bad_input_exit_one(tmp_path, capsys, args, message):
         f"{k},{2 * 4 ** k},{(2 * 4 ** k) ** -0.5!r}\n" for k in range(13)))
     assert main(["fit-rates", str(path), *args]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_cli_fit_rates_csv_without_n_column_exit_one(tmp_path, capsys):
+    path = tmp_path / "rates.csv"
+    path.write_text("level,rho\n" + "".join(
+        f"{k},{4.0 ** -k!r}\n" for k in range(6)))
+    assert main(["fit-rates", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path} has no N column" in err
+    assert "Traceback" not in err
 
 
 def test_cli_numerical_failure_exit_two(tmp_path, capsys):

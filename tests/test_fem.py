@@ -111,7 +111,7 @@ def test_prolong_is_exact_for_linears(unit_square_mesh):
     coarse = unit_square_mesh
     fine = refine(coarse, np.arange(coarse.num_edges))
     v = 2.0 * coarse.nodes[:, 0] - 3.0 * coarse.nodes[:, 1] + 1.0
-    vf = prolong(v, coarse, fine)
+    vf = prolong(v, fine)
     assert np.allclose(vf, 2.0 * fine.nodes[:, 0]
                        - 3.0 * fine.nodes[:, 1] + 1.0)
 
@@ -120,7 +120,7 @@ def test_prolong_midpoint_average(unit_square_mesh):
     coarse = unit_square_mesh
     fine = refine(coarse, np.arange(coarse.num_edges))
     v = np.array([1.0, 5.0, 2.0, -4.0])
-    vf = prolong(v, coarse, fine)
+    vf = prolong(v, fine)
     for i in range(coarse.num_nodes, fine.num_nodes):
         p0, p1 = fine.node_parents[i]
         assert np.isclose(vf[i], 0.5 * (v[p0] + v[p1]))
@@ -132,14 +132,26 @@ def test_prolong_preserves_energy(unit_square_mesh):
     v = np.array([0.3, -1.2, 2.0, 0.7])
     kc = assemble_stiffness(coarse)
     kf = assemble_stiffness(fine)
-    vf = prolong(v, coarse, fine)
+    vf = prolong(v, fine)
     assert np.isclose(v @ (kc @ v), vf @ (kf @ vf), atol=1e-12)
 
 
 def test_prolong_rejects_unrelated_meshes(unit_square_mesh):
-    other = build_initial_mesh(Square(0.0, 0.0, 2.0, 2.0))
+    # values two generations back, and a mesh without history
+    twice = refine(refine(unit_square_mesh, [0]), [0])
     with pytest.raises(ValueError):
-        prolong(np.zeros(4), unit_square_mesh, other)
+        prolong(np.zeros(4), twice)
+    with pytest.raises(ValueError):
+        prolong(np.zeros(4), build_initial_mesh(Square(0.0, 0.0, 2.0, 2.0)))
+
+
+def test_directly_built_mesh_has_a_one_level_history():
+    mesh = single_triangle()
+    assert mesh.level == 0
+    assert list(mesh.level_nodes) == [3]
+    assert np.array_equal(mesh.node_parents, np.full((3, 2), -1))
+    with pytest.raises(ValueError):
+        prolong(np.zeros(3), mesh)
 
 
 def test_energy_norm_diff_properties(unit_square_mesh):

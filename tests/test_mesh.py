@@ -8,8 +8,8 @@ from obstacle_afem import (LShape, Mesh, Square, build_initial_mesh,
 from obstacle_afem.mesh import boundary_polygon
 from tests.conftest import random_refined_mesh
 from tests.edge_oracles import edge_patch
-from tests.mesh_oracles import (build_edges_unique, min_angle, refine_loop,
-                                shape_regularity)
+from tests.mesh_oracles import (build_edges_unique, father_triangles,
+                                min_angle, refine_loop, shape_regularity)
 
 
 def test_initial_square_counts():
@@ -71,7 +71,7 @@ def test_closure_forces_reference_edge_split(unit_square_mesh):
     mesh = unit_square_mesh
     bdry = mesh.boundary_edge_ids()[0]
     fine = refine(mesh, [bdry])
-    counts = collections.Counter(fine.parent_triangles.tolist())
+    counts = collections.Counter(father_triangles(mesh, fine).tolist())
     assert sorted(counts.values()) == [2, 3]
     assert np.isclose(fine.areas.sum(), 1.0)
 
@@ -96,20 +96,10 @@ def test_marked_edges_are_halved(unit_square_mesh):
 def _assert_refine_matches_loop(mesh, marked):
     fine = refine(mesh, marked)
     ref = refine_loop(mesh, marked)
-    for name in ("triangles", "ref_edge", "nodes", "parent_triangles"):
+    for name in ("triangles", "ref_edge", "nodes", "node_parents",
+                 "level_nodes"):
         assert np.array_equal(getattr(fine, name), getattr(ref, name)), name
-    # the parent table is cumulative: the new rows are the oracle's, the
-    # old rows the input mesh's history
-    n_old = mesh.num_nodes
-    old = mesh.node_parents
-    if old is None:
-        old = np.full((n_old, 2), -1)
-    assert np.array_equal(fine.node_parents[n_old:],
-                          ref.node_parents[n_old:])
-    assert np.array_equal(fine.node_parents[:n_old], old)
-    assert np.array_equal(fine.level_nodes,
-                          [*mesh.level_nodes, fine.num_nodes])
-    assert fine.level == ref.level
+    assert fine.level == ref.level == mesh.level + 1
     return fine
 
 
@@ -195,10 +185,11 @@ def test_son_area_bounds(unit_square_mesh):
         k = int(rng.integers(1, mesh.num_edges))
         marked = rng.choice(mesh.num_edges, size=k, replace=False)
         fine = refine(mesh, marked)
-        counts = collections.Counter(fine.parent_triangles.tolist())
-        pa = mesh.areas[fine.parent_triangles]
+        fathers = father_triangles(mesh, fine)
+        counts = collections.Counter(fathers.tolist())
+        pa = mesh.areas[fathers]
         fa = fine.areas
-        split = np.array([counts[t] > 1 for t in fine.parent_triangles])
+        split = np.array([counts[t] > 1 for t in fathers])
         assert (fa[split] >= pa[split] / 4 - 1e-13).all()
         assert (fa[split] <= pa[split] / 2 + 1e-13).all()
         assert np.array([counts[t] for t in counts]).max() <= 4

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from obstacle_afem import LShape, Square, build_initial_mesh, prolong, refine
 from obstacle_afem.mesh import boundary_polygon
 from obstacle_afem.multigrid import level_prolongations
+from tests.mesh_oracles import father_triangles
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None,
                              database=None, max_examples=60)
@@ -71,9 +72,11 @@ def test_refinement_keeps_area_and_bisects_marked_edges(domain, data):
 def test_each_parent_has_one_to_four_sons(domain, data):
     mesh = build_initial_mesh(domain)
     for coarse, marked, fine in refine_randomly(data, mesh, steps=4):
-        sons = np.bincount(fine.parent_triangles,
-                           minlength=coarse.num_triangles)
+        fathers = father_triangles(coarse, fine)
+        sons = np.bincount(fathers, minlength=coarse.num_triangles)
         assert sons.min() >= 1 and sons.max() <= 4
+        assert np.allclose(np.bincount(fathers, weights=fine.areas),
+                           coarse.areas, rtol=1e-12, atol=0.0)
         touched = np.isin(coarse.tri2edge, marked).any(axis=1)
         assert (sons[touched] >= 2).all()
 
@@ -119,7 +122,7 @@ def test_history_prolongations_chain_level_by_level_prolong(domain, data):
         v = rng.normal(size=counts[coarse])
         chained = v
         for level in range(coarse, fine):
-            chained = prolong(chained, meshes[level], meshes[level + 1])
+            chained = prolong(chained, meshes[level + 1])
         assert np.allclose(p @ v, chained, rtol=0.0, atol=1e-12)
         fine = coarse
     assert fine == 0

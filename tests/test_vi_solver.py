@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from obstacle_afem import (BoundaryTrace, LShape, Square, assemble_load,
-                           assemble_stiffness, build_initial_mesh, energy,
-                           example2, refine, run_adaptive)
+from obstacle_afem import (BoundaryTrace, LShape, Mesh, Square,
+                           assemble_load, assemble_stiffness,
+                           build_initial_mesh, energy, example2, refine,
+                           run_adaptive)
 from obstacle_afem import vi
 from obstacle_afem.boundary import interpolate_boundary
 from obstacle_afem.multigrid import COARSE_LIMIT
 from obstacle_afem.vi import check_kkt, solve_obstacle
 from tests.conftest import random_refined_mesh, recording
-from tests.mesh_oracles import refine_loop
 from tests.solver_oracles import projected_sor_solve
 
 
@@ -149,7 +149,7 @@ def test_mesh_without_history_solves_like_the_refined_mesh(zero_trace):
     f = lambda x, y: np.sin(6.0 * x) + y - 0.5
     coarse = refined_square(4)
     refined = refine(coarse, np.arange(coarse.num_edges))
-    flat = refine_loop(coarse, np.arange(coarse.num_edges))
+    flat = Mesh(refined.nodes, refined.triangles, refined.ref_edge)
     assert list(flat.level_nodes) == [flat.num_nodes]
     solutions = []
     for mesh in (refined, flat):
