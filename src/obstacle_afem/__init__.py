@@ -2,8 +2,7 @@
 
 from .adapt import (LoopRecord, RunResult, dorfler_mark, run_adaptive,
                     run_uniform)
-from .boundary import (BoundaryTrace, DiscreteTrace, apx_indicator,
-                       interpolate_boundary)
+from .boundary import BoundaryTrace, apx_indicator, interpolate_boundary
 from .estimator import IndicatorSet, assemble_indicators
 from .fem import (assemble_load, assemble_stiffness, energy,
                   energy_norm_diff, prolong)
@@ -20,8 +19,7 @@ __version__ = "0.1.0"
 __all__ = [
     "LoopRecord", "RunResult", "dorfler_mark", "run_adaptive",
     "run_uniform",
-    "BoundaryTrace", "DiscreteTrace", "apx_indicator",
-    "interpolate_boundary",
+    "BoundaryTrace", "apx_indicator", "interpolate_boundary",
     "IndicatorSet", "assemble_indicators",
     "assemble_load", "assemble_stiffness", "energy", "energy_norm_diff",
     "prolong",

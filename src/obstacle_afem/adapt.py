@@ -127,7 +127,8 @@ def run_adaptive(problem, theta, max_elements=50000, max_level=40,
     """Algorithm loop with Doerfler marking; one record per level.
 
     Terminates when the estimator vanishes, the element budget is
-    reached, or ``max_level`` levels were computed.  Solver failures
+    reached, or level ``max_level`` was computed (levels count from 0,
+    so that is ``max_level + 1`` levels).  Solver failures
     propagate with the records collected so far attached as
     ``partial_records``.
     """

@@ -7,7 +7,6 @@ from .quadrature import gauss_segment
 
 __all__ = [
     "BoundaryTrace",
-    "DiscreteTrace",
     "interpolate_boundary",
     "apx_indicator",
 ]
@@ -65,41 +64,27 @@ class BoundaryTrace:
         return BoundaryTrace(value, gradient)
 
 
-class DiscreteTrace:
-    """Nodal values of the interpolated boundary datum on a mesh."""
-
-    def __init__(self, mesh, node_ids, values):
-        self.mesh = mesh
-        self.node_ids = np.asarray(node_ids, dtype=np.int64)
-        self.values = np.asarray(values, dtype=float)
-        self._by_node = np.full(mesh.num_nodes, np.nan)
-        self._by_node[self.node_ids] = self.values
-
-    def value_at(self, node_id):
-        v = self._by_node[node_id]
-        if np.any(np.isnan(v)):
-            raise ValueError("node is not a boundary node")
-        return v
-
-
 def interpolate_boundary(g, mesh):
-    """Nodal interpolant of g at the boundary nodes of the mesh."""
+    """Nodal interpolant g_l of g as a vector over all nodes of the mesh:
+    g at the boundary nodes, NaN at the interior nodes."""
     ids = mesh.boundary_node_ids()
     x, y = mesh.nodes[ids, 0], mesh.nodes[ids, 1]
     values = np.broadcast_to(np.asarray(g(x, y), dtype=float), ids.shape)
     if not np.isfinite(values).all():
         raise ValueError("Dirichlet data g is not finite at a boundary node")
-    return DiscreteTrace(mesh, ids, values.copy())
+    gl = np.full(mesh.num_nodes, np.nan)
+    gl[ids] = values
+    return gl
 
 
-def apx_indicator(g, gl, eid):
+def apx_indicator(mesh, g, gl, eid):
     """Dirichlet oscillation h_E * int_E ((g - g_l)')^2 of boundary edges.
 
-    ``eid`` is one edge id or an array of ids; the result has its shape.
-    The interpolant slope is the endpoint difference over the edge
-    length; g' is evaluated at Gauss points along each edge.
+    ``gl`` is the nodal vector of :func:`interpolate_boundary`; ``eid`` is
+    one edge id or an array of ids, and the result has its shape.  The
+    interpolant slope is the endpoint difference over the edge length;
+    g' is evaluated at Gauss points along each edge.
     """
-    mesh = gl.mesh
     eid = np.asarray(eid, dtype=np.int64)
     if not mesh.is_boundary_edge[eid].all():
         raise ValueError("apx_indicator requires a boundary edge")
@@ -107,7 +92,7 @@ def apx_indicator(g, gl, eid):
     p, q = mesh.nodes[n0], mesh.nodes[n1]
     h = mesh.edge_lengths[eid]
     tangent = (q - p) / h[..., None]
-    slope = (gl.value_at(n1) - gl.value_at(n0)) / h
+    slope = (gl[n1] - gl[n0]) / h
     pts, w = gauss_segment(p, q)
     gp = g.arc_derivative(pts[..., 0], pts[..., 1],
                           (tangent[..., 0, None], tangent[..., 1, None]),

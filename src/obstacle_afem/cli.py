@@ -16,8 +16,10 @@ from .problems import example1, example2, load_custom, reference_energy
 
 __all__ = ["RunConfig", "RateFit", "run", "fit_rates", "main"]
 
-CSV_COLUMNS = ["level", "N", "rho", "rho_tilde", "apx", "J", "eps",
-               "pdas_iters", "wall_ms", "cg_iters"]
+CSV_COLUMNS = {"level": "level", "N": "n_elements", "rho": "rho",
+               "rho_tilde": "rho_tilde", "apx": "apx", "J": "energy",
+               "eps": "eps", "pdas_iters": "pdas_iters",
+               "wall_ms": "wall_ms", "cg_iters": "cg_iters"}
 
 
 @dataclass
@@ -114,22 +116,13 @@ def run(config):
 
 
 def write_csv(records, path):
-    has_eps = all(r.eps is not None for r in records)
-    columns = CSV_COLUMNS if has_eps else \
-        [c for c in CSV_COLUMNS if c != "eps"]
+    columns = {c: f for c, f in CSV_COLUMNS.items()
+               if c != "eps" or all(r.eps is not None for r in records)}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for r in records:
-            row = {
-                "level": r.level, "N": r.n_elements, "rho": repr(r.rho),
-                "rho_tilde": repr(r.rho_tilde), "apx": repr(r.apx),
-                "J": repr(r.energy),
-                "eps": repr(r.eps) if r.eps is not None else "",
-                "pdas_iters": r.pdas_iters, "wall_ms": repr(r.wall_ms),
-                "cg_iters": r.cg_iters,
-            }
-            writer.writerow([row[c] for c in columns])
+            writer.writerow(repr(getattr(r, f)) for f in columns.values())
 
 
 def fit_rates(n, q):
@@ -161,9 +154,12 @@ def _rate_data(path, quantity, window):
         rows = [r for r in reader if r[column]]
     if window:
         rows = rows[-window:]
-    q = [float(r[column]) for r in rows]
-    return ([float(r["N"]) for r in rows],
-            np.sqrt(q) if quantity == "sqrt_eps" else q)
+    try:
+        q = [float(r[column]) for r in rows]
+        n = [float(r["N"]) for r in rows]
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: {exc}") from None
+    return n, np.sqrt(q) if quantity == "sqrt_eps" else q
 
 
 class _Parser(argparse.ArgumentParser):

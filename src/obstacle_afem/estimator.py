@@ -100,7 +100,7 @@ def assemble_indicators(mesh, values, f, g, gl):
     bdry = mesh.boundary_edge_ids()
     tb = mesh.edge2tri[bdry, 0]
     osc2[bdry] = areas[tb] * int_f2[tb]
-    apx2[bdry] = apx_indicator(g, gl, bdry)
+    apx2[bdry] = apx_indicator(mesh, g, gl, bdry)
 
     return IndicatorSet(mesh=mesh, eta2=eta2, osc2=osc2, apx2=apx2)
 

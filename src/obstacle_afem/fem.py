@@ -55,8 +55,10 @@ def assemble_stiffness(mesh):
 def assemble_load(mesh, f):
     """Load vector (f, phi_i) via the 7-point order-5 triangle rule."""
     pts = triangle_points(mesh)
-    fvals = f(pts[..., 0], pts[..., 1])
-    fvals = np.broadcast_to(np.asarray(fvals, dtype=float), pts.shape[:2])
+    # one quadrature point at a time: f's temporaries stay of shape (M,)
+    fvals = np.empty(pts.shape[:2])
+    for q in range(pts.shape[1]):
+        fvals[:, q] = f(pts[:, q, 0], pts[:, q, 1])
     if not np.isfinite(fvals).all():
         raise ValueError("load f is not finite at a quadrature point")
     contrib = np.einsum("q,mq,qi,m->mi", TRI_WEIGHTS, fvals, TRI_BARY,

@@ -56,12 +56,6 @@ class KKTReport:
                    self.inactive_residual)
 
 
-def _interior_mask(mesh, gl):
-    mask = np.ones(mesh.num_nodes, dtype=bool)
-    mask[gl.node_ids] = False
-    return mask
-
-
 def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
     """Minimize the discrete energy over {U >= 0 in Omega, U = g_l on Gamma}.
 
@@ -70,19 +64,20 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
     U = g_l on the boundary (CG preconditioned by a V-cycle on the mesh's
     bisection history truncated to the inactive interior nodes, started
     from the previous iterate), read off the multiplier, and update
-    A <- {i interior : lambda_i - U_i > 0} until A is stable.
+    A <- {i interior : lambda_i - U_i > 0} until A is stable.  The
+    interior nodes are those where ``gl`` (the nodal vector of
+    :func:`obstacle_afem.boundary.interpolate_boundary`) is NaN.
 
     ``warm_active`` seeds the active set: a boolean mask over the first
     nodes, e.g. the previous level's (refinement appends the new nodes,
     which start inactive); entries at boundary nodes are ignored.
     """
-    interior = _interior_mask(mesh, gl)
-    if np.min(gl.values, initial=0.0) < -1e-12:
+    interior = np.isnan(gl)
+    if (gl < -1e-12).any():
         raise ValueError("infeasible boundary data: g_l < 0 at a node")
 
     n = mesh.num_nodes
-    u = np.zeros(n)
-    u[gl.node_ids] = gl.values
+    u = np.where(interior, 0.0, gl)
     csr = stiffness.tocsr()
     # load minus the boundary values' share; U = 0 on A adds nothing
     rhs = load - csr @ u
@@ -116,8 +111,9 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
 
 def check_kkt(sol, stiffness, load, gl):
     """Maximal violations of feasibility, multiplier sign, and
-    complementarity for a discrete solution."""
-    interior = _interior_mask(gl.mesh, gl)
+    complementarity for a discrete solution; ``gl`` is NaN exactly at
+    the interior nodes."""
+    interior = np.isnan(gl)
     lam = stiffness @ sol.values - load
     feasibility = max(0.0, float(-sol.values[interior].min(initial=0.0)))
     act = sol.active & interior

@@ -82,9 +82,8 @@ def boundary_residual(mesh, f, eid):
     return float(area * area * (_f_at_points(mesh, f)[t] ** 2 @ TRI_WEIGHTS))
 
 
-def apx_indicator(g, gl, eid):
+def apx_indicator(mesh, g, gl, eid):
     """h_E * int_E ((g - g_l)')^2 of one boundary edge, edge by edge."""
-    mesh = gl.mesh
     eid = int(eid)
     if not mesh.is_boundary_edge[eid]:
         raise ValueError("apx_indicator requires a boundary edge")
@@ -92,7 +91,7 @@ def apx_indicator(g, gl, eid):
     p, q = mesh.nodes[n0], mesh.nodes[n1]
     h = mesh.edge_lengths[eid]
     tangent = (q - p) / h
-    slope = (gl.value_at(n1) - gl.value_at(n0)) / h
+    slope = (gl[n1] - gl[n0]) / h
     pts, w = gauss_segment(p, q)
     gp = g.arc_derivative(pts[:, 0], pts[:, 1], tangent, h)
     return float(h * np.sum(w * (np.asarray(gp) - slope) ** 2))

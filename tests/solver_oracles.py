@@ -15,7 +15,7 @@ import scipy.sparse.linalg as spla
 
 from obstacle_afem.fem import CG_RTOL, solution_gradients
 from obstacle_afem.quadrature import TRI_BARY, TRI_WEIGHTS, triangle_points
-from obstacle_afem.vi import DiscreteSolution, _interior_mask
+from obstacle_afem.vi import DiscreteSolution
 
 
 def projected_sor_solve(mesh, stiffness, load, gl, omega=1.5,
@@ -25,13 +25,13 @@ def projected_sor_solve(mesh, stiffness, load, gl, omega=1.5,
     drops below ``tol``."""
     if not 0.0 < omega < 2.0:
         raise ValueError("relaxation parameter must lie in (0, 2)")
-    interior = _interior_mask(mesh, gl)
-    if np.min(gl.values, initial=0.0) < -1e-12:
+    n = mesh.num_nodes
+    interior = np.ones(n, dtype=bool)
+    interior[mesh.boundary_node_ids()] = False
+    if (gl[~interior] < -1e-12).any():
         raise ValueError("infeasible boundary data: g_l < 0 at a node")
 
-    n = mesh.num_nodes
-    u = np.zeros(n)
-    u[gl.node_ids] = gl.values
+    u = np.where(interior, 0.0, gl)
 
     csr = stiffness.tocsr()
     idx = np.nonzero(interior)[0]

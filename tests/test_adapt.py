@@ -153,3 +153,10 @@ def test_estimator_reduction_along_adaptive_run():
         bound = ((1.0 - theta / 4.0) + 0.1) * prev.rho ** 2 \
             + c_hat * cur.du_norm ** 2
         assert cur.rho ** 2 <= bound
+
+
+def test_max_level_is_the_last_level_computed():
+    # levels count from 0: max_level=2 computes three levels
+    result = run_adaptive(example1(), 0.5, max_level=2)
+    assert [r.level for r in result.records] == [0, 1, 2]
+    assert len(run_uniform(example1(), max_level=0).records) == 1

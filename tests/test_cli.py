@@ -210,6 +210,23 @@ def test_cli_fit_rates_csv_without_n_column_exit_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("column,cell", [
+    ("N", ""), ("N", "abc"), ("rho", "abc"),
+], ids=["empty-N", "text-N", "text-rho"])
+def test_cli_fit_rates_non_numeric_cell_exit_one(tmp_path, capsys, column,
+                                                 cell):
+    path = tmp_path / "rates.csv"
+    rows = [{"level": k, "N": 2 * 4 ** k, "rho": (2 * 4 ** k) ** -0.5}
+            for k in range(6)]
+    rows[3][column] = cell
+    path.write_text("level,N,rho\n" + "".join(
+        f"{r['level']},{r['N']},{r['rho']}\n" for r in rows))
+    assert main(["fit-rates", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and repr(cell) in err
+    assert "Traceback" not in err
+
+
 def test_cli_numerical_failure_exit_two(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["run", "--problem", f"custom:{missing}"]) == 2

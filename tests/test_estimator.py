@@ -102,7 +102,7 @@ def test_per_edge_helpers_match_vectorized_assembly():
     for g in (analytic, fallback):
         gl = interpolate_boundary(g, mesh)
         ind = assemble_indicators(mesh, v, f, g, gl)
-        per_edge = [apx_indicator(g, gl, eid) for eid in bdry]
+        per_edge = [apx_indicator(mesh, g, gl, eid) for eid in bdry]
         assert np.array_equal(ind.apx2[bdry], per_edge)
     for eid in mesh.interior_edge_ids()[::5]:
         assert np.isclose(ind.eta2[eid], jump_indicator(mesh, v, eid),

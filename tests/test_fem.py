@@ -3,7 +3,7 @@ import pytest
 
 from obstacle_afem import (Square, assemble_load, assemble_stiffness,
                            build_initial_mesh, energy, energy_norm_diff,
-                           prolong, refine)
+                           example2, prolong, refine, to_zero_obstacle)
 from obstacle_afem.fem import cg_solve, solution_gradients
 from obstacle_afem.mesh import Mesh
 from obstacle_afem.quadrature import (TRI_BARY, TRI_WEIGHTS, gauss_segment,
@@ -94,6 +94,29 @@ def test_load_linear_exact(unit_square_mesh):
             # int_T x phi_i = area/12 * (sum x + x_i)
             exact[tri[i]] += area / 12.0 * (xs.sum() + xs[i])
     assert np.allclose(b, exact, atol=1e-14)
+
+
+def test_load_evaluates_f_one_quadrature_point_at_a_time(lshape_mesh):
+    mesh = refine(lshape_mesh, np.arange(lshape_mesh.num_edges))
+    mesh = refine(mesh, np.arange(mesh.num_edges))
+    f = to_zero_obstacle(example2()).f
+    shapes = []
+
+    def recorded(x, y):
+        shapes.append((np.shape(x), np.shape(y)))
+        return f(x, y)
+
+    b = assemble_load(mesh, recorded)
+    m = mesh.num_triangles
+    assert shapes == [((m,), (m,))] * len(TRI_WEIGHTS)
+    # the same load as one evaluation of f on all points at once
+    pts = triangle_points(mesh)
+    fvals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
+    contrib = np.einsum("q,mq,qi,m->mi", TRI_WEIGHTS, fvals, TRI_BARY,
+                        mesh.areas)
+    expected = np.zeros(mesh.num_nodes)
+    np.add.at(expected, mesh.triangles, contrib)
+    assert np.array_equal(b, expected)
 
 
 def test_energy_values(unit_square_mesh):
