@@ -68,12 +68,10 @@ def interpolate_boundary(g, mesh):
     """Nodal interpolant g_l of g as a vector over all nodes of the mesh:
     g at the boundary nodes, NaN at the interior nodes."""
     ids = mesh.boundary_node_ids()
-    x, y = mesh.nodes[ids, 0], mesh.nodes[ids, 1]
-    values = np.broadcast_to(np.asarray(g(x, y), dtype=float), ids.shape)
-    if not np.isfinite(values).all():
-        raise ValueError("Dirichlet data g is not finite at a boundary node")
     gl = np.full(mesh.num_nodes, np.nan)
-    gl[ids] = values
+    gl[ids] = g(mesh.nodes[ids, 0], mesh.nodes[ids, 1])
+    if not np.isfinite(gl[ids]).all():
+        raise ValueError("Dirichlet data g is not finite at a boundary node")
     return gl
 
 

@@ -19,7 +19,8 @@ __all__ = ["RunConfig", "RateFit", "run", "fit_rates", "main"]
 CSV_COLUMNS = {"level": "level", "N": "n_elements", "rho": "rho",
                "rho_tilde": "rho_tilde", "apx": "apx", "J": "energy",
                "eps": "eps", "pdas_iters": "pdas_iters",
-               "wall_ms": "wall_ms", "cg_iters": "cg_iters"}
+               "wall_ms": "wall_ms", "cg_iters": "cg_iters",
+               "du_norm": "du_norm"}
 
 
 @dataclass
@@ -116,13 +117,14 @@ def run(config):
 
 
 def write_csv(records, path):
+    """One row per record; None is an empty cell, an all-None column goes."""
     columns = {c: f for c, f in CSV_COLUMNS.items()
-               if c != "eps" or all(r.eps is not None for r in records)}
+               if any(getattr(r, f) is not None for r in records)}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for r in records:
-            writer.writerow(repr(getattr(r, f)) for f in columns.values())
+            writer.writerow(getattr(r, f) for f in columns.values())
 
 
 def fit_rates(n, q):

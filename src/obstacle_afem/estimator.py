@@ -11,7 +11,7 @@ import numpy as np
 
 from .boundary import apx_indicator
 from .fem import solution_gradients
-from .quadrature import TRI_WEIGHTS, triangle_points
+from .quadrature import TRI_WEIGHTS, f_at_points, triangle_points
 
 __all__ = ["IndicatorSet", "assemble_indicators", "dump_indicators"]
 
@@ -57,18 +57,6 @@ class IndicatorSet:
         return float(np.sqrt(max(0.0, self.rho_tilde2)))
 
 
-def _triangle_f_moments(mesh, f):
-    """Order-5 integrals of f and f^2 per triangle, plus raw point data."""
-    pts = triangle_points(mesh)
-    fv = np.broadcast_to(
-        np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2])
-    int_f = mesh.areas * (fv @ TRI_WEIGHTS)
-    # an overflow to inf reaches the loop as a non-finite estimator
-    with np.errstate(over="ignore"):
-        int_f2 = mesh.areas * ((fv ** 2) @ TRI_WEIGHTS)
-    return fv, int_f, int_f2
-
-
 def assemble_indicators(mesh, values, f, g, gl):
     """Complete indicator set for a discrete solution, vectorized over
     edges."""
@@ -77,8 +65,12 @@ def assemble_indicators(mesh, values, f, g, gl):
     eta2 = np.zeros(n_edges)
     osc2 = np.zeros(n_edges)
     apx2 = np.zeros(n_edges)
-    fv, int_f, int_f2 = _triangle_f_moments(mesh, f)
     areas = mesh.areas
+    fv = f_at_points(f, triangle_points(mesh))
+    int_f = areas * (fv @ TRI_WEIGHTS)
+    # an overflow to inf reaches the loop as a non-finite estimator
+    with np.errstate(over="ignore"):
+        int_f2 = areas * ((fv ** 2) @ TRI_WEIGHTS)
 
     interior = mesh.interior_edge_ids()
     grads = solution_gradients(mesh, values)

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .quadrature import TRI_BARY, TRI_WEIGHTS, triangle_points
+from .quadrature import TRI_BARY, TRI_WEIGHTS, f_at_points, triangle_points
 
 __all__ = [
     "hat_gradients",
@@ -54,13 +54,7 @@ def assemble_stiffness(mesh):
 
 def assemble_load(mesh, f):
     """Load vector (f, phi_i) via the 7-point order-5 triangle rule."""
-    pts = triangle_points(mesh)
-    # one quadrature point at a time: f's temporaries stay of shape (M,)
-    fvals = np.empty(pts.shape[:2])
-    for q in range(pts.shape[1]):
-        fvals[:, q] = f(pts[:, q, 0], pts[:, q, 1])
-    if not np.isfinite(fvals).all():
-        raise ValueError("load f is not finite at a quadrature point")
+    fvals = f_at_points(f, triangle_points(mesh))
     contrib = np.einsum("q,mq,qi,m->mi", TRI_WEIGHTS, fvals, TRI_BARY,
                         mesh.areas)
     b = np.zeros(mesh.num_nodes)

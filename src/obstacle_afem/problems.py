@@ -76,7 +76,7 @@ def to_zero_obstacle(problem):
     obstacle is identically zero (``problem`` itself if it has none).
 
     Requires an analytic Laplacian of chi; raises if the shifted boundary
-    data g - chi|_Gamma turn negative beyond tolerance.
+    data g - chi|_Gamma are not finite or turn negative beyond tolerance.
     """
     if problem.chi is None:
         return problem
@@ -94,6 +94,8 @@ def to_zero_obstacle(problem):
     g = problem.g.shifted(chi.value, chi.gradient)
     pts = _sample_boundary(problem.domain)
     vals = np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float)
+    if not np.isfinite(vals).all():
+        raise ValueError("shifted Dirichlet data g - chi are not finite")
     if np.min(vals, initial=0.0) < -1e-10:
         raise ValueError("chi > g on the boundary: shifted Dirichlet data "
                          "negative")

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-__all__ = ["TRI_BARY", "TRI_WEIGHTS", "gauss_segment", "triangle_points"]
+__all__ = ["TRI_BARY", "TRI_WEIGHTS", "f_at_points", "gauss_segment",
+           "triangle_points"]
 
 # 7-point order-5 rule on the triangle (barycentric coordinates, weights
 # summing to 1).
@@ -30,6 +31,17 @@ def triangle_points(mesh):
     """Quadrature points for every triangle, shape (M, 7, 2)."""
     p = mesh.nodes[mesh.triangles]  # (M, 3, 2)
     return np.einsum("qk,mkd->mqd", TRI_BARY, p)
+
+
+def f_at_points(f, pts):
+    """f at points of shape (M, Q, 2) as an (M, Q) table, one q at a time
+    so that f's temporaries stay of shape (M,); raises if not finite."""
+    fvals = np.empty(pts.shape[:2])
+    for q in range(pts.shape[1]):
+        fvals[:, q] = f(pts[:, q, 0], pts[:, q, 1])
+    if not np.isfinite(fvals).all():
+        raise ValueError("load f is not finite at a quadrature point")
+    return fvals
 
 
 def gauss_segment(p, q):

@@ -54,11 +54,14 @@ def test_run_writes_csv_with_eps_column(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(records)
     assert list(rows[0]) == ["level", "N", "rho", "rho_tilde", "apx", "J",
-                             "eps", "pdas_iters", "wall_ms", "cg_iters"]
+                             "eps", "pdas_iters", "wall_ms", "cg_iters",
+                             "du_norm"]
     for row, record in zip(rows, records):
         for key in ("rho", "rho_tilde", "apx", "J", "eps", "wall_ms"):
             assert np.isfinite(float(row[key]))
         assert int(row["cg_iters"]) == record.cg_iters
+        assert row["du_norm"] == ("" if record.level == 0
+                                  else repr(record.du_norm))
     assert records[-1].cg_iters > 0
 
 
@@ -139,6 +142,14 @@ def test_cli_usage_errors_exit_one(capsys):
     assert main(["run", "--problem", "nonsense"]) == 1
     assert main(["run", "--mode", "sideways"]) == 1
     capsys.readouterr()
+
+
+def test_cli_config_mode_is_checked_by_run(tmp_path, capsys):
+    # config values bypass the choices of the --mode flag
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mode": "sideways"}))
+    assert main(["run", "--config", str(path)]) == 1
+    assert "usage error: unknown mode 'sideways'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value,code,message", [
@@ -237,6 +248,9 @@ def test_cli_numerical_failure_exit_two(tmp_path, capsys):
 @pytest.mark.parametrize("key,expr,message", [
     ("g", "sqrt(x - 0.5)", "Dirichlet data g is not finite"),
     ("f", "log(x - 0.5)", "load f is not finite"),
+    ("chi", {"value": "where(abs(x - 0.5) < 0.1, log(x - 2), 0*x) - 1",
+             "laplacian": "0*x"},
+     "shifted Dirichlet data g - chi are not finite"),
 ])
 def test_cli_non_finite_data_exit_two(tmp_path, capsys, key, expr,
                                       message):

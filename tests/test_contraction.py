@@ -8,12 +8,18 @@ the energy part is positive on every level although the discrete spaces
 are not nested (inhomogeneous Dirichlet data).  On example 2 J(u) is
 replaced by an adaptive reference energy; there g - chi = 0, so the
 discrete sets are nested and J(U_l) cannot increase.
+
+The "vanishing energy contributions" of the theorem come from g_l
+changing between levels.  On a unit square with oscillating Dirichlet
+data J(U_l) does increase, and each increase is checked against the
+Dirichlet oscillation apx_l^2 of the coarser level.
 """
 
 import numpy as np
 import pytest
 
-from obstacle_afem import example1, example2, run_adaptive
+from obstacle_afem import (BoundaryTrace, Obstacle, ProblemSpec, Square,
+                           example1, example2, run_adaptive)
 
 GAMMAS = (0.01, 0.1, 1.0)
 
@@ -21,6 +27,11 @@ GAMMAS = (0.01, 0.1, 1.0)
 # level 22, N = 632764; recorded as "eps_reference_energy" in
 # perfbench/golden.json.
 EXAMPLE2_REFERENCE_ENERGY = -0.6979217322257841
+
+# C in J(U_{l+1}) - J(U_l) <= C apx_l^2, fixed before the test was
+# written; the largest measured ratios are 1.14 / 1.18 / 1.84 at
+# theta = 0.3 / 0.5 / 0.7 (against apx_{l+1}^2 they reach 12.2).
+APX_RISE_BOUND = 3.0
 
 
 def energy_gaps_contract(records, reference):
@@ -54,3 +65,27 @@ def test_quasi_error_contracts_example2(theta):
     records = run_adaptive(example2(), theta, max_elements=10000).records
     gap = energy_gaps_contract(records, EXAMPLE2_REFERENCE_ENERGY)
     assert (np.diff(gap) <= 0).all()
+
+
+def oscillating_dirichlet_problem():
+    """Unit square, f = -8, g = 1.2 + sin(13x) cos(11y), chi = 0.1 sin 4x."""
+    return ProblemSpec(
+        name="oscillating-dirichlet",
+        domain=Square(0.0, 0.0, 1.0, 1.0),
+        g=BoundaryTrace(lambda x, y: 1.2 + np.sin(13 * x) * np.cos(11 * y)),
+        f=lambda x, y: np.full_like(x, -8.0),
+        chi=Obstacle(value=lambda x, y: 0.1 * np.sin(4 * x) + 0 * y,
+                     laplacian=lambda x, y: -1.6 * np.sin(4 * x) + 0 * y),
+    )
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.5, 0.7])
+def test_energy_increase_is_bounded_by_apx(theta):
+    records = run_adaptive(oscillating_dirichlet_problem(), theta,
+                           max_elements=15000).records
+    rise = np.diff([r.energy for r in records])
+    apx2 = np.array([r.apx for r in records[:-1]]) ** 2
+    # the discrete sets are not nested: J(U_l) rises on several levels
+    assert (rise > 0).sum() >= 5
+    ratio = rise / apx2
+    assert (ratio <= APX_RISE_BOUND).all(), f"max ratio {ratio.max():.3f}"

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from obstacle_afem import (BoundaryTrace, Square, build_initial_mesh,
-                           refine)
+from obstacle_afem import (BoundaryTrace, LShape, Square, build_initial_mesh,
+                           example2, refine, to_zero_obstacle)
 from obstacle_afem.boundary import interpolate_boundary
 from obstacle_afem.estimator import assemble_indicators, dump_indicators
 from obstacle_afem.mesh import Mesh
+from obstacle_afem.quadrature import TRI_WEIGHTS, triangle_points
 from tests.edge_oracles import (apx_indicator, boundary_residual,
                                 interior_osc, jump_indicator)
 
@@ -114,6 +115,43 @@ def test_per_edge_helpers_match_vectorized_assembly():
                           rtol=1e-12)
         assert ind.apx2[eid] >= 0.0
         assert ind.eta2[eid] == 0.0
+
+
+def test_indicators_evaluate_f_one_quadrature_point_at_a_time():
+    mesh = build_initial_mesh(LShape())
+    for _ in range(3):
+        mesh = refine(mesh, np.arange(mesh.num_edges))
+    shifted = to_zero_obstacle(example2())
+    f = shifted.f
+    shapes = []
+
+    def recorded(x, y):
+        shapes.append((np.shape(x), np.shape(y)))
+        return f(x, y)
+
+    v = np.random.default_rng(3).normal(size=mesh.num_nodes)
+    gl = interpolate_boundary(shifted.g, mesh)
+    ind = assemble_indicators(mesh, v, recorded, shifted.g, gl)
+    m = mesh.num_triangles
+    assert shapes == [((m,), (m,))] * len(TRI_WEIGHTS)
+    # the same oscillations as one evaluation of f on all points at once
+    pts = triangle_points(mesh)
+    fv = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
+    areas = mesh.areas
+    int_f = areas * (fv @ TRI_WEIGHTS)
+    int_f2 = areas * ((fv ** 2) @ TRI_WEIGHTS)
+    expected = np.zeros(mesh.num_edges)
+    interior = mesh.interior_edge_ids()
+    tp, tm = mesh.edge2tri[interior, 0], mesh.edge2tri[interior, 1]
+    patch = areas[tp] + areas[tm]
+    mean = (int_f[tp] + int_f[tm]) / patch
+    expected[interior] = patch * (
+        areas[tp] * ((fv[tp] - mean[:, None]) ** 2 @ TRI_WEIGHTS)
+        + areas[tm] * ((fv[tm] - mean[:, None]) ** 2 @ TRI_WEIGHTS))
+    bdry = mesh.boundary_edge_ids()
+    tb = mesh.edge2tri[bdry, 0]
+    expected[bdry] = areas[tb] * int_f2[tb]
+    assert np.array_equal(ind.osc2, expected)
 
 
 def test_totals_are_consistent(unit_square_mesh, zero_trace):

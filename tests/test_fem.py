@@ -3,7 +3,8 @@ import pytest
 
 from obstacle_afem import (Square, assemble_load, assemble_stiffness,
                            build_initial_mesh, energy, energy_norm_diff,
-                           example2, prolong, refine, to_zero_obstacle)
+                           example1, example2, prolong, refine,
+                           to_zero_obstacle)
 from obstacle_afem.fem import cg_solve, solution_gradients
 from obstacle_afem.mesh import Mesh
 from obstacle_afem.quadrature import (TRI_BARY, TRI_WEIGHTS, gauss_segment,
@@ -225,3 +226,17 @@ def test_cg_matches_direct(unit_square_mesh):
         assert np.abs(x - direct).max() < 1e-10
         assert 0 < steps < 20
         assert np.abs(jacobi_cg_solve(sub, rhs) - direct).max() < 1e-10
+
+
+def test_cg_solve_raises_when_it_does_not_converge():
+    # a non-symmetric preconditioner keeps CG from converging
+    p = example1()
+    mesh = build_initial_mesh(p.domain)
+    for _ in range(3):
+        mesh = refine(mesh, np.arange(mesh.num_edges))
+    idx = np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_node_ids())
+    k = assemble_stiffness(mesh)[idx][:, idx]
+    rhs = assemble_load(mesh, p.f)[idx]
+    with pytest.raises(RuntimeError,
+                       match=r"CG failed to converge \(info=10000\)"):
+        cg_solve(k, rhs, np.zeros(len(idx)), lambda r: np.roll(r, 1))

@@ -262,6 +262,12 @@ def test_clockwise_triangle_rejected():
         Mesh(nodes, np.array([[0, 2, 1]]), np.array([0]))
 
 
+def test_non_finite_node_coordinates_rejected():
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]])
+    with pytest.raises(ValueError, match="non-finite node coordinates"):
+        Mesh(nodes, np.array([[0, 1, 2]]), np.array([0]))
+
+
 def test_random_refinement_preserves_conformity():
     rng = np.random.default_rng(99)
     mesh = random_refined_mesh(rng, LShape(), max_nodes=300)

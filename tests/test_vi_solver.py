@@ -67,6 +67,20 @@ def test_active_set_localizes_at_contact_region():
     assert err < 0.05
 
 
+def test_pdas_raises_when_it_does_not_converge(monkeypatch):
+    # 4 PDAS iterations from a cold start on this mesh
+    from obstacle_afem import example1
+    p = example1()
+    mesh = build_initial_mesh(p.domain)
+    for _ in range(3):
+        mesh = refine(mesh, np.arange(mesh.num_edges))
+    k, b, gl = setup_problem(mesh, p.f, p.g)
+    monkeypatch.setattr(vi, "MAX_PDAS_ITER", 1)
+    with pytest.raises(vi.PdasError,
+                       match="PDAS did not converge within 1 iterations"):
+        solve_obstacle(mesh, k, b, gl)
+
+
 def test_pdas_and_sor_agree_on_random_meshes():
     rng = np.random.default_rng(42)
     for i in range(5):
