@@ -9,7 +9,6 @@ order-5 triangle rule from :mod:`obstacle_afem.quadrature`.
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .quadrature import TRI_BARY, TRI_WEIGHTS, f_at_points, triangle_points
 
@@ -41,15 +40,17 @@ def hat_gradients(mesh):
 
 
 def assemble_stiffness(mesh):
-    """Sparse symmetric stiffness matrix of the Dirichlet form."""
+    """Sparse symmetric stiffness matrix of the Dirichlet form, without
+    stored zeros (the entry of an edge opposite two right angles)."""
     grads = hat_gradients(mesh)
     local = np.einsum("mid,mjd,m->mij", grads, grads, mesh.areas)
     tri = mesh.triangles
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
     k = sp.coo_matrix((local.ravel(), (rows, cols)),
-                      shape=(mesh.num_nodes, mesh.num_nodes))
-    return k.tocsr()
+                      shape=(mesh.num_nodes, mesh.num_nodes)).tocsr()
+    k.eliminate_zeros()
+    return k
 
 
 def assemble_load(mesh, f):
@@ -57,9 +58,8 @@ def assemble_load(mesh, f):
     fvals = f_at_points(f, triangle_points(mesh))
     contrib = np.einsum("q,mq,qi,m->mi", TRI_WEIGHTS, fvals, TRI_BARY,
                         mesh.areas)
-    b = np.zeros(mesh.num_nodes)
-    np.add.at(b, mesh.triangles, contrib)
-    return b
+    return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+                       minlength=mesh.num_nodes)
 
 
 def energy(stiffness, load, values):
@@ -96,11 +96,24 @@ def solution_gradients(mesh, values):
 def cg_solve(matrix, rhs, x0, precond):
     """Conjugate gradients preconditioned by ``precond``, a function of
     the residual, started from ``x0``; returns the solution and the
-    number of iterations."""
-    steps = []
-    x, info = spla.cg(matrix, rhs, x0=x0, rtol=CG_RTOL, maxiter=10000,
-                      M=spla.LinearOperator(matrix.shape, matvec=precond),
-                      callback=lambda _: steps.append(1))
-    if info != 0:
-        raise RuntimeError(f"CG failed to converge (info={info})")
-    return x, len(steps)
+    number of iterations.  Stops once ||r|| < CG_RTOL ||rhs|| and raises
+    after 10,000 iterations."""
+    x = np.array(x0, dtype=float)
+    norm_b = np.linalg.norm(rhs)
+    if norm_b == 0.0:
+        return np.zeros_like(x), 0
+    tol = CG_RTOL * norm_b
+    r = rhs - matrix @ x if x.any() else rhs.copy()
+    p = rho_prev = None
+    for steps in range(10000):
+        if np.linalg.norm(r) < tol:
+            return x, steps
+        z = precond(r)
+        rho = np.dot(r, z)
+        p = z.copy() if p is None else z + (rho / rho_prev) * p
+        q = matrix @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    raise RuntimeError("CG failed to converge (info=10000)")

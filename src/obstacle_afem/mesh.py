@@ -193,10 +193,10 @@ def refine(mesh, marked):
     mesh extends the input's bisection history (``node_parents`` and
     ``level_nodes``) by one level.
     """
-    marked = np.unique(np.asarray(marked, dtype=np.int64))
+    marked = np.asarray(marked, dtype=np.int64)
     if marked.size == 0:
         return mesh
-    if marked[0] < 0 or marked[-1] >= mesh.num_edges:
+    if marked.min() < 0 or marked.max() >= mesh.num_edges:
         raise ValueError("unknown edge id in marked set")
 
     marked_mask = np.zeros(mesh.num_edges, dtype=bool)

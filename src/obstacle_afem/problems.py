@@ -167,8 +167,10 @@ def _chi_value(x, y):
 
 def _chi_laplacian(x, y):
     x = np.asarray(x, dtype=float)
-    val = -2.5 * np.sin(5.0 * (x + _SHIFT))
-    return np.where(x < -1.0, val, 0.0) + 0.0 * np.asarray(y, dtype=float)
+    left = x < -1.0
+    val = np.zeros(x.shape)
+    val[left] = -2.5 * np.sin(5.0 * (x[left] + _SHIFT))
+    return val + 0.0 * np.asarray(y, dtype=float)
 
 
 def _chi_gradient(x, y):
@@ -177,29 +179,40 @@ def _chi_gradient(x, y):
     return gx, np.zeros_like(gx + 0.0 * np.asarray(y, dtype=float))
 
 
+def _in_ring(r):
+    """Where the quintic cutoff varies: 1/4 <= r < 3/4."""
+    rb = 2.0 * (r - 0.25)
+    return (rb >= 0.0) & (rb < 1.0)
+
+
 def _gamma1_derivatives(r):
     """First and second radial derivatives of the quintic cutoff."""
-    rb = 2.0 * (r - 0.25)
-    inside = (rb >= 0.0) & (rb < 1.0)
-    rb = np.where(inside, rb, 0.0)
+    inside = _in_ring(r)
+    rb = np.where(inside, 2.0 * (r - 0.25), 0.0)
     d1 = 2.0 * (-30.0 * rb ** 4 + 60.0 * rb ** 3 - 30.0 * rb ** 2)
     d2 = 4.0 * (-120.0 * rb ** 3 + 180.0 * rb ** 2 - 60.0 * rb)
     return np.where(inside, d1, 0.0), np.where(inside, d2, 0.0)
 
 
 def _example2_f(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
     r = np.hypot(x, y)
+    # the singular part is computed where the cutoff varies; at other
+    # finite points it is the zero -0.0 * s, and s can carry a minus
+    # sign only where x and y both do
+    at = _in_ring(r) | (np.signbit(x) & np.signbit(y)) | np.isinf(r)
+    ra = r[at]
     # polar angle measured from the reentrant edge (negative y-axis),
     # counterclockwise over the interior angle 3*pi/2
-    phi = np.arctan2(y, x) + 0.5 * np.pi
+    phi = np.arctan2(y[at], x[at]) + 0.5 * np.pi
     s = np.sin(2.0 * phi / 3.0)
-    d1, d2 = _gamma1_derivatives(r)
-    rs = np.where(r > 0.0, r, 1.0)
-    gamma2 = np.where(r > 1.25, 1.0, 0.0)
-    singular = -rs ** (2.0 / 3.0) * s * (d1 / rs + d2) \
+    d1, d2 = _gamma1_derivatives(ra)
+    rs = np.where(ra > 0.0, ra, 1.0)
+    singular = np.full(r.shape, -0.0)
+    singular[at] = -rs ** (2.0 / 3.0) * s * (d1 / rs + d2) \
         - (4.0 / 3.0) * rs ** (-1.0 / 3.0) * d1 * s
+    gamma2 = np.where(r > 1.25, 1.0, 0.0)
     return np.where(r >= 0.25, singular, 0.0) - gamma2
 
 

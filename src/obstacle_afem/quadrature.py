@@ -29,8 +29,7 @@ SEGMENT_POINTS = 5
 
 def triangle_points(mesh):
     """Quadrature points for every triangle, shape (M, 7, 2)."""
-    p = mesh.nodes[mesh.triangles]  # (M, 3, 2)
-    return np.einsum("qk,mkd->mqd", TRI_BARY, p)
+    return np.matmul(TRI_BARY, mesh.nodes[mesh.triangles])
 
 
 def f_at_points(f, pts):

@@ -24,7 +24,7 @@ MAX_PDAS_ITER = 100
 
 
 class PdasError(RuntimeError):
-    """PDAS failed to converge."""
+    """PDAS failed to converge, or its active sets cycled."""
 
 
 @dataclass
@@ -64,7 +64,8 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
     U = g_l on the boundary (CG preconditioned by a V-cycle on the mesh's
     bisection history truncated to the inactive interior nodes, started
     from the previous iterate), read off the multiplier, and update
-    A <- {i interior : lambda_i - U_i > 0} until A is stable.  The
+    A <- {i interior : lambda_i - U_i > 0} until A is stable; an active
+    set that recurs after two or more iterations raises.  The
     interior nodes are those where ``gl`` (the nodal vector of
     :func:`obstacle_afem.boundary.interpolate_boundary`) is NaN.
 
@@ -89,6 +90,8 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
 
     prolongations = level_prolongations(mesh)
     cg_iterations = 0
+    # the iteration that produced each active set so far (0: the seed)
+    seen = {np.packbits(active).tobytes(): 0}
     for iteration in range(1, MAX_PDAS_ITER + 1):
         u[active] = 0.0
         idx = np.nonzero(interior & ~active)[0]
@@ -104,6 +107,13 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
             return DiscreteSolution(values=u, active=new_active,
                                     multiplier=lam, iterations=iteration,
                                     cg_iterations=cg_iterations)
+        key = np.packbits(new_active).tobytes()
+        if key in seen:
+            raise PdasError(
+                f"PDAS cycles with length {iteration - seen[key]}: the "
+                f"active set of iteration {iteration} is that of iteration "
+                f"{seen[key]}")
+        seen[key] = iteration
         active = new_active
     raise PdasError(
         f"PDAS did not converge within {MAX_PDAS_ITER} iterations")

@@ -1,0 +1,63 @@
+"""The per-level kernels in their whole-array form, for the kernel tests.
+
+Each function is the plain form that a kernel of :mod:`obstacle_afem`
+replaced with a cheaper one: the quadrature points by ``einsum``, the
+stiffness matrix assembled from COO triplets with its stored zeros, the
+load summed by ``np.add.at``, and example 2's force and obstacle
+Laplacian evaluated by one formula on the whole domain.  The tests
+require the kernels to match them, mostly bit for bit.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+from obstacle_afem.fem import hat_gradients
+from obstacle_afem.problems import _SHIFT, _gamma1_derivatives
+from obstacle_afem.quadrature import (TRI_BARY, TRI_WEIGHTS, f_at_points,
+                                      triangle_points)
+
+
+def einsum_triangle_points(mesh):
+    """Quadrature points, shape (M, 7, 2)."""
+    return np.einsum("qk,mkd->mqd", TRI_BARY, mesh.nodes[mesh.triangles])
+
+
+def coo_stiffness(mesh):
+    """Stiffness matrix summed from COO triplets; keeps exact zeros."""
+    grads = hat_gradients(mesh)
+    local = np.einsum("mid,mjd,m->mij", grads, grads, mesh.areas)
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)),
+                         shape=(mesh.num_nodes, mesh.num_nodes)).tocsr()
+
+
+def add_at_load(mesh, f):
+    """Load vector summed triangle by triangle with ``np.add.at``."""
+    fvals = f_at_points(f, triangle_points(mesh))
+    contrib = np.einsum("q,mq,qi,m->mi", TRI_WEIGHTS, fvals, TRI_BARY,
+                        mesh.areas)
+    b = np.zeros(mesh.num_nodes)
+    np.add.at(b, mesh.triangles, contrib)
+    return b
+
+
+def whole_domain_chi_laplacian(x, y):
+    x = np.asarray(x, dtype=float)
+    val = -2.5 * np.sin(5.0 * (x + _SHIFT))
+    return np.where(x < -1.0, val, 0.0) + 0.0 * np.asarray(y, dtype=float)
+
+
+def whole_domain_example2_f(x, y):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    r = np.hypot(x, y)
+    phi = np.arctan2(y, x) + 0.5 * np.pi
+    s = np.sin(2.0 * phi / 3.0)
+    d1, d2 = _gamma1_derivatives(r)
+    rs = np.where(r > 0.0, r, 1.0)
+    gamma2 = np.where(r > 1.25, 1.0, 0.0)
+    singular = -rs ** (2.0 / 3.0) * s * (d1 / rs + d2) \
+        - (4.0 / 3.0) * rs ** (-1.0 / 3.0) * d1 * s
+    return np.where(r >= 0.25, singular, 0.0) - gamma2

@@ -6,6 +6,8 @@ so that the tests can cross-check the PDAS solution of
 :func:`obstacle_afem.vi.solve_obstacle`; ``jacobi_cg_solve`` solves one
 PDAS system by Jacobi-preconditioned CG, with no mesh hierarchy, to
 cross-check the multilevel-preconditioned :func:`obstacle_afem.fem.cg_solve`;
+``scipy_cg_solve`` runs SciPy's CG with the same preconditioner and
+stopping rule as ``cg_solve``, to check its iterations one for one;
 ``h1_error`` measures a P1 function against a closed-form solution by
 quadrature.
 """
@@ -72,6 +74,19 @@ def jacobi_cg_solve(matrix, rhs, x0=None):
     if info != 0:
         raise RuntimeError(f"CG failed to converge (info={info})")
     return x
+
+
+def scipy_cg_solve(matrix, rhs, x0, precond):
+    """``scipy.sparse.linalg.cg`` with the arguments and stopping rule of
+    :func:`obstacle_afem.fem.cg_solve`; returns the solution and the
+    number of iterations."""
+    steps = []
+    x, info = spla.cg(matrix, rhs, x0=x0, rtol=CG_RTOL, maxiter=10000,
+                      M=spla.LinearOperator(matrix.shape, matvec=precond),
+                      callback=lambda _: steps.append(1))
+    if info != 0:
+        raise RuntimeError(f"CG failed to converge (info={info})")
+    return x, len(steps)
 
 
 def h1_error(mesh, values, exact, exact_grad):

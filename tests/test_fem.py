@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from obstacle_afem import (Square, assemble_load, assemble_stiffness,
+from obstacle_afem import (LShape, Square, assemble_load, assemble_stiffness,
                            build_initial_mesh, energy, energy_norm_diff,
                            example1, example2, prolong, refine,
                            to_zero_obstacle)
@@ -10,7 +10,10 @@ from obstacle_afem.mesh import Mesh
 from obstacle_afem.quadrature import (TRI_BARY, TRI_WEIGHTS, gauss_segment,
                                       triangle_points)
 from obstacle_afem.multigrid import level_prolongations, vcycle
-from tests.solver_oracles import h1_error, jacobi_cg_solve
+from tests.conftest import random_refined_mesh
+from tests.kernel_oracles import (add_at_load, coo_stiffness,
+                                  einsum_triangle_points)
+from tests.solver_oracles import h1_error, jacobi_cg_solve, scipy_cg_solve
 
 
 def single_triangle():
@@ -70,6 +73,49 @@ def test_stiffness_energy_of_bilinear_interpolant(unit_square_mesh):
     v = mesh.nodes[:, 0] * mesh.nodes[:, 1]
     k = assemble_stiffness(mesh)
     assert np.isclose(v @ (k @ v), 1.0)
+
+
+def kernel_meshes():
+    """Uniformly refined L-shape and square, and randomly refined ones."""
+    rng = np.random.default_rng(11)
+    meshes = []
+    for domain in (LShape(), Square(0.0, 0.0, 1.0, 1.0)):
+        mesh = build_initial_mesh(domain)
+        for _ in range(4):
+            mesh = refine(mesh, np.arange(mesh.num_edges))
+        meshes += [mesh, random_refined_mesh(rng, domain, max_nodes=400)]
+    return meshes
+
+
+def test_triangle_points_match_the_einsum_form():
+    for mesh in kernel_meshes():
+        pts, ref = triangle_points(mesh), einsum_triangle_points(mesh)
+        assert pts.shape == ref.shape == (mesh.num_triangles, 7, 2)
+        scale = np.abs(mesh.nodes).max()
+        assert np.abs(pts - ref).max() <= 2 * np.finfo(float).eps * scale
+
+
+def test_stiffness_matches_coo_assembly_without_stored_zeros():
+    meshes = kernel_meshes()
+    for mesh in meshes:
+        k, ref = assemble_stiffness(mesh), coo_stiffness(mesh)
+        assert (k.data != 0.0).all()
+        assert np.array_equal(k.toarray(), ref.toarray())
+        ref.eliminate_zeros()
+        assert np.array_equal(k.indptr, ref.indptr)
+        assert np.array_equal(k.indices, ref.indices)
+        assert np.array_equal(k.data, ref.data)
+    # the uniform meshes' right triangles put exact zeros in the COO sum
+    uniform = meshes[0]
+    assert coo_stiffness(uniform).nnz > assemble_stiffness(uniform).nnz
+
+
+def test_load_matches_the_add_at_sum():
+    fs = [to_zero_obstacle(example2()).f, lambda x, y: np.sin(7.0 * x) - y]
+    for mesh in kernel_meshes():
+        for f in fs:
+            assert np.array_equal(assemble_load(mesh, f),
+                                  add_at_load(mesh, f))
 
 
 def test_load_partition_of_unity(lshape_mesh):
@@ -226,6 +272,44 @@ def test_cg_matches_direct(unit_square_mesh):
         assert np.abs(x - direct).max() < 1e-10
         assert 0 < steps < 20
         assert np.abs(jacobi_cg_solve(sub, rhs) - direct).max() < 1e-10
+
+
+def test_cg_solve_matches_scipy_cg(unit_square_mesh):
+    # the systems of test_cg_matches_direct, from a zero and a random
+    # start: SciPy's CG with the same preconditioner and stopping rule
+    # takes the same iterations to the same solution
+    mesh = unit_square_mesh
+    for _ in range(3):
+        mesh = refine(mesh, np.arange(mesh.num_edges))
+    k = assemble_stiffness(mesh)
+    load = assemble_load(mesh, lambda x, y: np.ones_like(x))
+    interior = np.ones(mesh.num_nodes, bool)
+    interior[mesh.boundary_node_ids()] = False
+    rng = np.random.default_rng(5)
+    active = rng.random(mesh.num_nodes) < 0.3
+    prolongations = level_prolongations(mesh)
+    for idx in (np.nonzero(interior)[0], np.nonzero(interior & ~active)[0]):
+        sub = k[idx][:, idx]
+        rhs = load[idx]
+        precond = vcycle(sub, prolongations, idx)
+        for x0 in (np.zeros(len(idx)), rng.normal(size=len(idx))):
+            x, steps = cg_solve(sub, rhs, x0, precond)
+            x_ref, steps_ref = scipy_cg_solve(sub, rhs, x0, precond)
+            assert steps == steps_ref > 0
+            assert np.abs(x - x_ref).max() < 1e-12
+
+
+def test_cg_solve_returns_zero_for_zero_rhs(unit_square_mesh):
+    mesh = refine(unit_square_mesh, np.arange(unit_square_mesh.num_edges))
+    k = assemble_stiffness(mesh)
+
+    def precond(r):
+        raise AssertionError("no iteration expected")
+
+    x0 = np.arange(mesh.num_nodes, dtype=float)
+    x, steps = cg_solve(k, np.zeros(mesh.num_nodes), x0, precond)
+    assert steps == 0
+    assert np.array_equal(x, np.zeros(mesh.num_nodes))
 
 
 def test_cg_solve_raises_when_it_does_not_converge():

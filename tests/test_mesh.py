@@ -53,6 +53,8 @@ def test_refine_empty_marked_is_identity(unit_square_mesh):
 def test_refine_unknown_edge_rejected(unit_square_mesh):
     with pytest.raises(ValueError):
         refine(unit_square_mesh, [unit_square_mesh.num_edges])
+    with pytest.raises(ValueError):
+        refine(unit_square_mesh, [0, -1])
 
 
 def test_refine_diagonal_gives_four_quarters(unit_square_mesh):

@@ -8,6 +8,8 @@ from obstacle_afem import (BoundaryTrace, LShape, Obstacle, ProblemSpec,
                            load_custom, reference_energy, to_zero_obstacle)
 from obstacle_afem.problems import (_chi_laplacian, _chi_value, _example2_f,
                                     _gamma1_derivatives)
+from tests.kernel_oracles import (whole_domain_chi_laplacian,
+                                  whole_domain_example2_f)
 
 
 def test_example1_solution_point_values():
@@ -124,6 +126,35 @@ def test_example2_force_frozen_values():
     ]
     for (x, y), expect in cases:
         assert np.isclose(float(_example2_f(x, y)), expect, atol=1e-12)
+
+
+def test_example2_data_match_the_whole_domain_formulas():
+    # the singular part of f is computed on the ring 1/4 <= r < 3/4 only
+    # and the obstacle Laplacian on x < -1 only; values and signs of zero
+    # stay those of one formula on all points
+    rng = np.random.default_rng(8)
+    xs, ys = rng.uniform(-2.0, 2.0, (2, 20000))
+    t = rng.uniform(-np.pi, np.pi, 400)
+    for r in (0.0, 0.25, 0.75, 1.25):
+        xs = np.append(xs, r * np.cos(t))
+        ys = np.append(ys, r * np.sin(t))
+    xs = np.append(xs, np.full(400, -1.0))
+    ys = np.append(ys, rng.uniform(-2.0, 2.0, 400))
+    zeros = np.array([0.0, -0.0, 0.3, -0.3])
+    xs = np.append(xs, np.repeat(zeros, 4))
+    ys = np.append(ys, np.tile(zeros, 4))
+    for fn, oracle in ((_example2_f, whole_domain_example2_f),
+                       (_chi_laplacian, whole_domain_chi_laplacian)):
+        value, expect = fn(xs, ys), oracle(xs, ys)
+        assert np.array_equal(value, expect)
+        assert np.array_equal(np.signbit(value), np.signbit(expect))
+        assert np.signbit(expect).any() and not np.signbit(expect).all()
+        assert np.array_equal(fn(xs, 0.5), oracle(xs, 0.5))
+        for x, y in zip(xs[-16:], ys[-16:]):
+            one = fn(x, y)
+            assert np.shape(one) == ()
+            assert one == oracle(x, y)
+            assert np.signbit(one) == np.signbit(oracle(x, y))
 
 
 def test_example2_transformed_boundary_data_vanish():

@@ -81,6 +81,27 @@ def test_pdas_raises_when_it_does_not_converge(monkeypatch):
         solve_obstacle(mesh, k, b, gl)
 
 
+def test_pdas_raises_at_once_when_its_active_sets_cycle(monkeypatch,
+                                                        zero_trace):
+    # one interior node and a positive load b: a CG that overshoots by a
+    # factor of ten activates the node; held at the obstacle, its
+    # multiplier -b is negative and frees it, so the empty start recurs
+    mesh = refined_square(1)
+    k, b, gl = setup_problem(mesh, lambda x, y: np.ones_like(x), zero_trace)
+    assert np.isnan(gl).sum() == 1
+    calls = []
+
+    def overshooting_cg(matrix, rhs, x0, precond):
+        calls.append(1)
+        return 10.0 * rhs / matrix.diagonal(), 1
+
+    monkeypatch.setattr(vi, "cg_solve", overshooting_cg)
+    with pytest.raises(vi.PdasError, match="PDAS cycles with length 2: the "
+                       "active set of iteration 2 is that of iteration 0"):
+        solve_obstacle(mesh, k, b, gl)
+    assert len(calls) == 1
+
+
 def test_pdas_and_sor_agree_on_random_meshes():
     rng = np.random.default_rng(42)
     for i in range(5):
