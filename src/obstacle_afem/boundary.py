@@ -22,8 +22,9 @@ class BoundaryTrace:
     gradient : callable, optional
         ``gradient(x, y) -> (gx, gy)``.  When supplied, arclength
         derivatives are computed analytically as the tangential component;
-        otherwise a central finite difference with step ``h * 1e-6`` along
-        the edge is used.
+        otherwise by a central difference along the edge with step
+        ``min(0.04 * h, 6e-6)``: about the cube root of machine epsilon,
+        and short enough to keep each Gauss point's stencil on the edge.
     """
 
     def __init__(self, value, gradient=None):
@@ -44,24 +45,10 @@ class BoundaryTrace:
         if self._gradient is not None:
             gx, gy = self._gradient(x, y)
             return np.asarray(gx) * tx + np.asarray(gy) * ty
-        step = h * 1e-6
+        step = np.minimum(0.04 * h, 6e-6)
         fwd = self._value(x + step * tx, y + step * ty)
         bwd = self._value(x - step * tx, y - step * ty)
         return (np.asarray(fwd) - np.asarray(bwd)) / (2.0 * step)
-
-    def shifted(self, other_value, other_gradient=None):
-        """Trace of ``g - chi`` given the obstacle's value/gradient."""
-        def value(x, y):
-            return self._value(x, y) - other_value(x, y)
-
-        gradient = None
-        if self._gradient is not None and other_gradient is not None:
-            def gradient(x, y):
-                gx, gy = self._gradient(x, y)
-                ox, oy = other_gradient(x, y)
-                return np.asarray(gx) - np.asarray(ox), \
-                    np.asarray(gy) - np.asarray(oy)
-        return BoundaryTrace(value, gradient)
 
 
 def interpolate_boundary(g, mesh):

@@ -142,7 +142,8 @@ def fit_rates(n, q):
 
 def _rate_data(path, quantity, window):
     """``(N, quantity)`` of the last ``window`` levels of a run CSV that
-    have a value; ``sqrt_eps`` is the square root of the ``eps`` column."""
+    have a value; ``sqrt_eps`` is the square root of the ``eps`` column,
+    0 (a point the fit drops) where that is negative."""
     if window is not None and window < 1:
         raise UsageError(f"--window must be at least 1, not {window}")
     column = "eps" if quantity == "sqrt_eps" else quantity
@@ -161,7 +162,7 @@ def _rate_data(path, quantity, window):
         n = [float(r["N"]) for r in rows]
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{path}: {exc}") from None
-    return n, np.sqrt(q) if quantity == "sqrt_eps" else q
+    return n, np.sqrt(np.maximum(q, 0.0)) if quantity == "sqrt_eps" else q
 
 
 class _Parser(argparse.ArgumentParser):

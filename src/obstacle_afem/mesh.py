@@ -31,7 +31,8 @@ class Square:
     ymax: float = 1.0
 
     def __post_init__(self):
-        if not (self.xmin < self.xmax and self.ymin < self.ymax):
+        if not (-np.inf < self.xmin < self.xmax < np.inf
+                and -np.inf < self.ymin < self.ymax < np.inf):
             raise ValueError("degenerate square domain")
 
 
@@ -45,7 +46,7 @@ class LShape:
     half_width: float = 2.0
 
     def __post_init__(self):
-        if not self.half_width > 0:
+        if not 0 < self.half_width < np.inf:
             raise ValueError("degenerate L-shape domain")
 
 

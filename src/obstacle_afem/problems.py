@@ -32,15 +32,10 @@ __all__ = [
 
 @dataclass
 class Obstacle:
-    """Smooth obstacle with analytically supplied Laplacian.
-
-    ``gradient`` is optional and only used for arclength derivatives of
-    the shifted boundary trace.
-    """
+    """Smooth obstacle with analytically supplied Laplacian."""
 
     value: callable
     laplacian: callable
-    gradient: callable = None
 
 
 @dataclass
@@ -91,7 +86,7 @@ def to_zero_obstacle(problem):
         return np.asarray(base_f(x, y), dtype=float) \
             + np.asarray(chi.laplacian(x, y), dtype=float)
 
-    g = problem.g.shifted(chi.value, chi.gradient)
+    g = BoundaryTrace(lambda x, y: problem.g(x, y) - chi.value(x, y))
     pts = _sample_boundary(problem.domain)
     vals = np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float)
     if not np.isfinite(vals).all():
@@ -173,12 +168,6 @@ def _chi_laplacian(x, y):
     return val + 0.0 * np.asarray(y, dtype=float)
 
 
-def _chi_gradient(x, y):
-    x = np.asarray(x, dtype=float)
-    gx = np.where(x < -1.0, 0.5 * np.cos(5.0 * (x + _SHIFT)), 0.0)
-    return gx, np.zeros_like(gx + 0.0 * np.asarray(y, dtype=float))
-
-
 def _in_ring(r):
     """Where the quintic cutoff varies: 1/4 <= r < 3/4."""
     rb = 2.0 * (r - 0.25)
@@ -219,15 +208,12 @@ def _example2_f(x, y):
 def example2():
     """Sinusoidal obstacle on the L-shape; boundary data are the trace of
     the obstacle, so the transformed problem has zero Dirichlet data."""
-    chi = Obstacle(value=_chi_value, laplacian=_chi_laplacian,
-                   gradient=_chi_gradient)
-    g = BoundaryTrace(_chi_value, _chi_gradient)
     return ProblemSpec(
         name="example2",
         domain=LShape(),
-        g=g,
+        g=BoundaryTrace(_chi_value),
         f=_example2_f,
-        chi=chi,
+        chi=Obstacle(value=_chi_value, laplacian=_chi_laplacian),
     )
 
 

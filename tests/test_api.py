@@ -1,5 +1,6 @@
 """Every exported name resolves, in the package and in each submodule."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -13,6 +14,7 @@ import obstacle_afem
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(
     obstacle_afem.__path__))
+PACKAGE_DIR = Path(obstacle_afem.__file__).parent
 
 
 def test_package_exports_resolve():
@@ -38,3 +40,18 @@ def test_import_loads_no_scipy_linear_algebra():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_reads_every_import(name):
+    # a module-level import whose name the module never reads is dead;
+    # the package __init__ is exempt, it imports to re-export
+    tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text())
+    imported = {a.asname or a.name.partition(".")[0]
+                for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for a in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(imported - read) == []

@@ -238,6 +238,18 @@ def test_cli_fit_rates_non_numeric_cell_exit_one(tmp_path, capsys, column,
     assert "Traceback" not in err
 
 
+def test_cli_fit_rates_drops_negative_eps_cell(tmp_path, capsys):
+    # a negative energy error has no square root; the fit drops the point
+    # (as it drops q <= 0) without a RuntimeWarning
+    path = tmp_path / "rates.csv"
+    eps = [4.0 ** -k for k in range(5)]
+    eps[2] = -eps[2]
+    path.write_text("level,N,eps\n" + "".join(
+        f"{k},{2 * 4 ** k},{e!r}\n" for k, e in enumerate(eps)))
+    assert main(["fit-rates", str(path), "--quantity", "sqrt_eps"]) == 0
+    assert capsys.readouterr().out.strip().endswith("points=4")
+
+
 def test_cli_numerical_failure_exit_two(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["run", "--problem", f"custom:{missing}"]) == 2
@@ -293,8 +305,16 @@ def test_cli_custom_config_missing_key_exit_one(tmp_path, capsys):
     ("--problem", json.dumps({"domain": {"type": "lshape", "half_width": -1},
                               "f": "0*x", "g": "0*x"}),
      "degenerate L-shape domain"),
+    ("--problem", json.dumps({"domain": {"type": "square",
+                                         "xmax": float("inf")},
+                              "f": "0*x", "g": "0*x"}),
+     "degenerate square domain"),
+    ("--problem", json.dumps({"domain": {"type": "lshape",
+                                         "half_width": float("inf")},
+                              "f": "0*x", "g": "0*x"}),
+     "degenerate L-shape domain"),
 ], ids=["domain", "syntax", "sandbox", "json", "config-json", "square",
-        "lshape"])
+        "lshape", "square-inf", "lshape-inf"])
 def test_cli_custom_config_errors_exit_one(tmp_path, capsys, flag, text,
                                            message):
     path = tmp_path / "bad.json"

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from obstacle_afem import (BoundaryTrace, LShape, Obstacle, ProblemSpec,
-                           Square, example1, example1_exact_energy, example2,
-                           load_custom, reference_energy, to_zero_obstacle)
+                           Square, apx_indicator, build_initial_mesh,
+                           example1, example1_exact_energy, example2,
+                           interpolate_boundary, load_custom,
+                           reference_energy, refine, to_zero_obstacle)
 from obstacle_afem.problems import (_chi_laplacian, _chi_value, _example2_f,
                                     _gamma1_derivatives)
 from tests.kernel_oracles import (whole_domain_chi_laplacian,
@@ -57,9 +59,7 @@ def test_transformation_is_identity_without_obstacle():
 
 def test_affine_obstacle_shifts_data_only():
     chi = Obstacle(value=lambda x, y: x + 1.0,
-                   laplacian=lambda x, y: np.zeros_like(x),
-                   gradient=lambda x, y: (np.ones_like(x),
-                                          np.zeros_like(x)))
+                   laplacian=lambda x, y: np.zeros_like(x))
     p = ProblemSpec(name="affine-chi", domain=Square(0, 0, 1, 1),
                     g=BoundaryTrace(lambda x, y: x + 2.0),
                     f=lambda x, y: np.full_like(x, 5.0), chi=chi)
@@ -162,6 +162,14 @@ def test_example2_transformed_boundary_data_vanish():
     xs = np.array([-2.0, -2.0, -1.5, 0.0, 2.0, 2.0])
     ys = np.array([0.5, 2.0, 2.0, -2.0, -1.0, 1.0])
     assert np.abs(np.asarray(tp.g(xs, ys))).max() == 0.0
+    # so the Dirichlet oscillations of the shifted trace vanish exactly,
+    # with no analytic gradient of g - chi
+    mesh = build_initial_mesh(LShape())
+    for _ in range(3):
+        mesh = refine(mesh, np.arange(mesh.num_edges))
+    gl = interpolate_boundary(tp.g, mesh)
+    apx = apx_indicator(mesh, tp.g, gl, mesh.boundary_edge_ids())
+    assert np.abs(apx).max() == 0.0
 
 
 def test_reference_energy_converges_to_exact():
