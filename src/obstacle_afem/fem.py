@@ -44,9 +44,12 @@ def assemble_stiffness(mesh):
     stored zeros (the entry of an edge opposite two right angles)."""
     grads = hat_gradients(mesh)
     local = np.einsum("mid,mjd,m->mij", grads, grads, mesh.areas)
-    tri = mesh.triangles
+    del grads
+    # int32, the index dtype SciPy would convert the COO indices to
+    tri = mesh.triangles.astype(np.int32)
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
+    del tri
     k = sp.coo_matrix((local.ravel(), (rows, cols)),
                       shape=(mesh.num_nodes, mesh.num_nodes)).tocsr()
     k.eliminate_zeros()

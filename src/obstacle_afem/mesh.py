@@ -31,8 +31,12 @@ class Square:
     ymax: float = 1.0
 
     def __post_init__(self):
-        if not (-np.inf < self.xmin < self.xmax < np.inf
-                and -np.inf < self.ymin < self.ymax < np.inf):
+        try:
+            w = float(self.xmax) - float(self.xmin)
+            h = float(self.ymax) - float(self.ymin)
+        except OverflowError:
+            w = h = np.nan
+        if not (0 < w and 0 < h and w * h < np.inf):
             raise ValueError("degenerate square domain")
 
 
@@ -46,7 +50,11 @@ class LShape:
     half_width: float = 2.0
 
     def __post_init__(self):
-        if not 0 < self.half_width < np.inf:
+        try:
+            w = float(self.half_width)
+        except OverflowError:
+            w = np.nan
+        if not (0 < w and 3 * w * w < np.inf):
             raise ValueError("degenerate L-shape domain")
 
 
@@ -89,23 +97,25 @@ class Mesh:
         self.level = len(self.level_nodes) - 1
         if not np.isfinite(self.nodes).all():
             raise ValueError("non-finite node coordinates")
-        p = self.nodes[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        if (self.areas <= 0).any():
-            raise ValueError("triangle with non-positive signed area")
+        x, y = self.nodes.T
+        t0, t1, t2 = self.triangles.T
+        self.areas = 0.5 * ((x[t1] - x[t0]) * (y[t2] - y[t0])
+                            - (y[t1] - y[t0]) * (x[t2] - x[t0]))
+        if not ((self.areas > 0) & (self.areas < np.inf)).all():
+            raise ValueError("triangle with non-positive or infinite area")
         self._build_edges()
 
     # -- connectivity -----------------------------------------------------
 
     def _build_edges(self):
-        m = self.num_triangles
-        local = self.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
-        pairs = np.sort(local, axis=1)
-        # one stable sort of the key a * N + b (a < b) numbers the edges
+        m, n = self.num_triangles, self.num_nodes
+        # one stable sort of the key min * N + max numbers the edges
         # lexicographically and lists each edge's triangles ascending
-        key = pairs[:, 0] * self.num_nodes + pairs[:, 1]
+        tri, nxt = self.triangles, np.roll(self.triangles, -1, axis=1)
+        key = np.minimum(tri, nxt).ravel()
+        key *= n
+        key += np.maximum(tri, nxt, out=nxt).ravel()
+        del nxt
         order = np.argsort(key, kind="stable")
         key = key[order]
         first = np.ones(3 * m, dtype=bool)
@@ -116,13 +126,15 @@ class Mesh:
         tri2edge = np.empty(3 * m, dtype=np.int64)
         tri2edge[order] = ids
         self.tri2edge = tri2edge.reshape(m, 3)
-        self.edges = edges = pairs[order[first]]
+        self.edges = edges = np.stack(np.divmod(key[first], n), axis=1)
+        del key
         self.edge2tri = np.full((len(edges), 2), -1, dtype=np.int64)
         self.edge2tri[:, 0] = order[first] // 3
         self.edge2tri[ids[~first], 1] = order[~first] // 3
         self.is_boundary_edge = self.edge2tri[:, 1] < 0
-        diff = self.nodes[edges[:, 0]] - self.nodes[edges[:, 1]]
-        self.edge_lengths = np.hypot(diff[:, 0], diff[:, 1])
+        x, y = self.nodes.T
+        a, b = edges.T
+        self.edge_lengths = np.hypot(x[a] - x[b], y[a] - y[b])
 
     # -- basic quantities -------------------------------------------------
 

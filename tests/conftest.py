@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,16 @@ def recording(module, name):
         yield calls
     finally:
         setattr(module, name, original)
+
+
+def traced_peak(fn, *args):
+    """Return ``fn(*args)`` and the peak number of bytes that Python
+    memory tracing saw allocated during the call, result included."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_refined_mesh(rng, domain, max_nodes=200):

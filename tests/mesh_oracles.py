@@ -10,6 +10,9 @@ without trusting its own bookkeeping.
 ``build_edges_unique`` numbers the edges with ``np.unique`` over the
 vertex pairs and a second sort for the edge-to-triangle map, to
 cross-check the single-sort edge tables of :class:`obstacle_afem.mesh.Mesh`.
+``gathered_areas`` computes the triangle areas from the (M, 3, 2) table
+of vertex coordinates, to cross-check the per-coordinate areas of
+:class:`obstacle_afem.mesh.Mesh`.
 ``diameters``, ``min_angle`` and ``shape_regularity`` measure the shape
 of a mesh's triangles for the refinement invariants.
 """
@@ -131,6 +134,15 @@ def build_edges_unique(mesh):
     edge2tri[both, 1] = t[order][starts[both] + 1]
     diff = mesh.nodes[edges[:, 0]] - mesh.nodes[edges[:, 1]]
     return edges, tri2edge, edge2tri, ~both, np.hypot(diff[:, 0], diff[:, 1])
+
+
+def gathered_areas(mesh):
+    """Triangle areas from the gathered vertex coordinates, same
+    contract as ``Mesh.areas``."""
+    p = mesh.nodes[mesh.triangles]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def diameters(mesh):

@@ -313,8 +313,20 @@ def test_cli_custom_config_missing_key_exit_one(tmp_path, capsys):
                                          "half_width": float("inf")},
                               "f": "0*x", "g": "0*x"}),
      "degenerate L-shape domain"),
+    ("--problem", json.dumps({"domain": {"type": "square", "xmax": 10**400},
+                              "f": "0*x", "g": "0*x"}),
+     "degenerate square domain"),
+    ("--problem", json.dumps({"domain": {"type": "lshape",
+                                         "half_width": 10**400},
+                              "f": "0*x", "g": "0*x"}),
+     "degenerate L-shape domain"),
+    ("--problem", json.dumps({"domain": {"type": "square", "xmax": 1e300,
+                                         "ymax": 1e300},
+                              "f": "0*x", "g": "0*x"}),
+     "degenerate square domain"),
 ], ids=["domain", "syntax", "sandbox", "json", "config-json", "square",
-        "lshape", "square-inf", "lshape-inf"])
+        "lshape", "square-inf", "lshape-inf", "square-huge-int",
+        "lshape-huge-int", "square-area-overflow"])
 def test_cli_custom_config_errors_exit_one(tmp_path, capsys, flag, text,
                                            message):
     path = tmp_path / "bad.json"

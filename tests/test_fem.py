@@ -10,7 +10,7 @@ from obstacle_afem.mesh import Mesh
 from obstacle_afem.quadrature import (TRI_BARY, TRI_WEIGHTS, gauss_segment,
                                       triangle_points)
 from obstacle_afem.multigrid import level_prolongations, vcycle
-from tests.conftest import random_refined_mesh
+from tests.conftest import random_refined_mesh, traced_peak
 from tests.kernel_oracles import (add_at_load, coo_stiffness,
                                   einsum_triangle_points)
 from tests.solver_oracles import h1_error, jacobi_cg_solve, scipy_cg_solve
@@ -99,6 +99,7 @@ def test_stiffness_matches_coo_assembly_without_stored_zeros():
     meshes = kernel_meshes()
     for mesh in meshes:
         k, ref = assemble_stiffness(mesh), coo_stiffness(mesh)
+        assert k.indices.dtype == np.int32
         assert (k.data != 0.0).all()
         assert np.array_equal(k.toarray(), ref.toarray())
         ref.eliminate_zeros()
@@ -108,6 +109,21 @@ def test_stiffness_matches_coo_assembly_without_stored_zeros():
     # the uniform meshes' right triangles put exact zeros in the COO sum
     uniform = meshes[0]
     assert coo_stiffness(uniform).nnz > assemble_stiffness(uniform).nnz
+
+
+def test_mesh_and_stiffness_peak_memory_per_triangle():
+    # guards against full-size temporaries such as the (M, 3, 2) vertex
+    # table in Mesh or int64 COO indices that SciPy copies to int32
+    mesh = build_initial_mesh(LShape())
+    for _ in range(6):
+        mesh = refine(mesh, np.arange(mesh.num_edges))
+    m = mesh.num_triangles
+    assert m == 24576
+    _, peak = traced_peak(Mesh, mesh.nodes, mesh.triangles, mesh.ref_edge,
+                          mesh.node_parents, mesh.level_nodes)
+    assert peak <= 200 * m
+    _, peak = traced_peak(assemble_stiffness, mesh)
+    assert peak <= 330 * m
 
 
 def test_load_matches_the_add_at_sum():

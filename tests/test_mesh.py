@@ -9,7 +9,8 @@ from obstacle_afem.mesh import boundary_polygon
 from tests.conftest import random_refined_mesh
 from tests.edge_oracles import edge_patch
 from tests.mesh_oracles import (build_edges_unique, father_triangles,
-                                min_angle, refine_loop, shape_regularity)
+                                gathered_areas, min_angle, refine_loop,
+                                shape_regularity)
 
 
 def test_initial_square_counts():
@@ -140,8 +141,9 @@ def test_refine_matches_loop_oracle(unit_square_mesh, lshape_mesh):
 
 def _assert_edges_match_unique_oracle(mesh):
     names = ("edges", "tri2edge", "edge2tri", "is_boundary_edge",
-             "edge_lengths")
-    for name, ref in zip(names, build_edges_unique(mesh)):
+             "edge_lengths", "areas")
+    refs = (*build_edges_unique(mesh), gathered_areas(mesh))
+    for name, ref in zip(names, refs):
         got = getattr(mesh, name)
         assert got.dtype == ref.dtype, name
         assert np.array_equal(got, ref), name
