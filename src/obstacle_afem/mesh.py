@@ -17,7 +17,6 @@ __all__ = [
     "build_initial_mesh",
     "refine",
     "dump_mesh",
-    "boundary_polygon",
 ]
 
 
@@ -31,13 +30,7 @@ class Square:
     ymax: float = 1.0
 
     def __post_init__(self):
-        try:
-            w = float(self.xmax) - float(self.xmin)
-            h = float(self.ymax) - float(self.ymin)
-        except OverflowError:
-            w = h = np.nan
-        if not (0 < w and 0 < h and w * h < np.inf):
-            raise ValueError("degenerate square domain")
+        _check_coarse_mesh(self, "square")
 
 
 @dataclass(frozen=True)
@@ -50,12 +43,20 @@ class LShape:
     half_width: float = 2.0
 
     def __post_init__(self):
-        try:
-            w = float(self.half_width)
-        except OverflowError:
-            w = np.nan
-        if not (0 < w and 3 * w * w < np.inf):
+        # a negative width gives a valid mesh of the L-shape turned by pi
+        if not self.half_width > 0:
             raise ValueError("degenerate L-shape domain")
+        _check_coarse_mesh(self, "L-shape")
+
+
+def _check_coarse_mesh(domain, kind):
+    """Raise ``degenerate <kind> domain`` unless the coarse mesh of
+    ``domain`` is valid: finite nodes and 0 < area < inf per triangle."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            build_initial_mesh(domain)
+    except (OverflowError, ValueError):
+        raise ValueError(f"degenerate {kind} domain") from None
 
 
 class Mesh:
@@ -162,20 +163,20 @@ class Mesh:
 
 
 def _coarse(domain):
-    """Coarse nodes, counterclockwise triangles and counterclockwise
-    boundary loop of a domain.  Each rectangular block is halved along
-    its diagonal from the lower-left corner, local edge 2 of the first
-    triangle and local edge 0 of the second."""
+    """Coarse nodes and counterclockwise triangles of a domain, its one
+    description.  Each rectangular block is halved along its diagonal
+    from the lower-left corner, local edge 2 of the first triangle and
+    local edge 0 of the second."""
     if isinstance(domain, Square):
         x0, y0, x1, y1 = domain.xmin, domain.ymin, domain.xmax, domain.ymax
         return (np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)]),
-                [(0, 1, 2), (0, 2, 3)], [0, 1, 2, 3])
+                [(0, 1, 2), (0, 2, 3)])
     if isinstance(domain, LShape):
         w = domain.half_width
         return (w * np.array([(0, 0), (1, 0), (1, 1), (0, 1), (-1, 0),
                               (-1, 1), (0, -1), (1, -1)], dtype=float),
                 [(0, 1, 2), (0, 2, 3), (4, 0, 3), (4, 3, 5), (6, 7, 1),
-                 (6, 1, 0)], [0, 6, 7, 2, 5, 4])
+                 (6, 1, 0)])
     raise ValueError(f"unsupported domain description: {domain!r}")
 
 
@@ -183,14 +184,8 @@ def build_initial_mesh(domain):
     """Coarsest conforming mesh of the given domain: 2 triangles on the
     square, 6 triangles on 8 nodes on the L-shape.  Each block diagonal,
     the longest edge of both its halves, is their reference edge."""
-    nodes, triangles, _ = _coarse(domain)
+    nodes, triangles = _coarse(domain)
     return Mesh(nodes, triangles, np.tile([2, 0], len(triangles) // 2))
-
-
-def boundary_polygon(domain):
-    """Vertex loop of the domain boundary, counterclockwise."""
-    nodes, _, loop = _coarse(domain)
-    return nodes[loop]
 
 
 def refine(mesh, marked):

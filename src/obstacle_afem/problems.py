@@ -15,8 +15,8 @@ import numpy as np
 
 from .boundary import BoundaryTrace, interpolate_boundary
 from .fem import assemble_load, assemble_stiffness, energy
-from .mesh import LShape, Square, boundary_polygon, build_initial_mesh, refine
-from .vi import solve_obstacle
+from .mesh import LShape, Square, build_initial_mesh, refine
+from .vi import BOUNDARY_TOL, solve_obstacle
 
 __all__ = [
     "Obstacle",
@@ -52,18 +52,15 @@ class ProblemSpec:
     exact_energy: float = None
 
 
-# Points per polygon side at which the shifted Dirichlet data are checked.
-_SAMPLES_PER_SIDE = 50
+# Points per coarse boundary edge, both ends included, checked for g - chi.
+_SAMPLES_PER_EDGE = 51
 
 
 def _sample_boundary(domain):
-    poly = boundary_polygon(domain)
-    pts = []
-    for i in range(len(poly)):
-        p, q = poly[i], poly[(i + 1) % len(poly)]
-        s = np.linspace(0.0, 1.0, _SAMPLES_PER_SIDE, endpoint=False)[:, None]
-        pts.append(p[None, :] + s * (q - p)[None, :])
-    return np.vstack(pts)
+    mesh = build_initial_mesh(domain)
+    p, q = mesh.nodes[mesh.edges[mesh.is_boundary_edge].T]
+    s = np.linspace(0.0, 1.0, _SAMPLES_PER_EDGE)[:, None, None]
+    return (p + s * (q - p)).reshape(-1, 2)
 
 
 def to_zero_obstacle(problem):
@@ -91,7 +88,7 @@ def to_zero_obstacle(problem):
     vals = np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float)
     if not np.isfinite(vals).all():
         raise ValueError("shifted Dirichlet data g - chi are not finite")
-    if np.min(vals, initial=0.0) < -1e-10:
+    if np.min(vals, initial=0.0) < -BOUNDARY_TOL:
         raise ValueError("chi > g on the boundary: shifted Dirichlet data "
                          "negative")
     return ProblemSpec(name=problem.name, domain=problem.domain, g=g, f=f)
@@ -346,7 +343,7 @@ def load_custom(path):
         chi = Obstacle(value=expr(obstacle, "value"),
                        laplacian=expr(obstacle, "laplacian"))
     return ProblemSpec(
-        name=cfg.get("name", "custom"),
+        name=_entry(cfg, "name", "string", "custom"),
         domain=domain,
         g=BoundaryTrace(expr(cfg, "g")),
         f=expr(cfg, "f"),

@@ -21,6 +21,8 @@ __all__ = [
 ]
 
 MAX_PDAS_ITER = 100
+# Largest negative boundary data g - chi (and g_l) accepted on Gamma.
+BOUNDARY_TOL = 1e-10
 
 
 class PdasError(RuntimeError):
@@ -49,11 +51,12 @@ class KKTReport:
     feasibility: float          # max(0, -min U) at interior nodes
     active_multiplier: float    # max(0, -min lambda) on the active set
     inactive_residual: float    # max |lambda| on the inactive set
+    boundary_residual: float    # max |U - g_l| at the boundary nodes
 
     @property
     def max_violation(self):
         return max(self.feasibility, self.active_multiplier,
-                   self.inactive_residual)
+                   self.inactive_residual, self.boundary_residual)
 
 
 def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
@@ -74,7 +77,7 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
     which start inactive); entries at boundary nodes are ignored.
     """
     interior = np.isnan(gl)
-    if (gl < -1e-12).any():
+    if (gl < -BOUNDARY_TOL).any():
         raise ValueError("infeasible boundary data: g_l < 0 at a node")
 
     n = mesh.num_nodes
@@ -120,9 +123,9 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
 
 
 def check_kkt(sol, stiffness, load, gl):
-    """Maximal violations of feasibility, multiplier sign, and
-    complementarity for a discrete solution; ``gl`` is NaN exactly at
-    the interior nodes."""
+    """Maximal violations of feasibility, multiplier sign,
+    complementarity and the boundary condition U = g_l for a discrete
+    solution; ``gl`` is NaN exactly at the interior nodes."""
     interior = np.isnan(gl)
     lam = stiffness @ sol.values - load
     feasibility = max(0.0, float(-sol.values[interior].min(initial=0.0)))
@@ -130,6 +133,9 @@ def check_kkt(sol, stiffness, load, gl):
     inact = interior & ~sol.active
     active_multiplier = max(0.0, float(-lam[act].min(initial=0.0)))
     inactive_residual = float(np.abs(lam[inact]).max(initial=0.0))
+    boundary_residual = float(
+        np.abs(sol.values - gl)[~interior].max(initial=0.0))
     return KKTReport(feasibility=feasibility,
                      active_multiplier=active_multiplier,
-                     inactive_residual=inactive_residual)
+                     inactive_residual=inactive_residual,
+                     boundary_residual=boundary_residual)

@@ -13,13 +13,16 @@ cross-check the single-sort edge tables of :class:`obstacle_afem.mesh.Mesh`.
 ``gathered_areas`` computes the triangle areas from the (M, 3, 2) table
 of vertex coordinates, to cross-check the per-coordinate areas of
 :class:`obstacle_afem.mesh.Mesh`.
+``boundary_polygon`` lists a domain's corners from its definition, so
+that the boundary of a mesh is checked against the domain rather than
+against the coarse mesh tables it was built from.
 ``diameters``, ``min_angle`` and ``shape_regularity`` measure the shape
 of a mesh's triangles for the refinement invariants.
 """
 
 import numpy as np
 
-from obstacle_afem.mesh import Mesh
+from obstacle_afem.mesh import LShape, Mesh, Square
 
 
 def refine_loop(mesh, marked):
@@ -143,6 +146,20 @@ def gathered_areas(mesh):
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def boundary_polygon(domain):
+    """Corners of the domain boundary, counterclockwise: the square
+    [xmin, xmax] x [ymin, ymax], or (-w, w)^2 minus [-w, 0]^2 for the
+    L-shape of half-width w."""
+    if isinstance(domain, Square):
+        x0, y0, x1, y1 = domain.xmin, domain.ymin, domain.xmax, domain.ymax
+        return np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+    if isinstance(domain, LShape):
+        w = domain.half_width
+        return np.array([(0, 0), (0, -w), (w, -w), (w, w), (-w, w),
+                         (-w, 0)], dtype=float)
+    raise ValueError(f"unsupported domain description: {domain!r}")
 
 
 def diameters(mesh):

@@ -17,7 +17,7 @@ import scipy.sparse.linalg as spla
 
 from obstacle_afem.fem import CG_RTOL, solution_gradients
 from obstacle_afem.quadrature import TRI_BARY, TRI_WEIGHTS, triangle_points
-from obstacle_afem.vi import DiscreteSolution
+from obstacle_afem.vi import BOUNDARY_TOL, DiscreteSolution
 
 
 def projected_sor_solve(mesh, stiffness, load, gl, omega=1.5,
@@ -30,7 +30,7 @@ def projected_sor_solve(mesh, stiffness, load, gl, omega=1.5,
     n = mesh.num_nodes
     interior = np.ones(n, dtype=bool)
     interior[mesh.boundary_node_ids()] = False
-    if (gl[~interior] < -1e-12).any():
+    if (gl[~interior] < -BOUNDARY_TOL).any():
         raise ValueError("infeasible boundary data: g_l < 0 at a node")
 
     u = np.where(interior, 0.0, gl)

@@ -277,6 +277,23 @@ def test_cli_non_finite_data_exit_two(tmp_path, capsys, key, expr,
     assert not [w for w in caught if w.category is RuntimeWarning]
 
 
+@pytest.mark.parametrize("chi,code,message", [
+    ("5e-11", 0, ""),
+    ("2e-10", 2, "chi > g on the boundary"),
+])
+def test_cli_boundary_tolerance_is_one_rule(tmp_path, capsys, chi, code,
+                                            message):
+    # g - chi = -5e-11 on the boundary passes the transform and the
+    # solver alike; -2e-10 is rejected by the transform
+    path = tmp_path / "tol.json"
+    path.write_text(json.dumps({"domain": {"type": "square"}, "f": "-1",
+                                "g": "0",
+                                "chi": {"value": chi, "laplacian": "0"}}))
+    assert main(["run", "--problem", f"custom:{path}",
+                 "--max-elements", "200"]) == code
+    assert message in capsys.readouterr().err
+
+
 def test_cli_custom_config_missing_key_exit_one(tmp_path, capsys):
     path = tmp_path / "nog.json"
     path.write_text(json.dumps({"domain": {"type": "square"},
@@ -324,9 +341,21 @@ def test_cli_custom_config_missing_key_exit_one(tmp_path, capsys):
                                          "ymax": 1e300},
                               "f": "0*x", "g": "0*x"}),
      "degenerate square domain"),
+    ("--problem", json.dumps({"domain": {"type": "square", "xmax": 1e-200,
+                                         "ymax": 1e-200},
+                              "f": "0*x", "g": "0*x"}),
+     "degenerate square domain"),
+    ("--problem", json.dumps({"domain": {"type": "lshape",
+                                         "half_width": 1e-170},
+                              "f": "0*x", "g": "0*x"}),
+     "degenerate L-shape domain"),
+    ("--problem", json.dumps({"name": 5, "domain": {"type": "square"},
+                              "f": "0*x", "g": "0*x"}),
+     "key 'name' must be a string"),
 ], ids=["domain", "syntax", "sandbox", "json", "config-json", "square",
         "lshape", "square-inf", "lshape-inf", "square-huge-int",
-        "lshape-huge-int", "square-area-overflow"])
+        "lshape-huge-int", "square-area-overflow", "square-tiny",
+        "lshape-tiny", "name-number"])
 def test_cli_custom_config_errors_exit_one(tmp_path, capsys, flag, text,
                                            message):
     path = tmp_path / "bad.json"

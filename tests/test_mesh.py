@@ -5,12 +5,11 @@ import pytest
 
 from obstacle_afem import (LShape, Mesh, Square, build_initial_mesh,
                            dump_mesh, refine)
-from obstacle_afem.mesh import boundary_polygon
 from tests.conftest import random_refined_mesh
 from tests.edge_oracles import edge_patch
-from tests.mesh_oracles import (build_edges_unique, father_triangles,
-                                gathered_areas, min_angle, refine_loop,
-                                shape_regularity)
+from tests.mesh_oracles import (boundary_polygon, build_edges_unique,
+                                father_triangles, gathered_areas, min_angle,
+                                refine_loop, shape_regularity)
 
 
 def test_initial_square_counts():

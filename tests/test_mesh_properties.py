@@ -13,9 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obstacle_afem import LShape, Square, build_initial_mesh, prolong, refine
-from obstacle_afem.mesh import boundary_polygon
 from obstacle_afem.multigrid import level_prolongations
-from tests.mesh_oracles import father_triangles
+from tests.mesh_oracles import boundary_polygon, father_triangles
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None,
                              database=None, max_examples=60)

@@ -4,8 +4,8 @@ import scipy.sparse.linalg as spla
 
 from obstacle_afem import (BoundaryTrace, LShape, Mesh, Square,
                            assemble_load, assemble_stiffness,
-                           build_initial_mesh, energy, example2, refine,
-                           run_adaptive)
+                           build_initial_mesh, energy, example1, example2,
+                           refine, run_adaptive)
 from obstacle_afem import vi
 from obstacle_afem.boundary import interpolate_boundary
 from obstacle_afem.multigrid import COARSE_LIMIT
@@ -53,7 +53,6 @@ def test_positive_force_matches_unconstrained_solve(zero_trace):
 
 
 def test_active_set_localizes_at_contact_region():
-    from obstacle_afem import example1
     p = example1()
     mesh = build_initial_mesh(p.domain)
     for _ in range(4):
@@ -69,7 +68,6 @@ def test_active_set_localizes_at_contact_region():
 
 def test_pdas_raises_when_it_does_not_converge(monkeypatch):
     # 4 PDAS iterations from a cold start on this mesh
-    from obstacle_afem import example1
     p = example1()
     mesh = build_initial_mesh(p.domain)
     for _ in range(3):
@@ -131,6 +129,22 @@ def test_kkt_detects_perturbation(zero_trace):
     sol.values[inactive[0]] += 1e-3
     report = check_kkt(sol, k, b, gl)
     assert report.inactive_residual > 1e-4
+
+
+def test_kkt_detects_a_solution_for_other_boundary_data():
+    # example 1, uniformly refined three times, solved with g_l + 0.5 and
+    # checked against g_l: only the boundary residual sees the shift
+    p = example1()
+    mesh = build_initial_mesh(p.domain)
+    for _ in range(3):
+        mesh = refine(mesh, np.arange(mesh.num_edges))
+    k, b, gl = setup_problem(mesh, p.f, p.g)
+    sol = solve_obstacle(mesh, k, b, gl + 0.5)
+    report = check_kkt(sol, k, b, gl)
+    assert report.boundary_residual >= 0.5
+    assert report.max_violation >= 0.5
+    assert check_kkt(solve_obstacle(mesh, k, b, gl), k, b,
+                     gl).boundary_residual == 0.0
 
 
 def test_minimality_against_random_admissible(zero_trace):
