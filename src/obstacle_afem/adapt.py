@@ -76,7 +76,6 @@ def _run(problem, mark_fn, max_elements, max_level, reference_energy=None):
     mesh = build_initial_mesh(problem.domain)
     prev = None  # the previous level's (solution values, active mask)
     records = []
-    level = 0
     try:
         while True:
             t0 = time.perf_counter()
@@ -90,13 +89,14 @@ def _run(problem, mark_fn, max_elements, max_level, reference_energy=None):
             value = energy(stiffness, load, sol.values)
             for name, v in (("estimator", indicators.rho2), ("energy", value)):
                 if not np.isfinite(v):
-                    raise ValueError(f"level {level}: {name} is not finite")
+                    raise ValueError(f"level {mesh.level}: {name} "
+                                     "is not finite")
             du = None
             if prev is not None:
                 du = energy_norm_diff(stiffness, sol.values,
                                       prolong(prev[0], mesh))
             records.append(LoopRecord(
-                level=level,
+                level=mesh.level,
                 n_elements=mesh.num_triangles,
                 rho=indicators.rho,
                 rho_tilde=indicators.rho_tilde,
@@ -110,13 +110,12 @@ def _run(problem, mark_fn, max_elements, max_level, reference_energy=None):
             ))
             if (indicators.rho2 <= 0.0
                     or mesh.num_triangles >= max_elements
-                    or level >= max_level):
+                    or mesh.level >= max_level):
                 return RunResult(records, mesh, sol, indicators)
             marked = mark_fn(indicators)
             prev = (sol.values, sol.active)
             mesh = refine(mesh, marked)
             records[-1].wall_ms = (time.perf_counter() - t0) * 1e3
-            level += 1
     except Exception as exc:
         exc.partial_records = records
         raise

@@ -129,12 +129,14 @@ def write_csv(records, path):
 
 def fit_rates(n, q):
     """Least-squares slope of log(q) against log(n) over the points with
-    finite n > 0 and finite q > 0, of which at least 4 are required."""
+    finite n > 0 and finite q > 0, of which at least 4 with two distinct
+    n are required."""
     n, q = np.asarray(n, dtype=float), np.asarray(q, dtype=float)
     keep = (n > 0) & (q > 0) & np.isfinite(n) & np.isfinite(q)
     n, q = n[keep], q[keep]
-    if len(q) < 4:
-        raise ValueError("rate fit needs at least 4 finite positive points")
+    if len(q) < 4 or n.min() == n.max():
+        raise ValueError("rate fit needs at least 4 finite positive points "
+                         "and two distinct N")
     slope, intercept = np.polyfit(np.log(n), np.log(q), 1)
     return RateFit(slope=float(slope), intercept=float(intercept),
                    n_points=len(q))

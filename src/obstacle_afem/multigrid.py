@@ -51,39 +51,25 @@ def vcycle(matrix, prolongations, idx):
     ``idx``, as a function of the residual.  The first level with at most
     ``COARSE_LIMIT`` unknowns is the coarsest and is solved by a
     pseudo-inverse (truncated Galerkin matrices can be singular); a
-    coarsest level 0 with more unknowns is only smoothed."""
-    mats, prols, restricts = [matrix], [], []
-    rows = idx
-    for p in prolongations:
-        if len(rows) <= COARSE_LIMIT:
-            break
-        p = p[rows]
-        rows = np.flatnonzero(p.getnnz(axis=0))
-        p = p[:, rows]
-        pt = p.T  # kept: a transpose per cycle costs more than the matvec
-        prols.append(p)
-        restricts.append(pt)
-        mats.append(pt @ (mats[-1] @ p))
-    scales = [JACOBI_DAMPING / a.diagonal() for a in mats]
-    coarse = None
-    if mats[-1].shape[0] <= COARSE_LIMIT:
-        coarse = np.linalg.pinv(mats[-1].toarray(), hermitian=True)
+    coarsest level 0 with more unknowns is only smoothed.  Each level is
+    a closure that calls the cycle of the next coarser level."""
+    if len(idx) <= COARSE_LIMIT:
+        coarse = np.linalg.pinv(matrix.toarray(), hermitian=True)
+        return lambda r: coarse @ r
+    scale = JACOBI_DAMPING / matrix.diagonal()
+    if not prolongations:
+        return lambda r: _smooth(matrix, scale, r, scale * r,
+                                 2 * SMOOTHING_STEPS - 1)
+    p = prolongations[0][idx]
+    rows = np.flatnonzero(p.getnnz(axis=0))
+    p = p[:, rows]
+    pt = p.T  # kept: a transpose per cycle costs more than the matvec
+    coarser = vcycle(pt @ (matrix @ p), prolongations[1:], rows)
 
     def apply(r):
-        down = []
-        for a, d, pt in zip(mats, scales, restricts):
-            x = _smooth(a, d, r, d * r, SMOOTHING_STEPS - 1)
-            down.append((r, x))
-            r = pt @ (r - a @ x)
-        if coarse is not None:
-            x = coarse @ r
-        else:
-            a, d = mats[-1], scales[-1]
-            x = _smooth(a, d, r, d * r, 2 * SMOOTHING_STEPS - 1)
-        for a, d, p, (r, xf) in reversed(list(zip(mats, scales, prols,
-                                                   down))):
-            x = _smooth(a, d, r, xf + p @ x, SMOOTHING_STEPS)
-        return x
+        x = _smooth(matrix, scale, r, scale * r, SMOOTHING_STEPS - 1)
+        x = x + p @ coarser(pt @ (r - matrix @ x))
+        return _smooth(matrix, scale, r, x, SMOOTHING_STEPS)
 
     return apply
 

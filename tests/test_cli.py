@@ -250,6 +250,21 @@ def test_cli_fit_rates_drops_negative_eps_cell(tmp_path, capsys):
     assert capsys.readouterr().out.strip().endswith("points=4")
 
 
+def test_cli_fit_rates_all_equal_n_exit_two(tmp_path, capsys):
+    # one N has no slope; polyfit would warn and print a meaningless one
+    path = tmp_path / "rates.csv"
+    path.write_text("level,N,rho\n" + "".join(
+        f"{k},100,{0.5 ** k!r}\n" for k in range(4)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["fit-rates", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert ("rate fit needs at least 4 finite positive points and two "
+            "distinct N") in err
+    assert "Traceback" not in err
+    assert not [w for w in caught if w.category.__name__ == "RankWarning"]
+
+
 def test_cli_numerical_failure_exit_two(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["run", "--problem", f"custom:{missing}"]) == 2

@@ -4,12 +4,13 @@ import pytest
 from obstacle_afem import (LShape, Square, assemble_load, assemble_stiffness,
                            build_initial_mesh, energy, energy_norm_diff,
                            example1, example2, prolong, refine,
-                           to_zero_obstacle)
+                           run_adaptive, to_zero_obstacle)
 from obstacle_afem.fem import cg_solve, solution_gradients
 from obstacle_afem.mesh import Mesh
 from obstacle_afem.quadrature import (TRI_BARY, TRI_WEIGHTS, gauss_segment,
                                       triangle_points)
-from obstacle_afem.multigrid import level_prolongations, vcycle
+from obstacle_afem.multigrid import (COARSE_LIMIT, level_prolongations,
+                                     vcycle)
 from tests.conftest import random_refined_mesh, traced_peak
 from tests.kernel_oracles import (add_at_load, coo_stiffness,
                                   einsum_triangle_points)
@@ -313,6 +314,48 @@ def test_cg_solve_matches_scipy_cg(unit_square_mesh):
             x_ref, steps_ref = scipy_cg_solve(sub, rhs, x0, precond)
             assert steps == steps_ref > 0
             assert np.abs(x - x_ref).max() < 1e-12
+
+
+def _uniform_square(times):
+    mesh = build_initial_mesh(Square(0.0, 0.0, 1.0, 1.0))
+    for _ in range(times):
+        mesh = refine(mesh, np.arange(mesh.num_edges))
+    return mesh
+
+
+def test_vcycle_is_symmetric_positive_definite():
+    # PCG needs a symmetric positive definite preconditioner: check the
+    # V-cycle on a pinv-only level, a truncated multilevel system, a
+    # smoothing-only level and an adaptive mesh's PDAS system
+    rng = np.random.default_rng(3)
+    square = _uniform_square(6)
+    fine = _uniform_square(5)
+    flat = Mesh(fine.nodes, fine.triangles, fine.ref_edge)
+    adaptive = run_adaptive(example2(), 0.5, max_elements=2000)
+    cases = [(_uniform_square(3), None),
+             (square, rng.random(square.num_nodes) < 0.3),
+             (flat, None),
+             (adaptive.mesh, adaptive.solution.active)]
+    shapes = []  # (fine level solved by pinv, number of prolongations)
+    for mesh, active in cases:
+        keep = np.ones(mesh.num_nodes, bool)
+        keep[mesh.boundary_node_ids()] = False
+        if active is not None:
+            keep &= ~active
+        idx = np.flatnonzero(keep)
+        sub = assemble_stiffness(mesh)[idx][:, idx]
+        prolongations = level_prolongations(mesh)
+        shapes.append((len(idx) <= COARSE_LIMIT, len(prolongations)))
+        precond = vcycle(sub, prolongations, idx)
+        r1, r2 = rng.normal(size=(2, len(idx)))
+        b1, b2 = precond(r1), precond(r2)
+        assert (abs(r2 @ b1 - r1 @ b2)
+                <= 1e-12 * np.linalg.norm(r1) * np.linalg.norm(b2))
+        assert r1 @ b1 > 0 and r2 @ b2 > 0
+    assert shapes[0][0] and shapes[0][1] > 0
+    assert not shapes[1][0] and shapes[1][1] > 1
+    assert shapes[2] == (False, 0)
+    assert not shapes[3][0] and shapes[3][1] > 1
 
 
 def test_cg_solve_returns_zero_for_zero_rhs(unit_square_mesh):
