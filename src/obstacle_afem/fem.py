@@ -13,7 +13,6 @@ import scipy.sparse as sp
 from .quadrature import TRI_BARY, TRI_WEIGHTS, f_at_points, triangle_points
 
 __all__ = [
-    "hat_gradients",
     "assemble_stiffness",
     "assemble_load",
     "energy",
@@ -25,26 +24,29 @@ __all__ = [
 CG_RTOL = 1e-12
 
 
-def hat_gradients(mesh):
-    """Gradients of the three nodal hat functions on each triangle,
-    shape (M, 3, 2)."""
-    p = mesh.nodes[mesh.triangles]
-    grads = np.empty((mesh.num_triangles, 3, 2))
-    for i in range(3):
-        # edge opposite vertex i, rotated by 90 degrees
-        e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-        grads[:, i, 0] = -e[:, 1]
-        grads[:, i, 1] = e[:, 0]
-    grads /= (2.0 * mesh.areas)[:, None, None]
-    return grads
+def _hat_gradients(mesh):
+    """x and y components of the three nodal hat gradients on each
+    triangle, two (M, 3) tables: the edge opposite vertex i, rotated by
+    90 degrees, over twice the area."""
+    x, y = (mesh.nodes[:, d][mesh.triangles] for d in range(2))
+    twice_area = (2.0 * mesh.areas)[:, None]
+    gx = -(y[:, [2, 0, 1]] - y[:, [1, 2, 0]]) / twice_area
+    gy = (x[:, [2, 0, 1]] - x[:, [1, 2, 0]]) / twice_area
+    return gx, gy
 
 
 def assemble_stiffness(mesh):
     """Sparse symmetric stiffness matrix of the Dirichlet form, without
     stored zeros (the entry of an edge opposite two right angles)."""
-    grads = hat_gradients(mesh)
-    local = np.einsum("mid,mjd,m->mij", grads, grads, mesh.areas)
-    del grads
+    gx, gy = _hat_gradients(mesh)
+    a = mesh.areas
+    # einsum("mid,mjd,m->mij") bit for bit: its products, in its sum order
+    local = np.empty((mesh.num_triangles, 3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            local[:, i, j] = local[:, j, i] = (gx[:, i] * gx[:, j] * a
+                                               + gy[:, i] * gy[:, j] * a)
+    del gx, gy
     # int32, the index dtype SciPy would convert the COO indices to
     tri = mesh.triangles.astype(np.int32)
     rows = np.repeat(tri, 3, axis=1).ravel()
@@ -59,8 +61,14 @@ def assemble_stiffness(mesh):
 def assemble_load(mesh, f):
     """Load vector (f, phi_i) via the 7-point order-5 triangle rule."""
     fvals = f_at_points(f, triangle_points(mesh))
-    contrib = np.einsum("q,mq,qi,m->mi", TRI_WEIGHTS, fvals, TRI_BARY,
-                        mesh.areas)
+    a = mesh.areas
+    # einsum("q,mq,qi,m->mi") bit for bit: its products, in its sum order
+    contrib = np.empty((mesh.num_triangles, 3))
+    for i in range(3):
+        acc = TRI_WEIGHTS[0] * fvals[:, 0] * TRI_BARY[0, i] * a
+        for q in range(1, len(TRI_WEIGHTS)):
+            acc += TRI_WEIGHTS[q] * fvals[:, q] * TRI_BARY[q, i] * a
+        contrib[:, i] = acc
     return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
                        minlength=mesh.num_nodes)
 
@@ -92,8 +100,9 @@ def energy_norm_diff(stiffness, v, w):
 
 def solution_gradients(mesh, values):
     """Constant gradient of a P1 function on each triangle, shape (M, 2)."""
-    grads = hat_gradients(mesh)
-    return np.einsum("mid,mi->md", grads, values[mesh.triangles])
+    v = values[mesh.triangles]
+    return np.stack([g[:, 0] * v[:, 0] + g[:, 1] * v[:, 1] + g[:, 2] * v[:, 2]
+                     for g in _hat_gradients(mesh)], axis=1)
 
 
 def cg_solve(matrix, rhs, x0, precond):

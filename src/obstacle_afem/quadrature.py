@@ -28,16 +28,20 @@ SEGMENT_POINTS = 5
 
 
 def triangle_points(mesh):
-    """Quadrature points for every triangle, shape (M, 7, 2)."""
-    return np.matmul(TRI_BARY, mesh.nodes[mesh.triangles])
+    """Quadrature points for every triangle as the pair ``(x, y)`` of
+    (7, M) coordinate tables."""
+    return tuple(TRI_BARY @ mesh.nodes[:, d][mesh.triangles].T
+                 for d in range(2))
 
 
 def f_at_points(f, pts):
-    """f at points of shape (M, Q, 2) as an (M, Q) table, one q at a time
-    so that f's temporaries stay of shape (M,); raises if not finite."""
-    fvals = np.empty(pts.shape[:2])
-    for q in range(pts.shape[1]):
-        fvals[:, q] = f(pts[:, q, 0], pts[:, q, 1])
+    """f at the points ``(x, y)`` of shape (Q, M) as an (M, Q) table, one
+    contiguous row q at a time so that f's temporaries stay of shape (M,);
+    raises if not finite."""
+    x, y = pts
+    fvals = np.empty(x.shape[::-1])
+    for q in range(len(x)):
+        fvals[:, q] = f(x[q], y[q])
     if not np.isfinite(fvals).all():
         raise ValueError("load f is not finite at a quadrature point")
     return fvals

@@ -52,9 +52,8 @@ def jump_indicator(mesh, values, eid):
 
 
 def _f_at_points(mesh, f):
-    pts = triangle_points(mesh)
-    return np.broadcast_to(
-        np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2])
+    x, y = (c.T for c in triangle_points(mesh))
+    return np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
 
 
 def interior_osc(mesh, f, eid):

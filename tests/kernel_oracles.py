@@ -2,6 +2,8 @@
 
 Each function is the plain form that a kernel of :mod:`obstacle_afem`
 replaced with a cheaper one: the quadrature points by ``einsum``, the
+hat gradients as one (M, 3, 2) table filled vertex by vertex, the
+solution gradients and the local stiffness matrices by ``einsum``, the
 stiffness matrix assembled from COO triplets with its stored zeros, the
 load summed by ``np.add.at``, and example 2's force and obstacle
 Laplacian evaluated by one formula on the whole domain.  The tests
@@ -11,7 +13,6 @@ require the kernels to match them, mostly bit for bit.
 import numpy as np
 import scipy.sparse as sp
 
-from obstacle_afem.fem import hat_gradients
 from obstacle_afem.problems import _SHIFT, _gamma1_derivatives
 from obstacle_afem.quadrature import (TRI_BARY, TRI_WEIGHTS, f_at_points,
                                       triangle_points)
@@ -20,6 +21,26 @@ from obstacle_afem.quadrature import (TRI_BARY, TRI_WEIGHTS, f_at_points,
 def einsum_triangle_points(mesh):
     """Quadrature points, shape (M, 7, 2)."""
     return np.einsum("qk,mkd->mqd", TRI_BARY, mesh.nodes[mesh.triangles])
+
+
+def hat_gradients(mesh):
+    """Gradients of the three nodal hat functions on each triangle,
+    shape (M, 3, 2)."""
+    p = mesh.nodes[mesh.triangles]
+    grads = np.empty((mesh.num_triangles, 3, 2))
+    for i in range(3):
+        # edge opposite vertex i, rotated by 90 degrees
+        e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
+        grads[:, i, 0] = -e[:, 1]
+        grads[:, i, 1] = e[:, 0]
+    grads /= (2.0 * mesh.areas)[:, None, None]
+    return grads
+
+
+def einsum_solution_gradients(mesh, values):
+    """Constant gradient of a P1 function on each triangle, shape (M, 2)."""
+    return np.einsum("mid,mi->md", hat_gradients(mesh),
+                     values[mesh.triangles])
 
 
 def coo_stiffness(mesh):

@@ -91,8 +91,7 @@ def scipy_cg_solve(matrix, rhs, x0, precond):
 
 def h1_error(mesh, values, exact, exact_grad):
     """Full H1 norm of (exact - P1 function) by order-5 quadrature."""
-    pts = triangle_points(mesh)
-    x, y = pts[..., 0], pts[..., 1]
+    x, y = (c.T for c in triangle_points(mesh))
     areas = mesh.areas
 
     bary = TRI_BARY  # (7, 3)

@@ -135,8 +135,8 @@ def test_indicators_evaluate_f_one_quadrature_point_at_a_time():
     m = mesh.num_triangles
     assert shapes == [((m,), (m,))] * len(TRI_WEIGHTS)
     # the same oscillations as one evaluation of f on all points at once
-    pts = triangle_points(mesh)
-    fv = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
+    x, y = (c.T for c in triangle_points(mesh))
+    fv = np.asarray(f(x, y), dtype=float)
     areas = mesh.areas
     int_f = areas * (fv @ TRI_WEIGHTS)
     int_f2 = areas * ((fv ** 2) @ TRI_WEIGHTS)

@@ -5,7 +5,7 @@ from obstacle_afem import (LShape, Square, assemble_load, assemble_stiffness,
                            build_initial_mesh, energy, energy_norm_diff,
                            example1, example2, prolong, refine,
                            run_adaptive, to_zero_obstacle)
-from obstacle_afem.fem import cg_solve, solution_gradients
+from obstacle_afem.fem import _hat_gradients, cg_solve, solution_gradients
 from obstacle_afem.mesh import Mesh
 from obstacle_afem.quadrature import (TRI_BARY, TRI_WEIGHTS, gauss_segment,
                                       triangle_points)
@@ -13,7 +13,8 @@ from obstacle_afem.multigrid import (COARSE_LIMIT, level_prolongations,
                                      vcycle)
 from tests.conftest import random_refined_mesh, traced_peak
 from tests.kernel_oracles import (add_at_load, coo_stiffness,
-                                  einsum_triangle_points)
+                                  einsum_solution_gradients,
+                                  einsum_triangle_points, hat_gradients)
 from tests.solver_oracles import h1_error, jacobi_cg_solve, scipy_cg_solve
 
 
@@ -27,8 +28,8 @@ def test_triangle_rule_weights_and_order():
     assert np.allclose(TRI_BARY.sum(axis=1), 1.0)
     # exact for x^3 y^2 on the unit right triangle: value 1/420
     mesh = single_triangle()
-    pts = triangle_points(mesh)[0]
-    val = 0.5 * np.sum(TRI_WEIGHTS * pts[:, 0] ** 3 * pts[:, 1] ** 2)
+    x, y = triangle_points(mesh)
+    val = 0.5 * np.sum(TRI_WEIGHTS * x[:, 0] ** 3 * y[:, 0] ** 2)
     assert np.isclose(val, 1.0 / 420.0, atol=1e-15)
 
 
@@ -91,9 +92,30 @@ def kernel_meshes():
 def test_triangle_points_match_the_einsum_form():
     for mesh in kernel_meshes():
         pts, ref = triangle_points(mesh), einsum_triangle_points(mesh)
-        assert pts.shape == ref.shape == (mesh.num_triangles, 7, 2)
+        assert ref.shape == (mesh.num_triangles, 7, 2)
         scale = np.abs(mesh.nodes).max()
-        assert np.abs(pts - ref).max() <= 2 * np.finfo(float).eps * scale
+        for d, coord in enumerate(pts):
+            assert coord.shape == (7, mesh.num_triangles)
+            assert coord.flags.c_contiguous
+            assert (np.abs(coord.T - ref[..., d]).max()
+                    <= 2 * np.finfo(float).eps * scale)
+
+
+def test_gradients_match_their_oracles_bit_for_bit():
+    # bit patterns, so that a zero of the other sign counts as a change
+    rng = np.random.default_rng(5)
+    for mesh in kernel_meshes():
+        ref = hat_gradients(mesh)
+        for d, g in enumerate(_hat_gradients(mesh)):
+            assert g.shape == (mesh.num_triangles, 3)
+            assert np.array_equal(g.view(np.uint64),
+                                  ref[..., d].view(np.uint64))
+        for v in (np.zeros(mesh.num_nodes), rng.normal(size=mesh.num_nodes),
+                  mesh.nodes[:, 0] - 2.0 * mesh.nodes[:, 1]):
+            g = solution_gradients(mesh, v)
+            assert np.array_equal(
+                g.view(np.uint64),
+                einsum_solution_gradients(mesh, v).view(np.uint64))
 
 
 def test_stiffness_matches_coo_assembly_without_stored_zeros():
@@ -125,6 +147,9 @@ def test_mesh_and_stiffness_peak_memory_per_triangle():
     assert peak <= 200 * m
     _, peak = traced_peak(assemble_stiffness, mesh)
     assert peak <= 330 * m
+    # the e2-uniform peak: quadrature points and f table of the load
+    _, peak = traced_peak(assemble_load, mesh, to_zero_obstacle(example2()).f)
+    assert peak <= 240 * m
 
 
 def test_load_matches_the_add_at_sum():
@@ -167,15 +192,16 @@ def test_load_evaluates_f_one_quadrature_point_at_a_time(lshape_mesh):
     shapes = []
 
     def recorded(x, y):
-        shapes.append((np.shape(x), np.shape(y)))
+        shapes.append((np.shape(x), np.shape(y),
+                       x.flags.c_contiguous and y.flags.c_contiguous))
         return f(x, y)
 
     b = assemble_load(mesh, recorded)
     m = mesh.num_triangles
-    assert shapes == [((m,), (m,))] * len(TRI_WEIGHTS)
+    assert shapes == [((m,), (m,), True)] * len(TRI_WEIGHTS)
     # the same load as one evaluation of f on all points at once
-    pts = triangle_points(mesh)
-    fvals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
+    x, y = (c.T for c in triangle_points(mesh))
+    fvals = np.asarray(f(x, y), dtype=float)
     contrib = np.einsum("q,mq,qi,m->mi", TRI_WEIGHTS, fvals, TRI_BARY,
                         mesh.areas)
     expected = np.zeros(mesh.num_nodes)
