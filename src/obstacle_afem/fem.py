@@ -10,6 +10,7 @@ order-5 triangle rule from :mod:`obstacle_afem.quadrature`.
 import numpy as np
 import scipy.sparse as sp
 
+from .multigrid import generation
 from .quadrature import TRI_BARY, TRI_WEIGHTS, f_at_points, triangle_points
 
 __all__ = [
@@ -80,16 +81,11 @@ def energy(stiffness, load, values):
 
 def prolong(values, fine):
     """Represent a P1 function exactly on ``fine``, one bisection
-    generation after the mesh of ``values``: new nodes are edge
-    midpoints, valued as the averages of the parent endpoint values."""
-    n_old = len(values)
-    if fine.level < 1 or fine.level_nodes[-2] != n_old:
+    generation after the mesh of ``values``, by that generation's
+    operator :func:`obstacle_afem.multigrid.generation`."""
+    if fine.level < 1 or fine.level_nodes[-2] != len(values):
         raise ValueError("values do not live on the mesh refined by fine")
-    out = np.empty(fine.num_nodes)
-    out[:n_old] = values
-    parents = fine.node_parents[n_old:]
-    out[n_old:] = 0.5 * (out[parents[:, 0]] + out[parents[:, 1]])
-    return out
+    return generation(fine, fine.level) @ values
 
 
 def energy_norm_diff(stiffness, v, w):

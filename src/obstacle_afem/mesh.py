@@ -96,6 +96,12 @@ class Mesh:
         self.level_nodes = np.array(
             [self.num_nodes] if level_nodes is None else level_nodes)
         self.level = len(self.level_nodes) - 1
+        if (self.triangles.min(initial=0) < 0
+                or self.triangles.max(initial=-1) >= self.num_nodes):
+            raise ValueError("vertex id outside [0, N)")
+        if (self.ref_edge.min(initial=0) < 0
+                or self.ref_edge.max(initial=0) > 2):
+            raise ValueError("reference edge outside {0, 1, 2}")
         if not np.isfinite(self.nodes).all():
             raise ValueError("non-finite node coordinates")
         x, y = self.nodes.T
@@ -201,9 +207,11 @@ def refine(mesh, marked):
     mesh extends the input's bisection history (``node_parents`` and
     ``level_nodes``) by one level.
     """
-    marked = np.asarray(marked, dtype=np.int64)
+    marked = np.asarray(marked)
     if marked.size == 0:
         return mesh
+    if marked.dtype.kind not in "iu":
+        raise ValueError("marked edge ids are not integers")
     if marked.min() < 0 or marked.max() >= mesh.num_edges:
         raise ValueError("unknown edge id in marked set")
 

@@ -18,31 +18,36 @@ preconditions CG.
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["level_prolongations", "vcycle"]
+__all__ = ["generation", "level_prolongations", "vcycle"]
 
 SMOOTHING_STEPS = 2   # Jacobi sweeps before and after each coarse correction
 JACOBI_DAMPING = 0.7
 COARSE_LIMIT = 200    # largest coarsest level, solved densely
 
 
+def generation(mesh, level):
+    """Prolongation of bisection generation ``level``, CSR from the nodes
+    of level - 1 to those of level: old node i keeps its value, a new node
+    takes half of each endpoint of its (min, max) parent edge, in order."""
+    old, new = mesh.level_nodes[level - 1:level + 1]
+    data = np.r_[np.ones(old), np.full(2 * (new - old), 0.5)]
+    indices = np.r_[np.arange(old), mesh.node_parents[old:new].ravel()]
+    indptr = np.r_[np.arange(old), np.arange(old, 2 * new - old + 1, 2)]
+    return sp.csr_matrix((data, indices, indptr), shape=(new, old))
+
+
 def level_prolongations(mesh):
-    """Prolongations between the kept levels of the mesh's history,
-    finest first; each maps nodal values on one kept level to the next
-    finer one.  Going down from the finest level, a level is kept when it
-    has at most half the nodes of the last kept one; level 0 always is."""
-    counts = mesh.level_nodes
-    kept = [len(counts) - 1]
-    for level in range(len(counts) - 2, -1, -1):
-        if level == 0 or 2 * counts[level] <= counts[kept[-1]]:
-            kept.append(level)
-    prolongations = []
-    for fine, coarse in zip(kept, kept[1:]):
-        p = sp.identity(counts[coarse], format="csr")
-        for level in range(coarse + 1, fine + 1):
-            parents = mesh.node_parents[counts[level - 1]:counts[level]]
-            p = sp.vstack([p, 0.5 * (p[parents[:, 0]] + p[parents[:, 1]])],
-                          format="csr")
-        prolongations.append(p)
+    """Prolongations between the kept levels of the mesh's history, finest
+    first: products of the generations in between, columns sorted (the
+    V-cycle sums in index order).  Going down, a level is kept when it has
+    at most half the nodes of the last kept one; level 0 always is."""
+    prolongations, p = [], None
+    for level in range(mesh.level, 0, -1):
+        g = generation(mesh, level)
+        p = g if p is None else p @ g
+        if level == 1 or 2 * mesh.level_nodes[level - 1] <= p.shape[0]:
+            prolongations.append(p.sorted_indices())
+            p = None
     return prolongations
 
 

@@ -309,16 +309,24 @@ def _entry(obj, key, kind, default=None):
     return val
 
 
+def _known_keys(obj, *keys):
+    """Raise ``unknown key`` for the first key of ``obj`` not in ``keys``."""
+    unknown = [key for key in obj if key not in keys]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+
+
 def load_custom(path):
     """Problem from a JSON config with expression-valued data.
 
     Expressions use ``x``, ``y``, ``r``, ``pi``, numbers, arithmetic,
     comparisons, ``&``/``|`` and calls of the functions in
     ``_EXPR_NAMES`` (polynomial, radial, and sinusoidal pieces via
-    ``where``); anything else, and a value of the wrong JSON type,
-    raises ValueError.  Layout::
+    ``where``); anything else, a value of the wrong JSON type, and a key
+    outside this layout raise ValueError.  Layout::
 
-        {"domain": {"type": "square", "xmin": 0, ...} | {"type": "lshape"},
+        {"name": "text",                                  # optional
+         "domain": {"type": "square", "xmin": 0, ...} | {"type": "lshape"},
          "f": "expr", "g": "expr",
          "chi": {"value": "expr", "laplacian": "expr"}}   # optional
     """
@@ -326,11 +334,13 @@ def load_custom(path):
         cfg = json.load(fh)
     if type(cfg) is not dict:
         raise ValueError("the config must be a JSON object")
+    _known_keys(cfg, "name", "domain", "f", "g", "chi")
     dom = _entry(cfg, "domain", "object")
     shape = {"square": Square, "lshape": LShape}.get(
         _entry(dom, "type", "string"))
     if shape is None:
         raise ValueError(f"unknown domain type {dom['type']!r}")
+    _known_keys(dom, "type", *(f.name for f in fields(shape)))
     domain = shape(**{f.name: _entry(dom, f.name, "number", f.default)
                       for f in fields(shape)})
 
@@ -340,6 +350,7 @@ def load_custom(path):
     chi = None
     if "chi" in cfg:
         obstacle = _entry(cfg, "chi", "object")
+        _known_keys(obstacle, "value", "laplacian")
         chi = Obstacle(value=expr(obstacle, "value"),
                        laplacian=expr(obstacle, "laplacian"))
     return ProblemSpec(

@@ -7,6 +7,10 @@ direct reading of the rules.
 ``father_triangles`` recovers each son's father from the bisection
 history alone, so that the son counts and areas check ``refine``
 without trusting its own bookkeeping.
+``midpoint_prolong`` and ``vstack_prolongations`` move nodal values
+between the meshes of a bisection history by vector arithmetic and by
+row gathers, to cross-check the per-generation operators of
+:mod:`obstacle_afem.multigrid` bit for bit.
 ``build_edges_unique`` numbers the edges with ``np.unique`` over the
 vertex pairs and a second sort for the edge-to-triangle map, to
 cross-check the single-sort edge tables of :class:`obstacle_afem.mesh.Mesh`.
@@ -21,6 +25,7 @@ of a mesh's triangles for the refinement invariants.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from obstacle_afem.mesh import LShape, Mesh, Square
 
@@ -110,6 +115,41 @@ def father_triangles(coarse, fine):
                     tri[..., None]).reshape(len(tri), 6)
     index = {frozenset(t): i for i, t in enumerate(coarse.triangles.tolist())}
     return np.array([index[frozenset(e)] for e in ends.tolist()])
+
+
+def midpoint_prolong(values, fine):
+    """Values on ``fine``, one bisection generation after the mesh of
+    ``values``: old nodes keep theirs, a new node takes the mean of its
+    parent edge's endpoint values."""
+    n_old = len(values)
+    if fine.level < 1 or fine.level_nodes[-2] != n_old:
+        raise ValueError("values do not live on the mesh refined by fine")
+    out = np.empty(fine.num_nodes)
+    out[:n_old] = values
+    parents = fine.node_parents[n_old:]
+    out[n_old:] = 0.5 * (out[parents[:, 0]] + out[parents[:, 1]])
+    return out
+
+
+def vstack_prolongations(mesh):
+    """Same contract as :func:`obstacle_afem.multigrid.level_prolongations`:
+    the kept levels listed first, then each prolongation grown from the
+    identity one generation at a time by stacking the mean of the parent
+    rows under it."""
+    counts = mesh.level_nodes
+    kept = [len(counts) - 1]
+    for level in range(len(counts) - 2, -1, -1):
+        if level == 0 or 2 * counts[level] <= counts[kept[-1]]:
+            kept.append(level)
+    prolongations = []
+    for fine, coarse in zip(kept, kept[1:]):
+        p = sp.identity(counts[coarse], format="csr")
+        for level in range(coarse + 1, fine + 1):
+            parents = mesh.node_parents[counts[level - 1]:counts[level]]
+            p = sp.vstack([p, 0.5 * (p[parents[:, 0]] + p[parents[:, 1]])],
+                          format="csr")
+        prolongations.append(p)
+    return prolongations
 
 
 def build_edges_unique(mesh):

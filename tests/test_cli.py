@@ -424,6 +424,13 @@ _SQUARE = {"domain": {"type": "square"}, "f": "0*x", "g": "0*x"}
     ("--problem", {**_SQUARE, "chi": "0*x"}, "'chi'"),
     ("--problem", {**_SQUARE, "chi": {"value": "0*x", "laplacian": 0}},
      "'laplacian'"),
+    ("--problem", {**_SQUARE, "domain": {"type": "square", "x_max": 2.0}},
+     "unknown key 'x_max'"),
+    ("--problem", {**_SQUARE, "chii": {"value": "0*x", "laplacian": "0*x"}},
+     "unknown key 'chii'"),
+    ("--problem", {**_SQUARE, "chi": {"value": "0*x", "laplacian": "0*x",
+                                      "lapalcian": "1 + 0*x"}},
+     "unknown key 'lapalcian'"),
 ])
 def test_cli_config_of_the_wrong_shape_exit_one(tmp_path, capsys, flag,
                                                 cfg, message):

@@ -15,6 +15,7 @@ from tests.conftest import random_refined_mesh, traced_peak
 from tests.kernel_oracles import (add_at_load, coo_stiffness,
                                   einsum_solution_gradients,
                                   einsum_triangle_points, hat_gradients)
+from tests.mesh_oracles import midpoint_prolong, vstack_prolongations
 from tests.solver_oracles import h1_error, jacobi_cg_solve, scipy_cg_solve
 
 
@@ -256,6 +257,29 @@ def test_prolong_rejects_unrelated_meshes(unit_square_mesh):
         prolong(np.zeros(4), twice)
     with pytest.raises(ValueError):
         prolong(np.zeros(4), build_initial_mesh(Square(0.0, 0.0, 2.0, 2.0)))
+
+
+def test_prolongations_match_the_midpoint_and_vstack_oracles():
+    # bit for bit: halving is exact, and the kept products' columns are
+    # sorted as the row gathers leave them
+    rng = np.random.default_rng(18)
+    meshes = [random_refined_mesh(rng, domain, max_nodes=400)
+              for domain in (Square(), LShape()) for _ in range(3)]
+    uniform = build_initial_mesh(LShape())
+    for _ in range(5):
+        uniform = refine(uniform, np.arange(uniform.num_edges))
+        meshes.append(uniform)
+    for mesh in meshes:
+        got, want = level_prolongations(mesh), vstack_prolongations(mesh)
+        assert len(got) == len(want)
+        for p, q in zip(got, want):
+            assert p.shape == q.shape
+            for a, b in ((p.indptr, q.indptr), (p.indices, q.indices),
+                         (p.data.view(np.uint64), q.data.view(np.uint64))):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        v = rng.normal(size=mesh.level_nodes[-2])
+        assert np.array_equal(prolong(v, mesh).view(np.uint64),
+                              midpoint_prolong(v, mesh).view(np.uint64))
 
 
 def test_directly_built_mesh_has_a_one_level_history():

@@ -57,6 +57,18 @@ def test_refine_unknown_edge_rejected(unit_square_mesh):
         refine(unit_square_mesh, [0, -1])
 
 
+def test_refine_rejects_marked_ids_that_are_not_integers(unit_square_mesh):
+    # a boolean mask or floats would be read as edge ids 0/1 or truncated
+    mesh = unit_square_mesh
+    mask = np.zeros(mesh.num_edges, dtype=bool)
+    mask[[2, 4]] = True
+    for marked in (mask, [2.0], np.array([2.9])):
+        with pytest.raises(ValueError, match="not integers"):
+            refine(mesh, marked)
+    unsigned = refine(mesh, np.array([2], dtype=np.uint8))
+    assert np.array_equal(unsigned.triangles, refine(mesh, [2]).triangles)
+
+
 def test_refine_diagonal_gives_four_quarters(unit_square_mesh):
     mesh = unit_square_mesh
     diag = [e for e in range(mesh.num_edges)
@@ -257,6 +269,21 @@ def test_nonconforming_input_rejected():
     tris = np.array([[0, 1, 2], [1, 3, 2], [1, 4, 3], [1, 4, 2]])
     with pytest.raises(ValueError):
         Mesh(nodes, tris, np.zeros(4, dtype=int))
+
+
+def test_vertex_ids_outside_the_nodes_rejected():
+    # -1 would be read as the last node, N would fail as an IndexError
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match=r"vertex id outside \[0, N\)"):
+            Mesh(nodes, [[0, 1, 2], [0, 2, bad]], [2, 0])
+
+
+def test_reference_edges_outside_the_triangle_rejected():
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    for bad in (-1, 3, 5):
+        with pytest.raises(ValueError, match="reference edge outside"):
+            Mesh(nodes, [[0, 1, 2], [0, 2, 3]], [2, bad])
 
 
 def test_clockwise_triangle_rejected():
