@@ -76,9 +76,10 @@ class Mesh:
         endpoints; ``-1`` rows (all, by default) mark coarse nodes.
     level_nodes : (L + 1,) int array, optional
         Node count of each mesh in the bisection history, coarsest
-        first and ending with N; ``node_parents`` holds the parent edge
-        of every node past the first count.  Default: a one-level
-        history ``[N]``.  ``level`` is L.
+        first, strictly increasing and ending with N; ``node_parents``
+        holds the parent edge of every node past the first count, both
+        ends nodes of the previous mesh.  Default: a one-level history
+        ``[N]``.  ``level`` is L.
 
     The triangle areas ``areas`` (positive, since the vertices run
     counterclockwise) and the edge tables are computed once on
@@ -92,16 +93,19 @@ class Mesh:
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.ref_edge = np.ascontiguousarray(ref_edge, dtype=np.int64)
         self.node_parents = np.full((self.num_nodes, 2), -1) \
-            if node_parents is None else node_parents
+            if node_parents is None else np.asarray(node_parents)
         self.level_nodes = np.array(
             [self.num_nodes] if level_nodes is None else level_nodes)
         self.level = len(self.level_nodes) - 1
         if (self.triangles.min(initial=0) < 0
                 or self.triangles.max(initial=-1) >= self.num_nodes):
             raise ValueError("vertex id outside [0, N)")
+        if self.ref_edge.shape != (self.num_triangles,):
+            raise ValueError("reference edge table of the wrong length")
         if (self.ref_edge.min(initial=0) < 0
                 or self.ref_edge.max(initial=0) > 2):
             raise ValueError("reference edge outside {0, 1, 2}")
+        self._check_history()
         if not np.isfinite(self.nodes).all():
             raise ValueError("non-finite node coordinates")
         x, y = self.nodes.T
@@ -111,6 +115,22 @@ class Mesh:
         if not ((self.areas > 0) & (self.areas < np.inf)).all():
             raise ValueError("triangle with non-positive or infinite area")
         self._build_edges()
+
+    def _check_history(self):
+        """Raise unless ``level_nodes`` rises strictly to N and each node
+        of generation l >= 1 has both parents among the nodes of l - 1."""
+        counts, parents = self.level_nodes, self.node_parents
+        if (counts.ndim != 1 or counts.size == 0 or counts.dtype.kind != "i"
+                or (np.diff(counts, prepend=0) <= 0).any()
+                or counts[-1] != self.num_nodes):
+            raise ValueError("level node counts are not integers rising "
+                             "strictly to N")
+        if parents.shape != (self.num_nodes, 2) or parents.dtype.kind != "i":
+            raise ValueError("node parents are not an integer (N, 2) table")
+        for old, new in zip(counts[:-1], counts[1:]):
+            born = parents[old:new]
+            if born.min() < 0 or born.max() >= old:
+                raise ValueError("node parent outside the previous level")
 
     # -- connectivity -----------------------------------------------------
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .boundary import BoundaryTrace, interpolate_boundary
-from .fem import assemble_load, assemble_stiffness, energy
+from .fem import assemble_load, assemble_stiffness, energy, prolong
 from .mesh import LShape, Square, build_initial_mesh, refine
 from .vi import BOUNDARY_TOL, solve_obstacle
 
@@ -233,8 +233,11 @@ def reference_energy(problem, n_target=200000):
         value = energy(stiffness, load, sol.values)
         if mesh.num_triangles * 4 > n_target:
             break
-        active = sol.active
+        del gl, stiffness, load
         mesh = refine(mesh, np.arange(mesh.num_edges))
+        # the prolonged indicator is 1 exactly at the old active nodes
+        # and at the midpoints of edges with both ends active
+        active = prolong(sol.active.astype(float), mesh) == 1.0
     return value
 
 

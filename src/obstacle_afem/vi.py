@@ -74,7 +74,8 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
 
     ``warm_active`` seeds the active set: a boolean mask over the first
     nodes, e.g. the previous level's (refinement appends the new nodes,
-    which start inactive); entries at boundary nodes are ignored.
+    which then start inactive), or over all of them; entries at boundary
+    nodes are ignored.
     """
     interior = np.isnan(gl)
     if (gl < -BOUNDARY_TOL).any():

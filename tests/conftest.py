@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,9 @@ def pytest_terminal_summary(terminalreporter):
 @contextlib.contextmanager
 def recording(module, name):
     """Record ``(args, result)`` of each call of the module global
-    ``module.name`` made while the block runs.
+    ``module.name`` made while the block runs; arguments passed by
+    keyword join ``args`` in signature order, up to the first one left
+    out.
 
     The wrapper replaces the global where its callers look it up, so
     per-level data of a loop can be read without the loop keeping them.
@@ -32,6 +35,8 @@ def recording(module, name):
 
     def recorded(*args, **kwargs):
         result = original(*args, **kwargs)
+        if kwargs:
+            args = inspect.signature(original).bind(*args, **kwargs).args
         calls.append((args, result))
         return result
 

@@ -9,15 +9,21 @@ cross-check the multilevel-preconditioned :func:`obstacle_afem.fem.cg_solve`;
 ``scipy_cg_solve`` runs SciPy's CG with the same preconditioner and
 stopping rule as ``cg_solve``, to check its iterations one for one;
 ``h1_error`` measures a P1 function against a closed-form solution by
-quadrature.
+quadrature; ``cold_reference_energy`` is the uniform reference loop of
+:func:`obstacle_afem.problems.reference_energy` with the new nodes of
+each level started inactive.
 """
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from obstacle_afem.fem import CG_RTOL, solution_gradients
+from obstacle_afem.boundary import interpolate_boundary
+from obstacle_afem.fem import (CG_RTOL, assemble_load, assemble_stiffness,
+                               energy, solution_gradients)
+from obstacle_afem.mesh import build_initial_mesh, refine
+from obstacle_afem.problems import to_zero_obstacle
 from obstacle_afem.quadrature import TRI_BARY, TRI_WEIGHTS, triangle_points
-from obstacle_afem.vi import BOUNDARY_TOL, DiscreteSolution
+from obstacle_afem.vi import BOUNDARY_TOL, DiscreteSolution, solve_obstacle
 
 
 def projected_sor_solve(mesh, stiffness, load, gl, omega=1.5,
@@ -106,3 +112,21 @@ def h1_error(mesh, values, exact, exact_grad):
     sq = np.einsum("q,mq,m->", TRI_WEIGHTS, du ** 2 + dgx ** 2 + dgy ** 2,
                    areas)
     return float(np.sqrt(max(0.0, sq)))
+
+
+def cold_reference_energy(problem, n_target):
+    """Energy of the Galerkin solution on the finest uniform mesh with at
+    most ``n_target`` elements, each level's PDAS seeded with the coarser
+    level's active set on the old nodes and all new nodes inactive."""
+    tp = to_zero_obstacle(problem)
+    mesh = build_initial_mesh(problem.domain)
+    active = None
+    while True:
+        gl = interpolate_boundary(tp.g, mesh)
+        stiffness = assemble_stiffness(mesh)
+        load = assemble_load(mesh, tp.f)
+        sol = solve_obstacle(mesh, stiffness, load, gl, warm_active=active)
+        if mesh.num_triangles * 4 > n_target:
+            return energy(stiffness, load, sol.values)
+        active = sol.active
+        mesh = refine(mesh, np.arange(mesh.num_edges))

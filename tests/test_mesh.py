@@ -286,6 +286,52 @@ def test_reference_edges_outside_the_triangle_rejected():
             Mesh(nodes, [[0, 1, 2], [0, 2, 3]], [2, bad])
 
 
+def test_reference_edge_table_of_the_wrong_length_rejected():
+    # refine would read such a table with an IndexError
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    for ref in ([2], [2, 0, 1], [[2, 0]]):
+        with pytest.raises(ValueError, match="reference edge table"):
+            Mesh(nodes, [[0, 1, 2], [0, 2, 3]], ref)
+
+
+def _square_with_history(node_parents=None, level_nodes=None):
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    return Mesh(nodes, [[0, 1, 2], [0, 2, 3]], [2, 0], node_parents,
+                level_nodes)
+
+
+# node 3 as the midpoint of edge (0, 2) of a three-node first level
+_PARENTS = [[-1, -1], [-1, -1], [-1, -1], [0, 2]]
+
+
+def test_valid_bisection_history_accepted():
+    mesh = _square_with_history(_PARENTS, [3, 4])
+    assert mesh.level == 1
+    assert np.array_equal(mesh.node_parents, _PARENTS)
+
+
+def test_level_counts_not_rising_strictly_to_n_rejected():
+    for counts in ([3], [3, 3, 4], [4, 3, 4], [0, 4], [], [3.0, 4.0]):
+        with pytest.raises(ValueError, match="level node counts"):
+            _square_with_history(_PARENTS, counts)
+
+
+def test_node_parents_not_an_n_by_2_table_rejected():
+    for parents in (_PARENTS[:3], np.array(_PARENTS)[:, :1],
+                    np.array(_PARENTS, dtype=float)):
+        with pytest.raises(ValueError, match="node parents"):
+            _square_with_history(parents, [3, 4])
+
+
+def test_node_parents_outside_the_previous_level_rejected():
+    # -1 rows past the first level would make prolong read column -1
+    with pytest.raises(ValueError, match="node parent outside"):
+        _square_with_history(level_nodes=[3, 4])
+    for pair in ([0, 3], [-1, 2], [0, 4]):
+        with pytest.raises(ValueError, match="node parent outside"):
+            _square_with_history(_PARENTS[:3] + [pair], [3, 4])
+
+
 def test_clockwise_triangle_rejected():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):

@@ -6,12 +6,15 @@ import pytest
 from obstacle_afem import (BoundaryTrace, LShape, Obstacle, ProblemSpec,
                            Square, apx_indicator, build_initial_mesh,
                            example1, example1_exact_energy, example2,
-                           interpolate_boundary, load_custom,
+                           interpolate_boundary, load_custom, problems,
                            reference_energy, refine, to_zero_obstacle)
 from obstacle_afem.problems import (_chi_laplacian, _chi_value, _example2_f,
                                     _gamma1_derivatives)
+from tests.conftest import recording
 from tests.kernel_oracles import (whole_domain_chi_laplacian,
                                   whole_domain_example2_f)
+from tests.solver_oracles import cold_reference_energy
+from tests.test_contraction import oscillating_dirichlet_problem
 
 
 def test_example1_solution_point_values():
@@ -192,6 +195,29 @@ def test_reference_energy_trivial_and_monotone(zero_trace):
     coarse = reference_energy(prob, n_target=50)
     fine = reference_energy(prob, n_target=800)
     assert fine <= coarse + 1e-12
+
+
+def test_reference_levels_seed_new_nodes_from_their_parent_edges():
+    with recording(problems, "solve_obstacle") as calls:
+        reference_energy(example2(), n_target=20000)
+    assert len(calls) == 6 and calls[0][0][4] is None
+    for (_, coarse), (args, _) in zip(calls, calls[1:]):
+        mesh, warm, old = args[0], args[4], len(coarse.active)
+        assert warm.dtype == bool and warm.shape == (mesh.num_nodes,)
+        assert np.array_equal(warm[:old], coarse.active)
+        a, b = mesh.node_parents[old:].T
+        assert np.array_equal(warm[old:], coarse.active[a] & coarse.active[b])
+    assert warm[old:].any() and not warm[old:].all()
+
+
+@pytest.mark.parametrize("problem", [example1, example2,
+                                     oscillating_dirichlet_problem])
+def test_seeded_reference_energy_matches_the_cold_started_loop(problem):
+    # measured relative gaps: 1.0e-15 (example 1), 0 (example 2 and the
+    # oscillating-g problem)
+    cold = cold_reference_energy(problem(), n_target=50000)
+    assert abs(reference_energy(problem(), n_target=50000) - cold) \
+        <= 1e-13 * abs(cold)
 
 
 def test_reference_energy_rejects_a_target_below_the_coarse_mesh():
