@@ -172,25 +172,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_RUN_HELP = {"problem": "example1 | example2 | custom:<path>",
+             "mode": "adaptive | uniform", "out": "per-level CSV path",
+             "config": "JSON config mirroring the flags"}
+
+
 def _build_parser():
-    """The top-level parser and its ``run`` subparser."""
+    """The top-level parser; a ``run`` flag per ``RunConfig`` field, in
+    the namespace only when given."""
     parser = _Parser(prog="obstacle-afem",
                      description="Adaptive P1 FEM for 2D obstacle problems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one experiment")
-    p_run.add_argument("--problem",
-                       help="example1 | example2 | custom:<path>")
-    p_run.add_argument("--mode", choices=["adaptive", "uniform"])
-    p_run.add_argument("--theta", type=float)
-    p_run.add_argument("--max-elements", type=int)
-    p_run.add_argument("--max-level", type=int)
-    p_run.add_argument("--out", help="per-level CSV path")
-    p_run.add_argument("--dump-mesh")
-    p_run.add_argument("--dump-indicators")
-    p_run.add_argument("--reference-elements", type=int)
-    p_run.add_argument("--config", help="JSON config mirroring the flags")
-    p_run.set_defaults(**vars(RunConfig()))
+    p_run = sub.add_parser("run", help="run one experiment",
+                           argument_default=argparse.SUPPRESS)
+    for field in fields(RunConfig):
+        p_run.add_argument("--" + field.name.replace("_", "-"),
+                           type=field.type, help=_RUN_HELP.get(field.name))
+    p_run.add_argument("--config", help=_RUN_HELP["config"])
 
     p_fit = sub.add_parser("fit-rates", help="log-log rate fit on a CSV")
     p_fit.add_argument("csv")
@@ -198,50 +197,49 @@ def _build_parser():
                        help="CSV column, or sqrt_eps")
     p_fit.add_argument("--window", type=int, default=None,
                        help="use only the last k levels")
-    return parser, p_run
+    return parser
 
 
-def _parse_args(parser, p_run, argv):
-    """Parse ``argv``; a ``run --config`` file supplies the defaults of
-    the run flags, so that a flag given on the command line wins.  A
-    file value has its flag's type, or is null where the default is."""
-    args = parser.parse_args(argv)
-    if args.command == "run" and args.config:
-        with open(args.config) as fh:
-            try:
-                file_cfg = json.load(fh)
-            except ValueError as exc:
-                raise UsageError(f"bad config file: {exc}")
-        if type(file_cfg) is not dict:
-            raise UsageError("config file must hold a JSON object")
-        run_fields = {f.name: f for f in fields(RunConfig)}
-        for key, val in file_cfg.items():
-            field = run_fields.get(key.replace("-", "_"))
-            if field is None:
-                raise UsageError(f"unknown config key {key!r}")
-            if not (val is None and field.default is None
-                    or type(val) is field.type
-                    or type(val) is int and field.type is float):
-                raise UsageError(f"config key {key!r} must be "
-                                 f"{field.type.__name__}, not {val!r}")
-            p_run.set_defaults(**{field.name: val})
-        args = parser.parse_args(argv)
-    return args
+def _read_config(path):
+    """The ``RunConfig`` fields a JSON config file sets.  A value has its
+    field's type, or is null where the default is."""
+    with open(path) as fh:
+        try:
+            file_cfg = json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"bad config file: {exc}")
+    if type(file_cfg) is not dict:
+        raise UsageError("config file must hold a JSON object")
+    run_fields = {f.name: f for f in fields(RunConfig)}
+    settings = {}
+    for key, val in file_cfg.items():
+        field = run_fields.get(key.replace("-", "_"))
+        if field is None:
+            raise UsageError(f"unknown config key {key!r}")
+        if not (val is None and field.default is None
+                or type(val) is field.type
+                or type(val) is int and field.type is float):
+            raise UsageError(f"config key {key!r} must be "
+                             f"{field.type.__name__}, not {val!r}")
+        settings[field.name] = val
+    return settings
 
 
 def main(argv=None):
-    parser, p_run = _build_parser()
+    parser = _build_parser()
     try:
-        args = _parse_args(parser, p_run, argv)
-        if args.command == "run":
-            config = RunConfig(**{key: getattr(args, key)
-                                  for key in vars(RunConfig())})
-            records = run(config)
+        args = vars(parser.parse_args(argv))
+        if args.pop("command") == "run":
+            # a flag given on the command line wins over the config file
+            path = args.pop("config", None)
+            settings = _read_config(path) if path else {}
+            records = run(RunConfig(**{**settings, **args}))
             final = records[-1]
             print(f"levels={len(records)} N={final.n_elements} "
                   f"rho={final.rho:.6e}")
             return 0
-        fit = fit_rates(*_rate_data(args.csv, args.quantity, args.window))
+        fit = fit_rates(*_rate_data(args["csv"], args["quantity"],
+                                    args["window"]))
         print(f"slope={fit.slope:.6f} intercept={fit.intercept:.6f} "
               f"points={fit.n_points}")
         return 0

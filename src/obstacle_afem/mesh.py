@@ -90,8 +90,8 @@ class Mesh:
     def __init__(self, nodes, triangles, ref_edge, node_parents=None,
                  level_nodes=None):
         self.nodes = np.ascontiguousarray(nodes, dtype=float)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-        self.ref_edge = np.ascontiguousarray(ref_edge, dtype=np.int64)
+        self.triangles = _whole(triangles, "vertex id")
+        self.ref_edge = _whole(ref_edge, "reference edge")
         self.node_parents = np.full((self.num_nodes, 2), -1) \
             if node_parents is None else np.asarray(node_parents)
         self.level_nodes = np.array(
@@ -139,6 +139,7 @@ class Mesh:
         # one stable sort of the key min * N + max numbers the edges
         # lexicographically and lists each edge's triangles ascending
         tri, nxt = self.triangles, np.roll(self.triangles, -1, axis=1)
+        forward = (tri < nxt).ravel()
         key = np.minimum(tri, nxt).ravel()
         key *= n
         key += np.maximum(tri, nxt, out=nxt).ravel()
@@ -149,6 +150,10 @@ class Mesh:
         first[1:] = key[1:] != key[:-1]
         if (~first[1:] & ~first[:-1]).any():
             raise ValueError("edge shared by more than two triangles")
+        # the two triangles of an edge overlap unless they run opposite
+        forward = forward[order]
+        if (~first[1:] & (forward[1:] == forward[:-1])).any():
+            raise ValueError("edge run twice in the same direction")
         ids = np.cumsum(first) - 1
         tri2edge = np.empty(3 * m, dtype=np.int64)
         tri2edge[order] = ids
@@ -186,6 +191,17 @@ class Mesh:
     def boundary_node_ids(self):
         """Ids of nodes lying on the boundary, ascending."""
         return np.unique(self.edges[self.is_boundary_edge])
+
+
+def _whole(values, what):
+    """``values`` as contiguous int64 (no copy if it is); raise if the
+    cast changes a value."""
+    raw = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        ids = np.ascontiguousarray(raw, dtype=np.int64)
+    if ids is not raw and (ids != raw).any():
+        raise ValueError(f"{what} that is not a whole number")
+    return ids
 
 
 def _coarse(domain):

@@ -23,6 +23,16 @@ def test_package_exports_resolve():
     assert not missing
 
 
+def test_package_all_is_the_modules_all_lists():
+    # the package republishes the algorithm modules' public names, once
+    modules = ("adapt", "boundary", "estimator", "fem", "mesh", "problems",
+               "vi")
+    names = [n for m in modules
+             for n in importlib.import_module(f"obstacle_afem.{m}").__all__]
+    assert obstacle_afem.__all__ == names + ["__version__"]
+    assert len(set(obstacle_afem.__all__)) == len(obstacle_afem.__all__)
+
+
 @pytest.mark.parametrize("name", SUBMODULES)
 def test_submodule_exports_resolve(name):
     module = importlib.import_module(f"obstacle_afem.{name}")

@@ -1,9 +1,11 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -140,16 +142,26 @@ def test_cli_uniform_quadruples(tmp_path):
 def test_cli_usage_errors_exit_one(capsys):
     assert main(["run", "--theta", "1.5"]) == 1
     assert main(["run", "--problem", "nonsense"]) == 1
-    assert main(["run", "--mode", "sideways"]) == 1
     capsys.readouterr()
+    # the flag meets run()'s mode check, as a config file value does
+    assert main(["run", "--mode", "sideways"]) == 1
+    assert "usage error: unknown mode 'sideways'" in capsys.readouterr().err
 
 
 def test_cli_config_mode_is_checked_by_run(tmp_path, capsys):
-    # config values bypass the choices of the --mode flag
+    # a mode from the config file meets the same check as the flag
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"mode": "sideways"}))
     assert main(["run", "--config", str(path)]) == 1
     assert "usage error: unknown mode 'sideways'" in capsys.readouterr().err
+
+
+def test_cli_run_flags_are_the_run_config_fields(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    flags = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
+    assert flags == ["--" + f.name.replace("_", "-")
+                     for f in fields(RunConfig)] + ["--config"]
 
 
 @pytest.mark.parametrize("value,code,message", [

@@ -286,6 +286,37 @@ def test_reference_edges_outside_the_triangle_rejected():
             Mesh(nodes, [[0, 1, 2], [0, 2, 3]], [2, bad])
 
 
+def test_ids_that_are_not_whole_numbers_rejected():
+    # the int64 cast would read 1.7 as vertex 1 and 2.9 as edge 2
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="vertex id that is not a whole"):
+        Mesh(nodes, [[0, 1.7, 2], [0, 2, 3]], [2, 0])
+    for bad in (2.9, np.nan, np.inf):
+        with pytest.raises(ValueError, match="reference edge that is not"):
+            Mesh(nodes, [[0, 1, 2], [0, 2, 3]], [bad, 0])
+
+
+def test_whole_number_tables_accepted_and_int64_not_copied():
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    tris, ref = np.array([[0, 1, 2], [0, 2, 3]]), np.array([2, 0])
+    mesh = Mesh(nodes, tris.astype(float), ref.astype(float))
+    assert np.array_equal(mesh.triangles, tris)
+    assert mesh.triangles.dtype == mesh.ref_edge.dtype == np.int64
+    mesh = Mesh(nodes, tris, ref)
+    assert mesh.triangles is tris and mesh.ref_edge is ref
+
+
+def test_triangles_along_an_edge_in_the_same_direction_rejected():
+    # a duplicated triangle would leave the square without boundary
+    # edges, an overlapping one would count its area twice
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    kite = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 0.5]])
+    for nodes, tris in ((square, [[0, 1, 2], [0, 1, 2]]),
+                        (kite, [[0, 1, 2], [0, 1, 3]])):
+        with pytest.raises(ValueError, match="same direction"):
+            Mesh(nodes, tris, [0, 0])
+
+
 def test_reference_edge_table_of_the_wrong_length_rejected():
     # refine would read such a table with an IndexError
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
