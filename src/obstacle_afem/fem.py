@@ -48,11 +48,9 @@ def assemble_stiffness(mesh):
             local[:, i, j] = local[:, j, i] = (gx[:, i] * gx[:, j] * a
                                                + gy[:, i] * gy[:, j] * a)
     del gx, gy
-    # int32, the index dtype SciPy would convert the COO indices to
-    tri = mesh.triangles.astype(np.int32)
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    del tri
+    # int32 like the mesh's triangles, the index dtype SciPy keeps
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
     k = sp.coo_matrix((local.ravel(), (rows, cols)),
                       shape=(mesh.num_nodes, mesh.num_nodes)).tocsr()
     k.eliminate_zeros()

@@ -84,28 +84,33 @@ class Mesh:
     The triangle areas ``areas`` (positive, since the vertices run
     counterclockwise) and the edge tables are computed once on
     construction.  Interior edges have exactly two adjacent triangles,
-    boundary edges exactly one.
+    boundary edges exactly one.  Every index table (``triangles``,
+    ``ref_edge``, ``node_parents``, ``tri2edge``, ``edges``,
+    ``edge2tri``) is stored as int32, so N and 3M must fit in int32.
     """
 
     def __init__(self, nodes, triangles, ref_edge, node_parents=None,
                  level_nodes=None):
         self.nodes = np.ascontiguousarray(nodes, dtype=float)
-        self.triangles = _whole(triangles, "vertex id")
-        self.ref_edge = _whole(ref_edge, "reference edge")
-        self.node_parents = np.full((self.num_nodes, 2), -1) \
+        if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
+            raise ValueError("nodes are not an (N, 2) table")
+        triangles = np.asarray(triangles)
+        if triangles.ndim != 2 or triangles.shape[1] != 3:
+            raise ValueError("triangles are not an (M, 3) table")
+        if max(self.num_nodes, 3 * len(triangles)) > np.iinfo(np.int32).max:
+            raise ValueError("N or 3M does not fit in int32")
+        self.triangles = _whole(triangles, "vertex id", self.num_nodes,
+                                "[0, N)")
+        self.ref_edge = _whole(ref_edge, "reference edge", 3, "{0, 1, 2}")
+        if self.ref_edge.shape != (self.num_triangles,):
+            raise ValueError("reference edge table of the wrong length")
+        self.node_parents = np.full((self.num_nodes, 2), -1, dtype=np.int32) \
             if node_parents is None else np.asarray(node_parents)
         self.level_nodes = np.array(
             [self.num_nodes] if level_nodes is None else level_nodes)
         self.level = len(self.level_nodes) - 1
-        if (self.triangles.min(initial=0) < 0
-                or self.triangles.max(initial=-1) >= self.num_nodes):
-            raise ValueError("vertex id outside [0, N)")
-        if self.ref_edge.shape != (self.num_triangles,):
-            raise ValueError("reference edge table of the wrong length")
-        if (self.ref_edge.min(initial=0) < 0
-                or self.ref_edge.max(initial=0) > 2):
-            raise ValueError("reference edge outside {0, 1, 2}")
         self._check_history()
+        self.node_parents = self.node_parents.astype(np.int32, copy=False)
         if not np.isfinite(self.nodes).all():
             raise ValueError("non-finite node coordinates")
         x, y = self.nodes.T
@@ -117,8 +122,9 @@ class Mesh:
         self._build_edges()
 
     def _check_history(self):
-        """Raise unless ``level_nodes`` rises strictly to N and each node
-        of generation l >= 1 has both parents among the nodes of l - 1."""
+        """Raise unless ``level_nodes`` rises strictly to N, every node
+        parent lies in [-1, N) and each node of generation l >= 1 has
+        both parents among the nodes of l - 1."""
         counts, parents = self.level_nodes, self.node_parents
         if (counts.ndim != 1 or counts.size == 0 or counts.dtype.kind != "i"
                 or (np.diff(counts, prepend=0) <= 0).any()
@@ -127,6 +133,8 @@ class Mesh:
                              "strictly to N")
         if parents.shape != (self.num_nodes, 2) or parents.dtype.kind != "i":
             raise ValueError("node parents are not an integer (N, 2) table")
+        if parents.min() < -1 or parents.max() >= self.num_nodes:
+            raise ValueError("node parent outside [-1, N)")
         for old, new in zip(counts[:-1], counts[1:]):
             born = parents[old:new]
             if born.min() < 0 or born.max() >= old:
@@ -140,7 +148,8 @@ class Mesh:
         # lexicographically and lists each edge's triangles ascending
         tri, nxt = self.triangles, np.roll(self.triangles, -1, axis=1)
         forward = (tri < nxt).ravel()
-        key = np.minimum(tri, nxt).ravel()
+        # int64: the key overflows int32 for N above 46340
+        key = np.minimum(tri, nxt, dtype=np.int64).ravel()
         key *= n
         key += np.maximum(tri, nxt, out=nxt).ravel()
         del nxt
@@ -154,19 +163,21 @@ class Mesh:
         forward = forward[order]
         if (~first[1:] & (forward[1:] == forward[:-1])).any():
             raise ValueError("edge run twice in the same direction")
-        ids = np.cumsum(first) - 1
-        tri2edge = np.empty(3 * m, dtype=np.int64)
+        ids = np.cumsum(first, dtype=np.int32)
+        ids -= 1
+        tri2edge = np.empty(3 * m, dtype=np.int32)
         tri2edge[order] = ids
         self.tri2edge = tri2edge.reshape(m, 3)
-        self.edges = edges = np.stack(np.divmod(key[first], n), axis=1)
+        a, b = np.divmod(key[first], n)
         del key
-        self.edge2tri = np.full((len(edges), 2), -1, dtype=np.int64)
+        x, y = self.nodes.T
+        self.edge_lengths = np.hypot(x[a] - x[b], y[a] - y[b])
+        self.edges = np.stack((a, b), axis=1, dtype=np.int32)
+        del a, b
+        self.edge2tri = np.full((self.num_edges, 2), -1, dtype=np.int32)
         self.edge2tri[:, 0] = order[first] // 3
         self.edge2tri[ids[~first], 1] = order[~first] // 3
         self.is_boundary_edge = self.edge2tri[:, 1] < 0
-        x, y = self.nodes.T
-        a, b = edges.T
-        self.edge_lengths = np.hypot(x[a] - x[b], y[a] - y[b])
 
     # -- basic quantities -------------------------------------------------
 
@@ -193,15 +204,18 @@ class Mesh:
         return np.unique(self.edges[self.is_boundary_edge])
 
 
-def _whole(values, what):
-    """``values`` as contiguous int64 (no copy if it is); raise if the
-    cast changes a value."""
+def _whole(values, what, n, where):
+    """``values`` as contiguous int32 (no copy if it is); raise unless
+    each is a whole number in [0, n), checked on the given values so that
+    the cast cannot wrap an id into range."""
     raw = np.asarray(values)
     with np.errstate(invalid="ignore"):
-        ids = np.ascontiguousarray(raw, dtype=np.int64)
+        ids = raw if raw.dtype.kind in "iu" else raw.astype(np.int64)
     if ids is not raw and (ids != raw).any():
         raise ValueError(f"{what} that is not a whole number")
-    return ids
+    if ids.min(initial=0) < 0 or ids.max(initial=0) >= n:
+        raise ValueError(f"{what} outside {where}")
+    return np.ascontiguousarray(ids, dtype=np.int32)
 
 
 def _coarse(domain):
@@ -266,7 +280,7 @@ def refine(mesh, marked):
 
     eids = np.nonzero(marked_mask)[0]
     n_old = mesh.num_nodes
-    midpoint = np.full(mesh.num_edges, -1, dtype=np.int64)
+    midpoint = np.full(mesh.num_edges, -1, dtype=np.int32)
     midpoint[eids] = n_old + np.arange(len(eids))
     nodes = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[mesh.edges[eids, 0]]
                                           + mesh.nodes[mesh.edges[eids, 1]])])
@@ -289,9 +303,9 @@ def refine(mesh, marked):
         np.where(has_bc, [b, m_bc, m_ab], [m_ab, b, c]),
         [m_bc, c, m_ab],
     ]).transpose(2, 0, 1)
-    one = np.ones(m, dtype=np.int64)
-    refs = np.stack([np.where(split, 2, mesh.ref_edge), one,
-                     np.where(has_bc, 2, 1), one], axis=1)
+    refs = np.ones((m, 4), dtype=np.int32)
+    refs[:, 0] = np.where(split, 2, mesh.ref_edge)
+    refs[:, 2] = np.where(has_bc, 2, 1)
     keep = np.stack([np.ones(m, dtype=bool), has_ca, split, has_bc], axis=1)
 
     return Mesh(nodes, sons[keep], refs[keep], node_parents,

@@ -28,11 +28,13 @@ COARSE_LIMIT = 200    # largest coarsest level, solved densely
 def generation(mesh, level):
     """Prolongation of bisection generation ``level``, CSR from the nodes
     of level - 1 to those of level: old node i keeps its value, a new node
-    takes half of each endpoint of its (min, max) parent edge, in order."""
+    takes half of each endpoint of its (min, max) parent edge, in order.
+    Its index arrays are int32 like ``node_parents``, so SciPy keeps them."""
     old, new = mesh.level_nodes[level - 1:level + 1]
+    keep = np.arange(old, dtype=np.int32)
     data = np.r_[np.ones(old), np.full(2 * (new - old), 0.5)]
-    indices = np.r_[np.arange(old), mesh.node_parents[old:new].ravel()]
-    indptr = np.r_[np.arange(old), np.arange(old, 2 * new - old + 1, 2)]
+    indices = np.r_[keep, mesh.node_parents[old:new].ravel()]
+    indptr = np.r_[keep, np.arange(old, 2 * new - old + 1, 2, dtype=np.int32)]
     return sp.csr_matrix((data, indices, indptr), shape=(new, old))
 
 

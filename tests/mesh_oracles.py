@@ -155,7 +155,8 @@ def vstack_prolongations(mesh):
 def build_edges_unique(mesh):
     """Edge tables of a mesh as ``(edges, tri2edge, edge2tri,
     is_boundary_edge, edge_lengths)``, same contract as the attributes
-    of :class:`obstacle_afem.mesh.Mesh`."""
+    of :class:`obstacle_afem.mesh.Mesh`, the index tables in the dtype
+    of the mesh's triangles."""
     tri = mesh.triangles
     m = tri.shape[0]
     local = tri[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
@@ -176,7 +177,9 @@ def build_edges_unique(mesh):
     both = counts == 2
     edge2tri[both, 1] = t[order][starts[both] + 1]
     diff = mesh.nodes[edges[:, 0]] - mesh.nodes[edges[:, 1]]
-    return edges, tri2edge, edge2tri, ~both, np.hypot(diff[:, 0], diff[:, 1])
+    index = mesh.triangles.dtype
+    return (edges.astype(index), tri2edge.astype(index),
+            edge2tri.astype(index), ~both, np.hypot(diff[:, 0], diff[:, 1]))
 
 
 def gathered_areas(mesh):

@@ -296,14 +296,64 @@ def test_ids_that_are_not_whole_numbers_rejected():
             Mesh(nodes, [[0, 1, 2], [0, 2, 3]], [bad, 0])
 
 
-def test_whole_number_tables_accepted_and_int64_not_copied():
+def test_whole_number_tables_accepted_and_int32_not_copied():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    tris, ref = np.array([[0, 1, 2], [0, 2, 3]]), np.array([2, 0])
-    mesh = Mesh(nodes, tris.astype(float), ref.astype(float))
-    assert np.array_equal(mesh.triangles, tris)
-    assert mesh.triangles.dtype == mesh.ref_edge.dtype == np.int64
-    mesh = Mesh(nodes, tris, ref)
+    tris = np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int32)
+    ref = np.array([2, 0], dtype=np.int32)
+    for dtype in (float, np.int64, np.uint8):
+        mesh = Mesh(nodes, tris.astype(dtype), ref.astype(dtype))
+        assert np.array_equal(mesh.triangles, tris)
+        assert mesh.triangles.dtype == mesh.ref_edge.dtype == np.int32
+    parents = np.full((4, 2), -1, dtype=np.int32)
+    mesh = Mesh(nodes, tris, ref, parents)
     assert mesh.triangles is tris and mesh.ref_edge is ref
+    assert mesh.node_parents is parents
+
+
+def test_index_tables_of_refined_meshes_are_int32():
+    # one closure refinement, then one uniform (four sons each)
+    mesh = refine(build_initial_mesh(LShape()), [0])
+    mesh = refine(mesh, np.arange(mesh.num_edges))
+    for name in ("triangles", "ref_edge", "node_parents", "tri2edge",
+                 "edges", "edge2tri"):
+        assert getattr(mesh, name).dtype == np.int32, name
+
+
+# an int32 cast would wrap 2**32 + k to k, an id in range: the range
+# checks read the given values
+_BEYOND_INT32 = 2**32
+
+
+def test_vertex_ids_beyond_int32_rejected():
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    for bad in (_BEYOND_INT32 + 2, float(_BEYOND_INT32 + 2)):
+        with pytest.raises(ValueError, match=r"vertex id outside \[0, N\)"):
+            Mesh(nodes, np.array([[0, 1, bad], [0, 2, 3]]), [2, 0])
+
+
+def test_reference_edges_beyond_int32_rejected():
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="reference edge outside"):
+        Mesh(nodes, [[0, 1, 2], [0, 2, 3]], np.array([2, _BEYOND_INT32]))
+
+
+def test_more_triangle_corners_than_int32_rejected():
+    # 3M = 3 * 2**30 corners in a broadcast view, no memory behind its
+    # rows; were the size check after the cast, the cast would stop at
+    # the id "x" rather than fill 24 GiB
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    tris = np.broadcast_to(np.array(["0", "1", "x"]), (2**30, 3))
+    with pytest.raises(ValueError, match="does not fit in int32"):
+        Mesh(nodes, tris, [0])
+
+
+def test_tables_of_the_wrong_shape_rejected():
+    with pytest.raises(ValueError, match=r"nodes are not an \(N, 2\)"):
+        Mesh([(0, 0, 0), (1, 0, 0), (1, 1, 0)], [[0, 1, 2]], [0])
+    nodes = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    for tris in ([[0, 1, 2, 3]], [0, 1, 2]):
+        with pytest.raises(ValueError, match=r"triangles are not an \(M, 3\)"):
+            Mesh(nodes, tris, [0])
 
 
 def test_triangles_along_an_edge_in_the_same_direction_rejected():
@@ -361,6 +411,14 @@ def test_node_parents_outside_the_previous_level_rejected():
     for pair in ([0, 3], [-1, 2], [0, 4]):
         with pytest.raises(ValueError, match="node parent outside"):
             _square_with_history(_PARENTS[:3] + [pair], [3, 4])
+
+
+def test_node_parents_beyond_int32_rejected():
+    # also in the rows of coarse nodes, which nothing else reads
+    for parents, counts in ((_PARENTS[:3] + [[0, _BEYOND_INT32]], [3, 4]),
+                            (_PARENTS[:3] + [[_BEYOND_INT32, -1]], [4])):
+        with pytest.raises(ValueError, match="node parent outside"):
+            _square_with_history(np.array(parents), counts)
 
 
 def test_clockwise_triangle_rejected():
