@@ -57,6 +57,8 @@ class IndicatorSet:
         return float(np.sqrt(max(0.0, self.rho_tilde2)))
 
 
+# an overflow to inf reaches the loop as a non-finite estimator
+@np.errstate(over="ignore")
 def assemble_indicators(mesh, values, f, g, gl):
     """Complete indicator set for a discrete solution, vectorized over
     edges."""
@@ -68,9 +70,7 @@ def assemble_indicators(mesh, values, f, g, gl):
     areas = mesh.areas
     fv = f_at_points(f, triangle_points(mesh))
     int_f = areas * (fv @ TRI_WEIGHTS)
-    # an overflow to inf reaches the loop as a non-finite estimator
-    with np.errstate(over="ignore"):
-        int_f2 = areas * ((fv ** 2) @ TRI_WEIGHTS)
+    int_f2 = areas * ((fv ** 2) @ TRI_WEIGHTS)
 
     interior = mesh.interior_edge_ids()
     grads = solution_gradients(mesh, values)

@@ -41,37 +41,49 @@ def assemble_stiffness(mesh):
     stored zeros (the entry of an edge opposite two right angles)."""
     gx, gy = _hat_gradients(mesh)
     a = mesh.areas
+    n, m = mesh.num_nodes, mesh.num_triangles
     # einsum("mid,mjd,m->mij") bit for bit: its products, in its sum order
-    local = np.empty((mesh.num_triangles, 3, 3))
+    local = np.empty((m, 3, 3))
     for i in range(3):
         for j in range(i, 3):
             local[:, i, j] = local[:, j, i] = (gx[:, i] * gx[:, j] * a
                                                + gy[:, i] * gy[:, j] * a)
     del gx, gy
-    # int32 like the mesh's triangles, the index dtype SciPy keeps
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    k = sp.coo_matrix((local.ravel(), (rows, cols)),
-                      shape=(mesh.num_nodes, mesh.num_nodes)).tocsr()
+    # SciPy's unsummed CSR of the COO triplets (tri[t, i], tri[t, j],
+    # local[t, i, j]), each row in input order (by t, then j), from a
+    # stable counting sort of the corners, without the COO index tables
+    corners = sp.csc_matrix((np.ones(3 * m, bool), mesh.triangles.ravel(),
+                             np.arange(3 * m + 1)), shape=(n, 3 * m)).tocsr()
+    order = corners.indices.astype(np.intp)
+    # int64; like SciPy's COO path, csr_matrix keeps it only if 9M > 2**31-1
+    indptr = 3 * corners.indptr.astype(np.int64)
+    del corners
+    data = np.take(local.reshape(-1, 3), order, axis=0).ravel()
+    del local
+    indices = np.take(mesh.triangles, order // 3, axis=0).ravel()
+    k = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    k.sum_duplicates()
     k.eliminate_zeros()
     return k
 
 
 def assemble_load(mesh, f):
-    """Load vector (f, phi_i) via the 7-point order-5 triangle rule."""
-    fvals = f_at_points(f, triangle_points(mesh))
+    """Load vector (f, phi_i) via the 7-point order-5 triangle rule, with
+    f evaluated one quadrature point q at a time."""
+    x, y = triangle_points(mesh)
     a = mesh.areas
     # einsum("q,mq,qi,m->mi") bit for bit: its products, in its sum order
-    contrib = np.empty((mesh.num_triangles, 3))
-    for i in range(3):
-        acc = TRI_WEIGHTS[0] * fvals[:, 0] * TRI_BARY[0, i] * a
-        for q in range(1, len(TRI_WEIGHTS)):
-            acc += TRI_WEIGHTS[q] * fvals[:, q] * TRI_BARY[q, i] * a
-        contrib[:, i] = acc
+    contrib = np.zeros((mesh.num_triangles, 3))
+    for q in range(len(TRI_WEIGHTS)):
+        fq = f_at_points(f, (x[q:q + 1], y[q:q + 1]))[:, 0]
+        for i in range(3):
+            contrib[:, i] += TRI_WEIGHTS[q] * fq * TRI_BARY[q, i] * a
     return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
                        minlength=mesh.num_nodes)
 
 
+# an overflow to inf reaches the loop as a non-finite energy
+@np.errstate(over="ignore")
 def energy(stiffness, load, values):
     """Discrete energy 1/2 V'KV - b'V."""
     return float(0.5 * values @ (stiffness @ values) - load @ values)

@@ -481,6 +481,25 @@ def test_cli_non_finite_estimator_stops_at_its_level(tmp_path, capsys):
     assert not [w for w in caught if w.category is RuntimeWarning]
 
 
+@pytest.mark.parametrize("key,expr", [
+    ("f", "1e200*x"), ("g", "1e200*(x*x+y)"),
+], ids=["oscillation", "apx-and-energy"])
+def test_cli_overflow_of_finite_data_is_one_error_line(tmp_path, key, expr):
+    # f overflows the oscillation variance, g the apx square and the
+    # energy: each inf reaches the loop's check without a numpy warning
+    cfg = {"domain": {"type": "square"}, "f": "1 + 0*x", "g": "0*x"}
+    cfg[key] = expr
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    proc = subprocess.run(
+        [sys.executable, "-m", "obstacle_afem.cli", "run", "--problem",
+         f"custom:{path}"],
+        env=cli_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: level 0: estimator is not finite"]
+
+
 def test_cli_failed_run_writes_finished_levels(tmp_path, monkeypatch,
                                                capsys):
     import obstacle_afem.adapt as adapt
