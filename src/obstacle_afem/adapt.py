@@ -84,17 +84,18 @@ def _run(problem, mark_fn, max_elements, max_level, reference_energy=None):
             load = assemble_load(mesh, tp.f)
             sol = solve_obstacle(mesh, stiffness, load, gl,
                                  warm_active=prev[1] if prev else None)
-            indicators = assemble_indicators(mesh, sol.values, tp.f, tp.g,
-                                             gl)
             value = energy(stiffness, load, sol.values)
-            for name, v in (("estimator", indicators.rho2), ("energy", value)):
-                if not np.isfinite(v):
-                    raise ValueError(f"level {mesh.level}: {name} "
-                                     "is not finite")
             du = None
             if prev is not None:
                 du = energy_norm_diff(stiffness, sol.values,
                                       prolong(prev[0], mesh))
+            del stiffness, load
+            indicators = assemble_indicators(mesh, sol.values, tp.f, tp.g,
+                                             gl)
+            for name, v in (("estimator", indicators.rho2), ("energy", value)):
+                if not np.isfinite(v):
+                    raise ValueError(f"level {mesh.level}: {name} "
+                                     "is not finite")
             records.append(LoopRecord(
                 level=mesh.level,
                 n_elements=mesh.num_triangles,
@@ -113,6 +114,8 @@ def _run(problem, mark_fn, max_elements, max_level, reference_energy=None):
                     or mesh.level >= max_level):
                 return RunResult(records, mesh, sol, indicators)
             marked = mark_fn(indicators)
+            # the old indicators hold the old mesh: free both before refine
+            del indicators
             prev = (sol.values, sol.active)
             mesh = refine(mesh, marked)
             records[-1].wall_ms = (time.perf_counter() - t0) * 1e3

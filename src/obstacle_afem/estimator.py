@@ -15,6 +15,10 @@ from .quadrature import TRI_WEIGHTS, f_at_points, triangle_points
 
 __all__ = ["IndicatorSet", "assemble_indicators", "dump_indicators"]
 
+# Interior edges per block of the oscillation variance, in near-equal
+# blocks: a one-row product can round unlike a row of a longer one.
+OSC_BLOCK = 2 ** 14
+
 
 @dataclass
 class IndicatorSet:
@@ -68,10 +72,6 @@ def assemble_indicators(mesh, values, f, g, gl):
     osc2 = np.zeros(n_edges)
     apx2 = np.zeros(n_edges)
     areas = mesh.areas
-    fv = f_at_points(f, triangle_points(mesh))
-    int_f = areas * (fv @ TRI_WEIGHTS)
-    int_f2 = areas * ((fv ** 2) @ TRI_WEIGHTS)
-
     interior = mesh.interior_edge_ids()
     grads = solution_gradients(mesh, values)
     t = mesh.nodes[mesh.edges[interior, 1]] \
@@ -82,11 +82,20 @@ def assemble_indicators(mesh, values, f, g, gl):
     tm = mesh.edge2tri[interior, 1]
     jump = np.einsum("ed,ed->e", grads[tp] - grads[tm], normals)
     eta2[interior] = h ** 2 * jump ** 2
+    del grads, t, h, normals, jump
 
+    fv = f_at_points(f, triangle_points(mesh))
+    int_f = areas * (fv @ TRI_WEIGHTS)
+    int_f2 = areas * ((fv ** 2) @ TRI_WEIGHTS)
     patch = areas[tp] + areas[tm]
     mean = (int_f[tp] + int_f[tm]) / patch
-    var = (areas[tp] * ((fv[tp] - mean[:, None]) ** 2 @ TRI_WEIGHTS)
-           + areas[tm] * ((fv[tm] - mean[:, None]) ** 2 @ TRI_WEIGHTS))
+    var = np.empty(len(interior))
+    n_blocks = max(1, len(interior) // OSC_BLOCK)
+    bounds = [len(interior) * k // n_blocks for k in range(n_blocks + 1)]
+    for s in map(slice, bounds[:-1], bounds[1:]):
+        a, b, m = tp[s], tm[s], mean[s, None]
+        var[s] = (areas[a] * ((fv[a] - m) ** 2 @ TRI_WEIGHTS)
+                  + areas[b] * ((fv[b] - m) ** 2 @ TRI_WEIGHTS))
     osc2[interior] = patch * var
 
     bdry = mesh.boundary_edge_ids()

@@ -98,6 +98,8 @@ def prolong(values, fine):
     return generation(fine, fine.level) @ values
 
 
+# called before the loop's finiteness check: an overflow stays silent
+@np.errstate(over="ignore")
 def energy_norm_diff(stiffness, v, w):
     """Energy norm |||v - w||| via the stiffness quadratic form."""
     d = np.asarray(v, dtype=float) - np.asarray(w, dtype=float)
@@ -114,10 +116,13 @@ def solution_gradients(mesh, values):
 def cg_solve(matrix, rhs, x0, precond):
     """Conjugate gradients preconditioned by ``precond``, a function of
     the residual, started from ``x0``; returns the solution and the
-    number of iterations.  Stops once ||r|| < CG_RTOL ||rhs|| and raises
-    after 10,000 iterations."""
+    number of iterations.  Stops once ||r|| < CG_RTOL ||rhs||; raises if
+    ||rhs|| is not finite and after 10,000 iterations."""
     x = np.array(x0, dtype=float)
-    norm_b = np.linalg.norm(rhs)
+    with np.errstate(over="ignore"):
+        norm_b = np.linalg.norm(rhs)
+    if not np.isfinite(norm_b):
+        raise ValueError("CG right-hand side norm is not finite")
     if norm_b == 0.0:
         return np.zeros_like(x), 0
     tol = CG_RTOL * norm_b

@@ -231,6 +231,9 @@ def reference_energy(problem, n_target=200000):
         load = assemble_load(mesh, tp.f)
         sol = solve_obstacle(mesh, stiffness, load, gl, warm_active=active)
         value = energy(stiffness, load, sol.values)
+        if not np.isfinite(value):
+            raise ValueError(f"reference level {mesh.level}: energy is not "
+                             "finite")
         if mesh.num_triangles * 4 > n_target:
             break
         del gl, stiffness, load

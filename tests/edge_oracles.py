@@ -3,15 +3,19 @@
 Each function answers a question about a single edge from whole-mesh
 arrays, one edge at a time, so that the tests can cross-check
 ``assemble_indicators`` and ``apx_indicator`` against an independent
-implementation of the same formulas.  ``check_trace_continuity`` probes
-a Dirichlet datum along the boundary edges of a mesh.
+implementation of the same formulas.  ``whole_table_indicators`` is
+the vectorized estimator with the oscillation variance over all interior
+edges at once, a bit-for-bit oracle of the blocked form.
+``check_trace_continuity`` probes a Dirichlet datum along the boundary
+edges of a mesh.
 """
 
 import numpy as np
 
+from obstacle_afem import boundary
 from obstacle_afem.fem import solution_gradients
-from obstacle_afem.quadrature import TRI_WEIGHTS, gauss_segment, \
-    triangle_points
+from obstacle_afem.quadrature import TRI_WEIGHTS, f_at_points, \
+    gauss_segment, triangle_points
 
 
 def edge_normal(mesh, eid):
@@ -94,6 +98,44 @@ def apx_indicator(mesh, g, gl, eid):
     pts, w = gauss_segment(p, q)
     gp = g.arc_derivative(pts[:, 0], pts[:, 1], tangent, h)
     return float(h * np.sum(w * (np.asarray(gp) - slope) ** 2))
+
+
+@np.errstate(over="ignore")
+def whole_table_indicators(mesh, values, f, g, gl):
+    """``(eta2, osc2, apx2)`` of ``assemble_indicators``, computed with
+    the (E, 7) tables of all interior edges at once."""
+    values = np.asarray(values, dtype=float)
+    n_edges = mesh.num_edges
+    eta2 = np.zeros(n_edges)
+    osc2 = np.zeros(n_edges)
+    apx2 = np.zeros(n_edges)
+    areas = mesh.areas
+    fv = f_at_points(f, triangle_points(mesh))
+    int_f = areas * (fv @ TRI_WEIGHTS)
+    int_f2 = areas * ((fv ** 2) @ TRI_WEIGHTS)
+
+    interior = mesh.interior_edge_ids()
+    grads = solution_gradients(mesh, values)
+    t = mesh.nodes[mesh.edges[interior, 1]] \
+        - mesh.nodes[mesh.edges[interior, 0]]
+    h = mesh.edge_lengths[interior]
+    normals = np.stack([t[:, 1], -t[:, 0]], axis=1) / h[:, None]
+    tp = mesh.edge2tri[interior, 0]
+    tm = mesh.edge2tri[interior, 1]
+    jump = np.einsum("ed,ed->e", grads[tp] - grads[tm], normals)
+    eta2[interior] = h ** 2 * jump ** 2
+
+    patch = areas[tp] + areas[tm]
+    mean = (int_f[tp] + int_f[tm]) / patch
+    var = (areas[tp] * ((fv[tp] - mean[:, None]) ** 2 @ TRI_WEIGHTS)
+           + areas[tm] * ((fv[tm] - mean[:, None]) ** 2 @ TRI_WEIGHTS))
+    osc2[interior] = patch * var
+
+    bdry = mesh.boundary_edge_ids()
+    tb = mesh.edge2tri[bdry, 0]
+    osc2[bdry] = areas[tb] * int_f2[tb]
+    apx2[bdry] = boundary.apx_indicator(mesh, g, gl, bdry)
+    return eta2, osc2, apx2
 
 
 def check_trace_continuity(g, mesh, tol=1e-10, delta=1e-7):

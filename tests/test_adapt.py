@@ -1,4 +1,5 @@
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -100,6 +101,30 @@ def test_wall_ms_covers_marking_and_refinement(monkeypatch):
     assert len(records) > 1
     # the final level stops before marking, so it has no refine to time
     assert all(r.wall_ms >= 50.0 for r in records[:-1])
+
+
+def test_estimator_runs_without_the_previous_mesh_or_the_stiffness(
+        monkeypatch):
+    assemble_stiffness = adapt.assemble_stiffness
+    assemble_indicators = adapt.assemble_indicators
+    meshes, matrices, alive = [], [], []
+
+    def weak_stiffness(mesh):
+        k = assemble_stiffness(mesh)
+        matrices.append(weakref.ref(k))
+        return k
+
+    def weak_indicators(mesh, *args):
+        # every earlier mesh and this level's stiffness must be freed
+        alive.append([r() is not None for r in meshes + matrices[-1:]])
+        meshes.append(weakref.ref(mesh))
+        return assemble_indicators(mesh, *args)
+
+    monkeypatch.setattr(adapt, "assemble_stiffness", weak_stiffness)
+    monkeypatch.setattr(adapt, "assemble_indicators", weak_indicators)
+    run_adaptive(example1(), 0.5, max_elements=3000)
+    assert len(alive) > 2
+    assert not any(any(level) for level in alive)
 
 
 def test_estimator_decays_for_all_thetas():

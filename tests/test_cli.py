@@ -500,6 +500,27 @@ def test_cli_overflow_of_finite_data_is_one_error_line(tmp_path, key, expr):
         "error: level 0: estimator is not finite"]
 
 
+@pytest.mark.parametrize("key,expr,line", [
+    ("f", "1e155*x", "error: CG right-hand side norm is not finite"),
+    ("g", "1e300*x", "error: reference level 0: energy is not finite"),
+], ids=["cg-norm", "reference-energy"])
+def test_cli_overflow_in_the_reference_loop_is_one_error_line(
+        tmp_path, key, expr, line):
+    # the reference loop runs before the main loop: a norm of the CG
+    # right-hand side or an energy that overflows stops it with one line
+    cfg = {"domain": {"type": "square"}, "f": "1 + 0*x", "g": "0*x"}
+    cfg[key] = expr
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    proc = subprocess.run(
+        [sys.executable, "-m", "obstacle_afem.cli", "run", "--problem",
+         f"custom:{path}", "--mode", "uniform", "--max-elements", "300",
+         "--reference-elements", "2000"],
+        env=cli_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [line]
+
+
 def test_cli_failed_run_writes_finished_levels(tmp_path, monkeypatch,
                                                capsys):
     import obstacle_afem.adapt as adapt

@@ -3,12 +3,15 @@ import pytest
 
 from obstacle_afem import (BoundaryTrace, LShape, Square, build_initial_mesh,
                            example2, refine, to_zero_obstacle)
+from obstacle_afem import estimator
 from obstacle_afem.boundary import interpolate_boundary
 from obstacle_afem.estimator import assemble_indicators, dump_indicators
 from obstacle_afem.mesh import Mesh
 from obstacle_afem.quadrature import TRI_WEIGHTS, triangle_points
 from tests.edge_oracles import (apx_indicator, boundary_residual,
-                                interior_osc, jump_indicator)
+                                interior_osc, jump_indicator,
+                                whole_table_indicators)
+from tests.test_fem import graded_mesh, kernel_meshes
 
 
 def square_pair():
@@ -152,6 +155,41 @@ def test_indicators_evaluate_f_one_quadrature_point_at_a_time():
     tb = mesh.edge2tri[bdry, 0]
     expected[bdry] = areas[tb] * int_f2[tb]
     assert np.array_equal(ind.osc2, expected)
+
+
+@pytest.fixture(scope="module")
+def oracle_meshes():
+    """The kernel meshes, the graded mesh, and a uniform L-shape with
+    more interior edges than one block of the oscillation variance."""
+    mesh = build_initial_mesh(LShape())
+    for _ in range(6):
+        mesh = refine(mesh, np.arange(mesh.num_edges))
+    assert len(mesh.interior_edge_ids()) > estimator.OSC_BLOCK
+    return kernel_meshes() + [graded_mesh(), mesh]
+
+
+@pytest.mark.parametrize("block", [None, 2, 3, 7, "remainder-one"])
+def test_blocked_indicators_match_the_whole_table_form(
+        oracle_meshes, monkeypatch, block):
+    shifted = to_zero_obstacle(example2())
+    g = BoundaryTrace(lambda x, y: x ** 2 + np.cos(y))
+    rng = np.random.default_rng(5)
+    for mesh in oracle_meshes:
+        n = len(mesh.interior_edge_ids())
+        if block == "remainder-one":
+            # blocks of this size would leave one row over
+            monkeypatch.setattr(estimator, "OSC_BLOCK", min(
+                b for b in range(8, n) if (n - 1) % b == 0))
+        elif block is not None:
+            monkeypatch.setattr(estimator, "OSC_BLOCK", block)
+        v = rng.normal(size=mesh.num_nodes)
+        gl = interpolate_boundary(g, mesh)
+        for f in (shifted.f, lambda x, y: np.sin(7.0 * x) - y):
+            ind = assemble_indicators(mesh, v, f, g, gl)
+            want = whole_table_indicators(mesh, v, f, g, gl)
+            for got, ref in zip((ind.eta2, ind.osc2, ind.apx2), want):
+                assert np.array_equal(got.view(np.uint64),
+                                      ref.view(np.uint64))
 
 
 def test_totals_are_consistent(unit_square_mesh, zero_trace):

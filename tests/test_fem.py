@@ -5,6 +5,8 @@ from obstacle_afem import (LShape, Square, assemble_load, assemble_stiffness,
                            build_initial_mesh, energy, energy_norm_diff,
                            example1, example2, prolong, refine,
                            run_adaptive, to_zero_obstacle)
+from obstacle_afem.boundary import interpolate_boundary
+from obstacle_afem.estimator import assemble_indicators
 from obstacle_afem.fem import _hat_gradients, cg_solve, solution_gradients
 from obstacle_afem.mesh import Mesh
 from obstacle_afem.quadrature import (TRI_BARY, TRI_WEIGHTS, gauss_segment,
@@ -175,8 +177,16 @@ def test_mesh_and_stiffness_peak_memory_per_triangle():
     assert peak <= 220 * m
     # the e2-uniform peak: the load's quadrature points and f's
     # temporaries at one quadrature point
-    _, peak = traced_peak(assemble_load, mesh, to_zero_obstacle(example2()).f)
+    shifted = to_zero_obstacle(example2())
+    _, peak = traced_peak(assemble_load, mesh, shifted.f)
     assert peak <= 220 * m
+    # the adaptive peak: the estimator's quadrature points, without the
+    # (E, 7) oscillation tables or the jump terms' temporaries next to them
+    v = np.random.default_rng(0).normal(size=mesh.num_nodes)
+    gl = interpolate_boundary(shifted.g, mesh)
+    _, peak = traced_peak(assemble_indicators, mesh, v, shifted.f,
+                          shifted.g, gl)
+    assert peak <= 300 * m
 
 
 def test_load_matches_the_add_at_sum():
@@ -445,6 +455,20 @@ def test_cg_solve_returns_zero_for_zero_rhs(unit_square_mesh):
     x, steps = cg_solve(k, np.zeros(mesh.num_nodes), x0, precond)
     assert steps == 0
     assert np.array_equal(x, np.zeros(mesh.num_nodes))
+
+
+def test_cg_solve_rejects_a_finite_rhs_whose_norm_overflows(
+        unit_square_mesh):
+    # the tolerance would be inf, and x0 would come back after 0 steps
+    mesh = refine(unit_square_mesh, np.arange(unit_square_mesh.num_edges))
+    k = assemble_stiffness(mesh)
+    rhs = np.full(mesh.num_nodes, 1e155)
+
+    def precond(r):
+        raise AssertionError("no iteration expected")
+
+    with pytest.raises(ValueError, match="norm is not finite"):
+        cg_solve(k, rhs, np.zeros(mesh.num_nodes), precond)
 
 
 def test_cg_solve_raises_when_it_does_not_converge():
