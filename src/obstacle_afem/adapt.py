@@ -57,6 +57,8 @@ def dorfler_mark(indicators, theta):
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     contrib = indicators.contributions
+    if not np.isfinite(contrib).all():
+        raise ValueError("estimator contributions are not finite")
     total = float(contrib.sum())
     if total <= 0.0:
         raise ValueError("total estimator vanishes; nothing to mark")
@@ -80,8 +82,9 @@ def _run(problem, mark_fn, max_elements, max_level, reference_energy=None):
         while True:
             t0 = time.perf_counter()
             gl = interpolate_boundary(tp.g, mesh)
-            stiffness = assemble_stiffness(mesh)
+            # the load first, so that no stiffness matrix is alive in it
             load = assemble_load(mesh, tp.f)
+            stiffness = assemble_stiffness(mesh)
             sol = solve_obstacle(mesh, stiffness, load, gl,
                                  warm_active=prev[1] if prev else None)
             value = energy(stiffness, load, sol.values)

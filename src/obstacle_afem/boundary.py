@@ -70,7 +70,11 @@ def apx_indicator(mesh, g, gl, eid):
     interpolant slope is the endpoint difference over the edge length;
     g' is evaluated at Gauss points along each edge.
     """
-    eid = np.asarray(eid, dtype=np.int64)
+    eid = np.asarray(eid)
+    if eid.dtype.kind not in "iu":
+        raise ValueError("edge ids are not integers")
+    if eid.min(initial=0) < 0 or eid.max(initial=0) >= mesh.num_edges:
+        raise ValueError("unknown edge id")
     if not mesh.is_boundary_edge[eid].all():
         raise ValueError("apx_indicator requires a boundary edge")
     n0, n1 = mesh.edges[eid, 0], mesh.edges[eid, 1]

@@ -38,31 +38,29 @@ def _hat_gradients(mesh):
 
 def assemble_stiffness(mesh):
     """Sparse symmetric stiffness matrix of the Dirichlet form, without
-    stored zeros (the entry of an edge opposite two right angles)."""
+    stored zeros (the entry of an edge opposite two right angles): the
+    diagonal summed per node and the off-diagonals per edge of
+    ``mesh.edges``, both in triangle order."""
     gx, gy = _hat_gradients(mesh)
     a = mesh.areas
-    n, m = mesh.num_nodes, mesh.num_triangles
-    # einsum("mid,mjd,m->mij") bit for bit: its products, in its sum order
-    local = np.empty((m, 3, 3))
+    n = mesh.num_nodes
+    # einsum("mid,mjd,m->mij") bit for bit: its products, in its sum
+    # order; entry (i, i + 1) belongs to edge tri2edge[:, i]
+    diag, off = np.empty((2, mesh.num_triangles, 3))
     for i in range(3):
-        for j in range(i, 3):
-            local[:, i, j] = local[:, j, i] = (gx[:, i] * gx[:, j] * a
-                                               + gy[:, i] * gy[:, j] * a)
+        j = (i + 1) % 3
+        diag[:, i] = gx[:, i] * gx[:, i] * a + gy[:, i] * gy[:, i] * a
+        off[:, i] = gx[:, i] * gx[:, j] * a + gy[:, i] * gy[:, j] * a
     del gx, gy
-    # SciPy's unsummed CSR of the COO triplets (tri[t, i], tri[t, j],
-    # local[t, i, j]), each row in input order (by t, then j), from a
-    # stable counting sort of the corners, without the COO index tables
-    corners = sp.csc_matrix((np.ones(3 * m, bool), mesh.triangles.ravel(),
-                             np.arange(3 * m + 1)), shape=(n, 3 * m)).tocsr()
-    order = corners.indices.astype(np.intp)
-    # int64; like SciPy's COO path, csr_matrix keeps it only if 9M > 2**31-1
-    indptr = 3 * corners.indptr.astype(np.int64)
-    del corners
-    data = np.take(local.reshape(-1, 3), order, axis=0).ravel()
-    del local
-    indices = np.take(mesh.triangles, order // 3, axis=0).ravel()
-    k = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    k.sum_duplicates()
+    diag = np.bincount(mesh.triangles.ravel(), diag.ravel(), n)
+    # one or two terms per edge: the same bits in either order
+    off = np.bincount(mesh.tri2edge.ravel(), off.ravel(), mesh.num_edges)
+    # the upper triangle: the edges, sorted by (min, max), are its rows
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(mesh.edges[:, 0], minlength=n), out=indptr[1:])
+    upper = sp.csr_matrix((off, mesh.edges[:, 1], indptr), shape=(n, n))
+    # each entry from exactly one operand: the sums are exact
+    k = upper + upper.T + sp.diags(diag, format="csr")
     k.eliminate_zeros()
     return k
 

@@ -227,8 +227,8 @@ def reference_energy(problem, n_target=200000):
     active = None
     while True:
         gl = interpolate_boundary(tp.g, mesh)
-        stiffness = assemble_stiffness(mesh)
         load = assemble_load(mesh, tp.f)
+        stiffness = assemble_stiffness(mesh)
         sol = solve_obstacle(mesh, stiffness, load, gl, warm_active=active)
         value = energy(stiffness, load, sol.values)
         if not np.isfinite(value):

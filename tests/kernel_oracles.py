@@ -4,10 +4,11 @@ Each function is the plain form that a kernel of :mod:`obstacle_afem`
 replaced with a cheaper one: the quadrature points by ``einsum``, the
 hat gradients as one (M, 3, 2) table filled vertex by vertex, the
 solution gradients and the local stiffness matrices by ``einsum``, the
-stiffness matrix assembled from COO triplets with its stored zeros, the
-load summed by ``np.add.at``, and example 2's force and obstacle
-Laplacian evaluated by one formula on the whole domain.  The tests
-require the kernels to match them, mostly bit for bit.
+stiffness matrix assembled from COO triplets with its stored zeros, its
+diagonal and the load summed by ``np.add.at`` in triangle order, and
+example 2's force and obstacle Laplacian evaluated by one formula on
+the whole domain.  The tests require the kernels to match them, mostly
+bit for bit.
 """
 
 import numpy as np
@@ -43,15 +44,28 @@ def einsum_solution_gradients(mesh, values):
                      values[mesh.triangles])
 
 
+def local_stiffness(mesh):
+    """Element stiffness matrices, shape (M, 3, 3)."""
+    grads = hat_gradients(mesh)
+    return np.einsum("mid,mjd,m->mij", grads, grads, mesh.areas)
+
+
 def coo_stiffness(mesh):
     """Stiffness matrix summed from COO triplets; keeps exact zeros."""
-    grads = hat_gradients(mesh)
-    local = np.einsum("mid,mjd,m->mij", grads, grads, mesh.areas)
+    local = local_stiffness(mesh)
     tri = mesh.triangles
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)),
                          shape=(mesh.num_nodes, mesh.num_nodes)).tocsr()
+
+
+def add_at_stiffness_diagonal(mesh):
+    """Stiffness diagonal summed triangle by triangle with ``np.add.at``."""
+    d = np.zeros(mesh.num_nodes)
+    np.add.at(d, mesh.triangles,
+              np.diagonal(local_stiffness(mesh), axis1=1, axis2=2))
+    return d
 
 
 def add_at_load(mesh, f):

@@ -4,9 +4,10 @@ import weakref
 import numpy as np
 import pytest
 
-from obstacle_afem import adapt
+from obstacle_afem import adapt, problems
 from obstacle_afem import (BoundaryTrace, ProblemSpec, Square, dorfler_mark,
-                           example1, run_adaptive, run_uniform)
+                           example1, example2, reference_energy, run_adaptive,
+                           run_uniform)
 
 
 class FakeIndicators:
@@ -67,6 +68,14 @@ def test_dorfler_validates_inputs():
         dorfler_mark(FakeIndicators([0.0, 0.0]), 0.5)
 
 
+@pytest.mark.parametrize("contrib", [[1.0, np.nan, 0.0, 0.0, 0.0],
+                                     [np.inf, 1.0, 0.0, 0.0, 0.0],
+                                     [1.0, 2.0, -np.inf, 0.0, 0.0]])
+def test_dorfler_rejects_non_finite_contributions(contrib):
+    with pytest.raises(ValueError, match="contributions are not finite"):
+        dorfler_mark(FakeIndicators(contrib), 0.5)
+
+
 def test_dorfler_minimality_matches_brute_force():
     rng = np.random.default_rng(123)
     for _ in range(50):
@@ -125,6 +134,29 @@ def test_estimator_runs_without_the_previous_mesh_or_the_stiffness(
     run_adaptive(example1(), 0.5, max_elements=3000)
     assert len(alive) > 2
     assert not any(any(level) for level in alive)
+
+
+def test_load_is_assembled_with_no_stiffness_alive(monkeypatch):
+    assemble_stiffness = adapt.assemble_stiffness
+    assemble_load = adapt.assemble_load
+    matrices, loads = [], []
+
+    def weak_stiffness(mesh):
+        k = assemble_stiffness(mesh)
+        matrices.append(weakref.ref(k))
+        return k
+
+    def checked_load(mesh, f):
+        loads.append(mesh.level)
+        assert all(r() is None for r in matrices)
+        return assemble_load(mesh, f)
+
+    for module in (adapt, problems):
+        monkeypatch.setattr(module, "assemble_stiffness", weak_stiffness)
+        monkeypatch.setattr(module, "assemble_load", checked_load)
+    assert len(run_adaptive(example1(), 0.5, max_elements=1000).records) > 2
+    reference_energy(example2(), n_target=2000)
+    assert len(loads) == len(matrices) and loads.count(0) == 2
 
 
 def test_estimator_decays_for_all_thetas():

@@ -98,6 +98,15 @@ def test_apx_rejects_interior_edge(unit_square_mesh):
                       unit_square_mesh.interior_edge_ids()[0])
 
 
+@pytest.mark.parametrize("eid", [0.7, -1, 5, [0, 0.0], [1, 5], 2 ** 40])
+def test_apx_rejects_bad_edge_ids(unit_square_mesh, eid):
+    # the unit square has edges 0 to 4
+    g = BoundaryTrace(lambda x, y: x)
+    gl = interpolate_boundary(g, unit_square_mesh)
+    with pytest.raises(ValueError, match="edge id"):
+        apx_indicator(unit_square_mesh, g, gl, eid)
+
+
 def test_apx_total_decays_by_factor_eight_for_quadratic(unit_square_mesh):
     g = BoundaryTrace(lambda x, y: x ** 2,
                       lambda x, y: (2.0 * x, np.zeros_like(x)))

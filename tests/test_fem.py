@@ -14,8 +14,8 @@ from obstacle_afem.quadrature import (TRI_BARY, TRI_WEIGHTS, gauss_segment,
 from obstacle_afem.multigrid import (COARSE_LIMIT, level_prolongations,
                                      vcycle)
 from tests.conftest import random_refined_mesh, traced_peak
-from tests.kernel_oracles import (add_at_load, coo_stiffness,
-                                  einsum_solution_gradients,
+from tests.kernel_oracles import (add_at_load, add_at_stiffness_diagonal,
+                                  coo_stiffness, einsum_solution_gradients,
                                   einsum_triangle_points, hat_gradients)
 from tests.mesh_oracles import midpoint_prolong, vstack_prolongations
 from tests.solver_oracles import h1_error, jacobi_cg_solve, scipy_cg_solve
@@ -138,30 +138,42 @@ def graded_mesh():
 
 def test_stiffness_matches_coo_assembly_without_stored_zeros():
     meshes = kernel_meshes() + [graded_mesh()]
+    jittered = meshes[4]
     for mesh in meshes:
         k, ref = assemble_stiffness(mesh), coo_stiffness(mesh)
         assert k.indices.dtype == np.int32
         assert k.has_canonical_format
         assert (k.data != 0.0).all()
-        assert np.array_equal(k.toarray(), ref.toarray())
         ref.eliminate_zeros()
         for name in ("indptr", "indices", "data"):
-            got, want = getattr(k, name), getattr(ref, name)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+            assert getattr(k, name).dtype == getattr(ref, name).dtype
+        assert np.array_equal(k.indptr, ref.indptr)
+        assert np.array_equal(k.indices, ref.indices)
+        bits, want = k.data.view(np.uint64), ref.data.view(np.uint64)
+        on = k.indices == np.repeat(np.arange(mesh.num_nodes),
+                                    np.diff(k.indptr))
+        assert on.sum() == mesh.num_nodes
+        assert np.array_equal(bits[~on], want[~on])
+        assert np.array_equal(
+            bits[on], add_at_stiffness_diagonal(mesh).view(np.uint64))
+        # on NVB meshes every element entry lies in {-1/2, 0, 1/2, 1}, so
+        # any order of the sums gives the same bits
+        if mesh is not jittered:
+            assert np.array_equal(bits, want)
     # the uniform meshes' right triangles put exact zeros in the COO sum
     uniform = meshes[0]
     assert coo_stiffness(uniform).nnz > assemble_stiffness(uniform).nnz
     # SciPy sorts a row of more than 16 unsummed entries by an unstable
-    # sort, so only the COO input order reproduces its sums bit for bit
+    # sort, so the COO diagonal sums follow no fixed order: the diagonal
+    # oracle sums in triangle order
     assert max(3 * np.bincount(mesh.triangles.ravel()).max()
                for mesh in meshes) > 16
 
 
 def test_mesh_and_stiffness_peak_memory_per_triangle():
     # guards against full-size temporaries such as the (M, 3, 2) vertex
-    # table in Mesh, int64 index tables, COO row and column tables held
-    # next to SciPy's CSR, or the load's (M, 7) f table
+    # table in Mesh, int64 index tables, an unsummed (M, 3, 3) CSR of the
+    # element matrices, or the load's (M, 7) f table
     mesh = build_initial_mesh(LShape())
     for _ in range(6):
         mesh = refine(mesh, np.arange(mesh.num_edges))
@@ -173,8 +185,10 @@ def test_mesh_and_stiffness_peak_memory_per_triangle():
     # the uniform refine, four sons per triangle and their Mesh
     _, peak = traced_peak(refine, mesh, np.arange(mesh.num_edges))
     assert peak <= 900 * m
+    # the six element entries per triangle and their per-node and
+    # per-edge sums (152 B per triangle)
     _, peak = traced_peak(assemble_stiffness, mesh)
-    assert peak <= 220 * m
+    assert peak <= 168 * m
     # the e2-uniform peak: the load's quadrature points and f's
     # temporaries at one quadrature point
     shifted = to_zero_obstacle(example2())
