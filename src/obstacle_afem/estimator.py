@@ -11,13 +11,9 @@ import numpy as np
 
 from .boundary import apx_indicator
 from .fem import solution_gradients
-from .quadrature import TRI_WEIGHTS, f_at_points, triangle_points
+from .quadrature import TRI_WEIGHTS, blocks, f_at_points, triangle_points
 
 __all__ = ["IndicatorSet", "assemble_indicators", "dump_indicators"]
-
-# Interior edges per block of the oscillation variance, in near-equal
-# blocks: a one-row product can round unlike a row of a longer one.
-OSC_BLOCK = 2 ** 14
 
 
 @dataclass
@@ -84,15 +80,15 @@ def assemble_indicators(mesh, values, f, g, gl):
     eta2[interior] = h ** 2 * jump ** 2
     del grads, t, h, normals, jump
 
-    fv = f_at_points(f, triangle_points(mesh))
+    # the f table stays whole: each patch reads both of its triangles
+    fv = np.empty((mesh.num_triangles, len(TRI_WEIGHTS)))
+    for s in blocks(mesh.num_triangles):
+        fv[s] = f_at_points(f, triangle_points(mesh, s))
     int_f = areas * (fv @ TRI_WEIGHTS)
-    int_f2 = areas * ((fv ** 2) @ TRI_WEIGHTS)
     patch = areas[tp] + areas[tm]
     mean = (int_f[tp] + int_f[tm]) / patch
     var = np.empty(len(interior))
-    n_blocks = max(1, len(interior) // OSC_BLOCK)
-    bounds = [len(interior) * k // n_blocks for k in range(n_blocks + 1)]
-    for s in map(slice, bounds[:-1], bounds[1:]):
+    for s in blocks(len(interior)):
         a, b, m = tp[s], tm[s], mean[s, None]
         var[s] = (areas[a] * ((fv[a] - m) ** 2 @ TRI_WEIGHTS)
                   + areas[b] * ((fv[b] - m) ** 2 @ TRI_WEIGHTS))
@@ -100,7 +96,7 @@ def assemble_indicators(mesh, values, f, g, gl):
 
     bdry = mesh.boundary_edge_ids()
     tb = mesh.edge2tri[bdry, 0]
-    osc2[bdry] = areas[tb] * int_f2[tb]
+    osc2[bdry] = areas[tb] * (areas[tb] * ((fv[tb] ** 2) @ TRI_WEIGHTS))
     apx2[bdry] = apx_indicator(mesh, g, gl, bdry)
 
     return IndicatorSet(mesh=mesh, eta2=eta2, osc2=osc2, apx2=apx2)

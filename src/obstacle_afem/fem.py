@@ -11,7 +11,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .multigrid import generation
-from .quadrature import TRI_BARY, TRI_WEIGHTS, f_at_points, triangle_points
+from .quadrature import (TRI_BARY, TRI_WEIGHTS, blocks, f_at_points,
+                         triangle_points)
 
 __all__ = [
     "assemble_stiffness",
@@ -25,12 +26,12 @@ __all__ = [
 CG_RTOL = 1e-12
 
 
-def _hat_gradients(mesh):
+def _hat_gradients(nodes, tri, areas):
     """x and y components of the three nodal hat gradients on each
-    triangle, two (M, 3) tables: the edge opposite vertex i, rotated by
-    90 degrees, over twice the area."""
-    x, y = (mesh.nodes[:, d][mesh.triangles] for d in range(2))
-    twice_area = (2.0 * mesh.areas)[:, None]
+    triangle of ``tri`` with ``areas``, two (B, 3) tables: the edge
+    opposite vertex i, rotated by 90 degrees, over twice the area."""
+    x, y = (nodes[:, d][tri] for d in range(2))
+    twice_area = (2.0 * areas)[:, None]
     gx = -(y[:, [2, 0, 1]] - y[:, [1, 2, 0]]) / twice_area
     gy = (x[:, [2, 0, 1]] - x[:, [1, 2, 0]]) / twice_area
     return gx, gy
@@ -40,21 +41,22 @@ def assemble_stiffness(mesh):
     """Sparse symmetric stiffness matrix of the Dirichlet form, without
     stored zeros (the entry of an edge opposite two right angles): the
     diagonal summed per node and the off-diagonals per edge of
-    ``mesh.edges``, both in triangle order."""
-    gx, gy = _hat_gradients(mesh)
-    a = mesh.areas
+    ``mesh.edges``, both in triangle order, one block at a time."""
     n = mesh.num_nodes
-    # einsum("mid,mjd,m->mij") bit for bit: its products, in its sum
-    # order; entry (i, i + 1) belongs to edge tri2edge[:, i]
-    diag, off = np.empty((2, mesh.num_triangles, 3))
-    for i in range(3):
-        j = (i + 1) % 3
-        diag[:, i] = gx[:, i] * gx[:, i] * a + gy[:, i] * gy[:, i] * a
-        off[:, i] = gx[:, i] * gx[:, j] * a + gy[:, i] * gy[:, j] * a
-    del gx, gy
-    diag = np.bincount(mesh.triangles.ravel(), diag.ravel(), n)
-    # one or two terms per edge: the same bits in either order
-    off = np.bincount(mesh.tri2edge.ravel(), off.ravel(), mesh.num_edges)
+    diag, off = np.zeros(n), np.zeros(mesh.num_edges)
+    for s in blocks(mesh.num_triangles):
+        tri, a = mesh.triangles[s].astype(np.intp), mesh.areas[s]
+        gx, gy = _hat_gradients(mesh.nodes, tri, a)
+        # einsum("mid,mjd,m->mij") bit for bit: its products, in its sum
+        # order; entry (i, i + 1) belongs to edge tri2edge[:, i]
+        d, o = np.empty((2, len(a), 3))
+        for i in range(3):
+            j = (i + 1) % 3
+            d[:, i] = gx[:, i] * gx[:, i] * a + gy[:, i] * gy[:, i] * a
+            o[:, i] = gx[:, i] * gx[:, j] * a + gy[:, i] * gy[:, j] * a
+        # one or two terms per edge: the same bits in either order
+        np.add.at(diag, tri.ravel(), d.ravel())
+        np.add.at(off, mesh.tri2edge[s].ravel(), o.ravel())
     # the upper triangle: the edges, sorted by (min, max), are its rows
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(mesh.edges[:, 0], minlength=n), out=indptr[1:])
@@ -67,17 +69,19 @@ def assemble_stiffness(mesh):
 
 def assemble_load(mesh, f):
     """Load vector (f, phi_i) via the 7-point order-5 triangle rule, with
-    f evaluated one quadrature point q at a time."""
-    x, y = triangle_points(mesh)
-    a = mesh.areas
+    f evaluated one quadrature point q of one block at a time."""
+    b = np.zeros(mesh.num_nodes)
     # einsum("q,mq,qi,m->mi") bit for bit: its products, in its sum order
-    contrib = np.zeros((mesh.num_triangles, 3))
-    for q in range(len(TRI_WEIGHTS)):
-        fq = f_at_points(f, (x[q:q + 1], y[q:q + 1]))[:, 0]
-        for i in range(3):
-            contrib[:, i] += TRI_WEIGHTS[q] * fq * TRI_BARY[q, i] * a
-    return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
-                       minlength=mesh.num_nodes)
+    for s in blocks(mesh.num_triangles):
+        x, y = triangle_points(mesh, s)
+        a = mesh.areas[s]
+        contrib = np.zeros((len(a), 3))
+        for q in range(len(TRI_WEIGHTS)):
+            fq = f_at_points(f, (x[q:q + 1], y[q:q + 1]))[:, 0]
+            for i in range(3):
+                contrib[:, i] += TRI_WEIGHTS[q] * fq * TRI_BARY[q, i] * a
+        np.add.at(b, mesh.triangles[s].ravel(), contrib.ravel())
+    return b
 
 
 # an overflow to inf reaches the loop as a non-finite energy
@@ -108,7 +112,8 @@ def solution_gradients(mesh, values):
     """Constant gradient of a P1 function on each triangle, shape (M, 2)."""
     v = values[mesh.triangles]
     return np.stack([g[:, 0] * v[:, 0] + g[:, 1] * v[:, 1] + g[:, 2] * v[:, 2]
-                     for g in _hat_gradients(mesh)], axis=1)
+                     for g in _hat_gradients(mesh.nodes, mesh.triangles,
+                                             mesh.areas)], axis=1)
 
 
 def cg_solve(matrix, rhs, x0, precond):

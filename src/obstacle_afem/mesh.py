@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import blocks
+
 __all__ = [
     "Square",
     "LShape",
@@ -114,9 +116,12 @@ class Mesh:
         if not np.isfinite(self.nodes).all():
             raise ValueError("non-finite node coordinates")
         x, y = self.nodes.T
-        t0, t1, t2 = self.triangles.T
-        self.areas = 0.5 * ((x[t1] - x[t0]) * (y[t2] - y[t0])
-                            - (y[t1] - y[t0]) * (x[t2] - x[t0]))
+        self.areas = np.empty(self.num_triangles)
+        for s in blocks(self.num_triangles):
+            # one intp copy per block: gathers by int32 cast their index
+            t0, t1, t2 = self.triangles[s].T.astype(np.intp, order="C")
+            self.areas[s] = 0.5 * ((x[t1] - x[t0]) * (y[t2] - y[t0])
+                                   - (y[t1] - y[t0]) * (x[t2] - x[t0]))
         if not ((self.areas > 0) & (self.areas < np.inf)).all():
             raise ValueError("triangle with non-positive or infinite area")
         self._build_edges()

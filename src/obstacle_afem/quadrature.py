@@ -2,8 +2,12 @@
 
 import numpy as np
 
-__all__ = ["TRI_BARY", "TRI_WEIGHTS", "f_at_points", "gauss_segment",
-           "triangle_points"]
+__all__ = ["TRI_BARY", "TRI_WEIGHTS", "blocks", "f_at_points",
+           "gauss_segment", "triangle_points"]
+
+# Rows per block of the blocked kernels; near-equal blocks, because a
+# one-row product can round unlike a row of a longer one.
+BLOCK = 2 ** 13
 
 # 7-point order-5 rule on the triangle (barycentric coordinates, weights
 # summing to 1).
@@ -27,11 +31,17 @@ TRI_WEIGHTS = np.array([9 / 40, _w1, _w1, _w1, _w2, _w2, _w2])
 SEGMENT_POINTS = 5
 
 
-def triangle_points(mesh):
-    """Quadrature points for every triangle as the pair ``(x, y)`` of
-    (7, M) coordinate tables."""
-    return tuple(TRI_BARY @ mesh.nodes[:, d][mesh.triangles].T
-                 for d in range(2))
+def blocks(n):
+    """``n // BLOCK`` (at least one) near-equal slices of range(n)."""
+    k = max(1, n // BLOCK)
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
+def triangle_points(mesh, rows=slice(None)):
+    """Quadrature points of the triangles ``rows`` as the pair ``(x, y)``
+    of (7, B) coordinate tables."""
+    tri = mesh.triangles[rows].astype(np.intp)
+    return tuple(TRI_BARY @ mesh.nodes[:, d][tri].T for d in range(2))
 
 
 def f_at_points(f, pts):

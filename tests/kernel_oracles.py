@@ -5,10 +5,11 @@ replaced with a cheaper one: the quadrature points by ``einsum``, the
 hat gradients as one (M, 3, 2) table filled vertex by vertex, the
 solution gradients and the local stiffness matrices by ``einsum``, the
 stiffness matrix assembled from COO triplets with its stored zeros, its
-diagonal and the load summed by ``np.add.at`` in triangle order, and
-example 2's force and obstacle Laplacian evaluated by one formula on
-the whole domain.  The tests require the kernels to match them, mostly
-bit for bit.
+diagonal and the load summed by ``np.add.at`` in triangle order, the
+stiffness and load over all triangles at once (the blocked kernels'
+whole-table forms), and example 2's force and obstacle Laplacian
+evaluated by one formula on the whole domain.  The tests require the
+kernels to match them, mostly bit for bit.
 """
 
 import numpy as np
@@ -76,6 +77,42 @@ def add_at_load(mesh, f):
     b = np.zeros(mesh.num_nodes)
     np.add.at(b, mesh.triangles, contrib)
     return b
+
+
+def whole_table_stiffness(mesh):
+    """Stiffness matrix from the six element entries of all triangles at
+    once, summed by ``np.bincount`` per node and per edge."""
+    g = hat_gradients(mesh)
+    gx, gy = g[..., 0], g[..., 1]
+    a = mesh.areas
+    n = mesh.num_nodes
+    diag, off = np.empty((2, mesh.num_triangles, 3))
+    for i in range(3):
+        j = (i + 1) % 3
+        diag[:, i] = gx[:, i] * gx[:, i] * a + gy[:, i] * gy[:, i] * a
+        off[:, i] = gx[:, i] * gx[:, j] * a + gy[:, i] * gy[:, j] * a
+    diag = np.bincount(mesh.triangles.ravel(), diag.ravel(), n)
+    off = np.bincount(mesh.tri2edge.ravel(), off.ravel(), mesh.num_edges)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(mesh.edges[:, 0], minlength=n), out=indptr[1:])
+    upper = sp.csr_matrix((off, mesh.edges[:, 1], indptr), shape=(n, n))
+    k = upper + upper.T + sp.diags(diag, format="csr")
+    k.eliminate_zeros()
+    return k
+
+
+def whole_table_load(mesh, f):
+    """Load vector from the (7, M) quadrature points of all triangles at
+    once, summed by ``np.bincount``."""
+    x, y = triangle_points(mesh)
+    a = mesh.areas
+    contrib = np.zeros((mesh.num_triangles, 3))
+    for q in range(len(TRI_WEIGHTS)):
+        fq = f_at_points(f, (x[q:q + 1], y[q:q + 1]))[:, 0]
+        for i in range(3):
+            contrib[:, i] += TRI_WEIGHTS[q] * fq * TRI_BARY[q, i] * a
+    return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+                       minlength=mesh.num_nodes)
 
 
 def whole_domain_chi_laplacian(x, y):

@@ -3,7 +3,6 @@ import pytest
 
 from obstacle_afem import (BoundaryTrace, LShape, Square, build_initial_mesh,
                            example2, refine, to_zero_obstacle)
-from obstacle_afem import estimator
 from obstacle_afem.boundary import interpolate_boundary
 from obstacle_afem.estimator import assemble_indicators, dump_indicators
 from obstacle_afem.mesh import Mesh
@@ -11,7 +10,7 @@ from obstacle_afem.quadrature import TRI_WEIGHTS, triangle_points
 from tests.edge_oracles import (apx_indicator, boundary_residual,
                                 interior_osc, jump_indicator,
                                 whole_table_indicators)
-from tests.test_fem import graded_mesh, kernel_meshes
+from tests.test_fem import oracle_meshes, set_block  # noqa: F401
 
 
 def square_pair():
@@ -157,17 +156,6 @@ def test_indicators_evaluate_f_one_quadrature_point_at_a_time():
     assert np.array_equal(ind.osc2, expected)
 
 
-@pytest.fixture(scope="module")
-def oracle_meshes():
-    """The kernel meshes, the graded mesh, and a uniform L-shape with
-    more interior edges than one block of the oscillation variance."""
-    mesh = build_initial_mesh(LShape())
-    for _ in range(6):
-        mesh = refine(mesh, np.arange(mesh.num_edges))
-    assert len(mesh.interior_edge_ids()) > estimator.OSC_BLOCK
-    return kernel_meshes() + [graded_mesh(), mesh]
-
-
 @pytest.mark.parametrize("block", [None, 2, 3, 7, "remainder-one"])
 def test_blocked_indicators_match_the_whole_table_form(
         oracle_meshes, monkeypatch, block):
@@ -175,13 +163,7 @@ def test_blocked_indicators_match_the_whole_table_form(
     g = BoundaryTrace(lambda x, y: x ** 2 + np.cos(y))
     rng = np.random.default_rng(5)
     for mesh in oracle_meshes:
-        n = len(mesh.interior_edge_ids())
-        if block == "remainder-one":
-            # blocks of this size would leave one row over
-            monkeypatch.setattr(estimator, "OSC_BLOCK", min(
-                b for b in range(8, n) if (n - 1) % b == 0))
-        elif block is not None:
-            monkeypatch.setattr(estimator, "OSC_BLOCK", block)
+        set_block(monkeypatch, block, len(mesh.interior_edge_ids()))
         v = rng.normal(size=mesh.num_nodes)
         gl = interpolate_boundary(g, mesh)
         for f in (shifted.f, lambda x, y: np.sin(7.0 * x) - y):

@@ -3,7 +3,7 @@ import pytest
 
 from obstacle_afem import (LShape, Square, assemble_load, assemble_stiffness,
                            build_initial_mesh, energy, energy_norm_diff,
-                           example1, example2, prolong, refine,
+                           example1, example2, prolong, quadrature, refine,
                            run_adaptive, to_zero_obstacle)
 from obstacle_afem.boundary import interpolate_boundary
 from obstacle_afem.estimator import assemble_indicators
@@ -16,7 +16,8 @@ from obstacle_afem.multigrid import (COARSE_LIMIT, level_prolongations,
 from tests.conftest import random_refined_mesh, traced_peak
 from tests.kernel_oracles import (add_at_load, add_at_stiffness_diagonal,
                                   coo_stiffness, einsum_solution_gradients,
-                                  einsum_triangle_points, hat_gradients)
+                                  einsum_triangle_points, hat_gradients,
+                                  whole_table_load, whole_table_stiffness)
 from tests.mesh_oracles import midpoint_prolong, vstack_prolongations
 from tests.solver_oracles import h1_error, jacobi_cg_solve, scipy_cg_solve
 
@@ -118,7 +119,8 @@ def test_gradients_match_their_oracles_bit_for_bit():
     rng = np.random.default_rng(5)
     for mesh in kernel_meshes():
         ref = hat_gradients(mesh)
-        for d, g in enumerate(_hat_gradients(mesh)):
+        for d, g in enumerate(_hat_gradients(mesh.nodes, mesh.triangles,
+                                             mesh.areas)):
             assert g.shape == (mesh.num_triangles, 3)
             assert np.array_equal(g.view(np.uint64),
                                   ref[..., d].view(np.uint64))
@@ -134,6 +136,56 @@ def graded_mesh():
     """The last mesh of an adaptive example 2 run, graded towards the
     re-entrant corner and the free boundary."""
     return run_adaptive(example2(), 0.5, max_elements=2000).mesh
+
+
+@pytest.fixture(scope="module")
+def oracle_meshes():
+    """The kernel meshes, the graded mesh, and a uniform L-shape of
+    several blocks of triangles and of interior edges."""
+    mesh = build_initial_mesh(LShape())
+    for _ in range(6):
+        mesh = refine(mesh, np.arange(mesh.num_edges))
+    assert len(mesh.interior_edge_ids()) > mesh.num_triangles \
+        > 2 * quadrature.BLOCK
+    return kernel_meshes() + [graded_mesh(), mesh]
+
+
+def set_block(monkeypatch, block, n):
+    """Set ``quadrature.BLOCK`` to ``block``, or for "remainder-one" to
+    the least size of at least 8 that would leave one of n rows over."""
+    if block == "remainder-one":
+        block = min(b for b in range(8, n) if (n - 1) % b == 0)
+    if block is not None:
+        monkeypatch.setattr(quadrature, "BLOCK", block)
+
+
+def test_blocks_are_near_equal_and_never_one_row(monkeypatch):
+    for block in (2, 3, 7, 2 ** 13):
+        monkeypatch.setattr(quadrature, "BLOCK", block)
+        for n in [0, 1, 2, 3, 5, 8, 13, 15, 16, 17, 100, 3 * 2 ** 13 + 1]:
+            rows = quadrature.blocks(n)
+            sizes = [s.stop - s.start for s in rows]
+            assert rows[0].start == 0 and rows[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(rows, rows[1:]))
+            assert len(rows) == max(1, n // block)
+            assert max(sizes) - min(sizes) <= 1
+            assert n == 1 or min(sizes) != 1
+
+
+@pytest.mark.parametrize("block", [None, 2, 3, 7, "remainder-one"])
+def test_blocked_stiffness_and_load_match_the_whole_table_forms(
+        oracle_meshes, monkeypatch, block):
+    # f only enters elementwise: one cheap f shows the blocks' bits
+    f = lambda x, y: np.sin(7.0 * x) - y
+    for mesh in oracle_meshes:
+        set_block(monkeypatch, block, mesh.num_triangles)
+        k, ref = assemble_stiffness(mesh), whole_table_stiffness(mesh)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(k, name), getattr(ref, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+        assert np.array_equal(assemble_load(mesh, f).view(np.uint64),
+                              whole_table_load(mesh, f).view(np.uint64))
 
 
 def test_stiffness_matches_coo_assembly_without_stored_zeros():
@@ -170,37 +222,61 @@ def test_stiffness_matches_coo_assembly_without_stored_zeros():
                for mesh in meshes) > 16
 
 
+def kernel_peaks(times):
+    """The uniform L-shape refined ``times`` times, and the tracemalloc
+    peaks of Mesh, the stiffness, the load and the estimator on it in B
+    per triangle."""
+    mesh = build_initial_mesh(LShape())
+    for _ in range(times):
+        mesh = refine(mesh, np.arange(mesh.num_edges))
+    shifted = to_zero_obstacle(example2())
+    v = np.random.default_rng(0).normal(size=mesh.num_nodes)
+    gl = interpolate_boundary(shifted.g, mesh)
+    calls = {
+        "Mesh": (Mesh, mesh.nodes, mesh.triangles, mesh.ref_edge,
+                 mesh.node_parents, mesh.level_nodes),
+        "stiffness": (assemble_stiffness, mesh),
+        "load": (assemble_load, mesh, shifted.f),
+        "estimator": (assemble_indicators, mesh, v, shifted.f, shifted.g,
+                      gl),
+    }
+    return mesh, {name: traced_peak(*call)[1] / mesh.num_triangles
+                  for name, call in calls.items()}
+
+
 def test_mesh_and_stiffness_peak_memory_per_triangle():
     # guards against full-size temporaries such as the (M, 3, 2) vertex
     # table in Mesh, int64 index tables, an unsummed (M, 3, 3) CSR of the
-    # element matrices, or the load's (M, 7) f table
-    mesh = build_initial_mesh(LShape())
-    for _ in range(6):
-        mesh = refine(mesh, np.arange(mesh.num_edges))
+    # element matrices, or the load's (7, M) quadrature points; three
+    # blocks of triangles, whose temporaries dominate at this size
+    mesh, peaks = kernel_peaks(6)
     m = mesh.num_triangles
     assert m == 24576
-    _, peak = traced_peak(Mesh, mesh.nodes, mesh.triangles, mesh.ref_edge,
-                          mesh.node_parents, mesh.level_nodes)
-    assert peak <= 150 * m
+    assert peaks["Mesh"] <= 150
     # the uniform refine, four sons per triangle and their Mesh
     _, peak = traced_peak(refine, mesh, np.arange(mesh.num_edges))
     assert peak <= 900 * m
-    # the six element entries per triangle and their per-node and
-    # per-edge sums (152 B per triangle)
-    _, peak = traced_peak(assemble_stiffness, mesh)
-    assert peak <= 168 * m
-    # the e2-uniform peak: the load's quadrature points and f's
-    # temporaries at one quadrature point
-    shifted = to_zero_obstacle(example2())
-    _, peak = traced_peak(assemble_load, mesh, shifted.f)
-    assert peak <= 220 * m
-    # the adaptive peak: the estimator's quadrature points, without the
-    # (E, 7) oscillation tables or the jump terms' temporaries next to them
-    v = np.random.default_rng(0).normal(size=mesh.num_nodes)
-    gl = interpolate_boundary(shifted.g, mesh)
-    _, peak = traced_peak(assemble_indicators, mesh, v, shifted.f,
-                          shifted.g, gl)
-    assert peak <= 300 * m
+    # the six element entries per block and their per-node and per-edge
+    # sums (138 B per triangle)
+    assert peaks["stiffness"] <= 150
+    # one block's quadrature points and f's temporaries at one point
+    # (106 B)
+    assert peaks["load"] <= 120
+    # the (M, 7) f table and the jump terms, without the (E, 7)
+    # oscillation tables (224 B)
+    assert peaks["estimator"] <= 245
+
+
+def test_blocked_kernels_peak_memory_per_triangle():
+    # twelve blocks of triangles: measured 124, 107, 29 and 224 B per
+    # triangle; the whole-table kernels read 122, 152, 191 and 267 B, and
+    # areas from a whole intp copy of the triangles about 146 B
+    mesh, peaks = kernel_peaks(7)
+    assert mesh.num_triangles == 98304
+    assert peaks["Mesh"] <= 135
+    assert peaks["stiffness"] <= 120
+    assert peaks["load"] <= 40
+    assert peaks["estimator"] <= 245
 
 
 def test_load_matches_the_add_at_sum():
