@@ -79,8 +79,9 @@ def apx_indicator(mesh, g, gl, eid):
         raise ValueError("apx_indicator requires a boundary edge")
     n0, n1 = mesh.edges[eid, 0], mesh.edges[eid, 1]
     p, q = mesh.nodes[n0], mesh.nodes[n1]
-    h = mesh.edge_lengths[eid]
-    tangent = (q - p) / h[..., None]
+    d = q - p
+    h = np.hypot(d[..., 0], d[..., 1])
+    tangent = d / h[..., None]
     slope = (gl[n1] - gl[n0]) / h
     pts, w = gauss_segment(p, q)
     gp = g.arc_derivative(pts[..., 0], pts[..., 1],

@@ -60,39 +60,32 @@ class IndicatorSet:
 # an overflow to inf reaches the loop as a non-finite estimator
 @np.errstate(over="ignore")
 def assemble_indicators(mesh, values, f, g, gl):
-    """Complete indicator set for a discrete solution, vectorized over
-    edges."""
+    """Complete indicator set for a discrete solution: the f table in
+    blocks of triangles, then the jump and oscillation terms in blocks of
+    interior edges."""
     values = np.asarray(values, dtype=float)
-    n_edges = mesh.num_edges
-    eta2 = np.zeros(n_edges)
-    osc2 = np.zeros(n_edges)
-    apx2 = np.zeros(n_edges)
+    eta2, osc2, apx2 = np.zeros((3, mesh.num_edges))
     areas = mesh.areas
-    interior = mesh.interior_edge_ids()
     grads = solution_gradients(mesh, values)
-    t = mesh.nodes[mesh.edges[interior, 1]] \
-        - mesh.nodes[mesh.edges[interior, 0]]
-    h = mesh.edge_lengths[interior]
-    normals = np.stack([t[:, 1], -t[:, 0]], axis=1) / h[:, None]
-    tp = mesh.edge2tri[interior, 0]
-    tm = mesh.edge2tri[interior, 1]
-    jump = np.einsum("ed,ed->e", grads[tp] - grads[tm], normals)
-    eta2[interior] = h ** 2 * jump ** 2
-    del grads, t, h, normals, jump
-
     # the f table stays whole: each patch reads both of its triangles
     fv = np.empty((mesh.num_triangles, len(TRI_WEIGHTS)))
     for s in blocks(mesh.num_triangles):
         fv[s] = f_at_points(f, triangle_points(mesh, s))
     int_f = areas * (fv @ TRI_WEIGHTS)
-    patch = areas[tp] + areas[tm]
-    mean = (int_f[tp] + int_f[tm]) / patch
-    var = np.empty(len(interior))
+
+    interior = mesh.interior_edge_ids()
     for s in blocks(len(interior)):
-        a, b, m = tp[s], tm[s], mean[s, None]
-        var[s] = (areas[a] * ((fv[a] - m) ** 2 @ TRI_WEIGHTS)
-                  + areas[b] * ((fv[b] - m) ** 2 @ TRI_WEIGHTS))
-    osc2[interior] = patch * var
+        e = interior[s]
+        a, b = mesh.edge2tri[e].T
+        t = mesh.nodes[mesh.edges[e, 1]] - mesh.nodes[mesh.edges[e, 0]]
+        h = np.hypot(t[:, 0], t[:, 1])
+        normals = np.stack([t[:, 1], -t[:, 0]], axis=1) / h[:, None]
+        jump = np.einsum("ed,ed->e", grads[a] - grads[b], normals)
+        eta2[e] = h ** 2 * jump ** 2
+        patch = areas[a] + areas[b]
+        m = ((int_f[a] + int_f[b]) / patch)[:, None]
+        osc2[e] = patch * (areas[a] * ((fv[a] - m) ** 2 @ TRI_WEIGHTS)
+                           + areas[b] * ((fv[b] - m) ** 2 @ TRI_WEIGHTS))
 
     bdry = mesh.boundary_edge_ids()
     tb = mesh.edge2tri[bdry, 0]

@@ -73,13 +73,12 @@ def assemble_load(mesh, f):
     b = np.zeros(mesh.num_nodes)
     # einsum("q,mq,qi,m->mi") bit for bit: its products, in its sum order
     for s in blocks(mesh.num_triangles):
-        x, y = triangle_points(mesh, s)
+        fv = f_at_points(f, triangle_points(mesh, s))
         a = mesh.areas[s]
         contrib = np.zeros((len(a), 3))
         for q in range(len(TRI_WEIGHTS)):
-            fq = f_at_points(f, (x[q:q + 1], y[q:q + 1]))[:, 0]
             for i in range(3):
-                contrib[:, i] += TRI_WEIGHTS[q] * fq * TRI_BARY[q, i] * a
+                contrib[:, i] += TRI_WEIGHTS[q] * fv[:, q] * TRI_BARY[q, i] * a
         np.add.at(b, mesh.triangles[s].ravel(), contrib.ravel())
     return b
 
@@ -109,11 +108,15 @@ def energy_norm_diff(stiffness, v, w):
 
 
 def solution_gradients(mesh, values):
-    """Constant gradient of a P1 function on each triangle, shape (M, 2)."""
-    v = values[mesh.triangles]
-    return np.stack([g[:, 0] * v[:, 0] + g[:, 1] * v[:, 1] + g[:, 2] * v[:, 2]
-                     for g in _hat_gradients(mesh.nodes, mesh.triangles,
-                                             mesh.areas)], axis=1)
+    """Constant gradient of a P1 function on each triangle, shape (M, 2),
+    one block of triangles at a time."""
+    grads = np.empty((mesh.num_triangles, 2))
+    for s in blocks(mesh.num_triangles):
+        tri = mesh.triangles[s].astype(np.intp)
+        v = values[tri].T
+        for d, g in enumerate(_hat_gradients(mesh.nodes, tri, mesh.areas[s])):
+            grads[s, d] = g[:, 0] * v[0] + g[:, 1] * v[1] + g[:, 2] * v[2]
+    return grads
 
 
 def cg_solve(matrix, rhs, x0, precond):

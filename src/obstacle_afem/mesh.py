@@ -175,8 +175,6 @@ class Mesh:
         self.tri2edge = tri2edge.reshape(m, 3)
         a, b = np.divmod(key[first], n)
         del key
-        x, y = self.nodes.T
-        self.edge_lengths = np.hypot(x[a] - x[b], y[a] - y[b])
         self.edges = np.stack((a, b), axis=1, dtype=np.int32)
         del a, b
         self.edge2tri = np.full((self.num_edges, 2), -1, dtype=np.int32)

@@ -37,7 +37,7 @@ def blocks(n):
     return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
-def triangle_points(mesh, rows=slice(None)):
+def triangle_points(mesh, rows):
     """Quadrature points of the triangles ``rows`` as the pair ``(x, y)``
     of (7, B) coordinate tables."""
     tri = mesh.triangles[rows].astype(np.intp)

@@ -4,8 +4,12 @@ Each function answers a question about a single edge from whole-mesh
 arrays, one edge at a time, so that the tests can cross-check
 ``assemble_indicators`` and ``apx_indicator`` against an independent
 implementation of the same formulas.  ``whole_table_indicators`` is
-the vectorized estimator with the oscillation variance over all interior
-edges at once, a bit-for-bit oracle of the blocked form.
+the vectorized estimator with the jump and oscillation terms over all
+interior edges at once, a bit-for-bit oracle of the blocked form.  The
+oracles take the solution gradients from
+:func:`tests.kernel_oracles.einsum_solution_gradients` and the edge
+lengths from :func:`tests.mesh_oracles.edge_lengths`, not from the
+package.
 ``check_trace_continuity`` probes a Dirichlet datum along the boundary
 edges of a mesh.
 """
@@ -13,9 +17,10 @@ edges of a mesh.
 import numpy as np
 
 from obstacle_afem import boundary
-from obstacle_afem.fem import solution_gradients
 from obstacle_afem.quadrature import TRI_WEIGHTS, f_at_points, \
     gauss_segment, triangle_points
+from tests.kernel_oracles import einsum_solution_gradients
+from tests.mesh_oracles import edge_lengths
 
 
 def edge_normal(mesh, eid):
@@ -49,14 +54,14 @@ def jump_indicator(mesh, values, eid):
     eid = int(eid)
     if mesh.is_boundary_edge[eid]:
         raise ValueError("jump_indicator requires an interior edge")
-    grads = solution_gradients(mesh, np.asarray(values, dtype=float))
+    grads = einsum_solution_gradients(mesh, np.asarray(values, dtype=float))
     t_plus, t_minus = mesh.edge2tri[eid]
     jump = (grads[t_plus] - grads[t_minus]) @ edge_normal(mesh, eid)
-    return float(mesh.edge_lengths[eid] ** 2 * jump ** 2)
+    return float(edge_lengths(mesh)[eid] ** 2 * jump ** 2)
 
 
 def _f_at_points(mesh, f):
-    x, y = (c.T for c in triangle_points(mesh))
+    x, y = (c.T for c in triangle_points(mesh, slice(None)))
     return np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
 
 
@@ -92,7 +97,7 @@ def apx_indicator(mesh, g, gl, eid):
         raise ValueError("apx_indicator requires a boundary edge")
     n0, n1 = mesh.edges[eid]
     p, q = mesh.nodes[n0], mesh.nodes[n1]
-    h = mesh.edge_lengths[eid]
+    h = edge_lengths(mesh)[eid]
     tangent = (q - p) / h
     slope = (gl[n1] - gl[n0]) / h
     pts, w = gauss_segment(p, q)
@@ -110,15 +115,15 @@ def whole_table_indicators(mesh, values, f, g, gl):
     osc2 = np.zeros(n_edges)
     apx2 = np.zeros(n_edges)
     areas = mesh.areas
-    fv = f_at_points(f, triangle_points(mesh))
+    fv = f_at_points(f, triangle_points(mesh, slice(None)))
     int_f = areas * (fv @ TRI_WEIGHTS)
     int_f2 = areas * ((fv ** 2) @ TRI_WEIGHTS)
 
     interior = mesh.interior_edge_ids()
-    grads = solution_gradients(mesh, values)
+    grads = einsum_solution_gradients(mesh, values)
     t = mesh.nodes[mesh.edges[interior, 1]] \
         - mesh.nodes[mesh.edges[interior, 0]]
-    h = mesh.edge_lengths[interior]
+    h = edge_lengths(mesh)[interior]
     normals = np.stack([t[:, 1], -t[:, 0]], axis=1) / h[:, None]
     tp = mesh.edge2tri[interior, 0]
     tm = mesh.edge2tri[interior, 1]

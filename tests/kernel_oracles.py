@@ -71,7 +71,7 @@ def add_at_stiffness_diagonal(mesh):
 
 def add_at_load(mesh, f):
     """Load vector summed triangle by triangle with ``np.add.at``."""
-    fvals = f_at_points(f, triangle_points(mesh))
+    fvals = f_at_points(f, triangle_points(mesh, slice(None)))
     contrib = np.einsum("q,mq,qi,m->mi", TRI_WEIGHTS, fvals, TRI_BARY,
                         mesh.areas)
     b = np.zeros(mesh.num_nodes)
@@ -104,7 +104,7 @@ def whole_table_stiffness(mesh):
 def whole_table_load(mesh, f):
     """Load vector from the (7, M) quadrature points of all triangles at
     once, summed by ``np.bincount``."""
-    x, y = triangle_points(mesh)
+    x, y = triangle_points(mesh, slice(None))
     a = mesh.areas
     contrib = np.zeros((mesh.num_triangles, 3))
     for q in range(len(TRI_WEIGHTS)):

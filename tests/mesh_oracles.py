@@ -14,6 +14,8 @@ row gathers, to cross-check the per-generation operators of
 ``build_edges_unique`` numbers the edges with ``np.unique`` over the
 vertex pairs and a second sort for the edge-to-triangle map, to
 cross-check the single-sort edge tables of :class:`obstacle_afem.mesh.Mesh`.
+``edge_lengths`` measures each edge from its endpoints, the lengths
+that the estimator and ``apx_indicator`` compute for themselves.
 ``gathered_areas`` computes the triangle areas from the (M, 3, 2) table
 of vertex coordinates, to cross-check the per-coordinate areas of
 :class:`obstacle_afem.mesh.Mesh`.
@@ -155,8 +157,8 @@ def vstack_prolongations(mesh):
 def build_edges_unique(mesh):
     """Edge tables of a mesh as ``(edges, tri2edge, edge2tri,
     is_boundary_edge, edge_lengths)``, same contract as the attributes
-    of :class:`obstacle_afem.mesh.Mesh`, the index tables in the dtype
-    of the mesh's triangles."""
+    of :class:`obstacle_afem.mesh.Mesh` and :func:`edge_lengths`, the
+    index tables in the dtype of the mesh's triangles."""
     tri = mesh.triangles
     m = tri.shape[0]
     local = tri[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
@@ -180,6 +182,13 @@ def build_edges_unique(mesh):
     index = mesh.triangles.dtype
     return (edges.astype(index), tri2edge.astype(index),
             edge2tri.astype(index), ~both, np.hypot(diff[:, 0], diff[:, 1]))
+
+
+def edge_lengths(mesh):
+    """Length of each edge of a mesh, indexed by edge id."""
+    a, b = mesh.edges.T
+    x, y = mesh.nodes.T
+    return np.hypot(x[a] - x[b], y[a] - y[b])
 
 
 def gathered_areas(mesh):

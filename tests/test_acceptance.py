@@ -20,7 +20,7 @@ from obstacle_afem.fem import (assemble_load, assemble_stiffness, energy,
                                energy_norm_diff, prolong)
 from obstacle_afem.vi import check_kkt, solve_obstacle
 from tests.conftest import random_refined_mesh, recording
-from tests.mesh_oracles import father_triangles, min_angle
+from tests.mesh_oracles import edge_lengths, father_triangles, min_angle
 from tests.solver_oracles import h1_error, projected_sor_solve
 
 
@@ -203,9 +203,10 @@ def test_criterion_7_pythagoras_identity():
             term_fine = 2.0 * sum(apx_indicator(fine, g, gl_f, e)
                                   for e in fine.boundary_edge_ids())
             term_mid = 0.0
+            lengths = edge_lengths(fine)
             for e in fine.boundary_edge_ids():
                 n0, n1 = fine.edges[e]
-                h = fine.edge_lengths[e]
+                h = lengths[e]
                 slope_f = (vf[n1] - vf[n0]) / h
                 slope_c = (vc_f[n1] - vc_f[n0]) / h
                 term_mid += 2.0 * h * h * (slope_f - slope_c) ** 2

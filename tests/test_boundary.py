@@ -5,6 +5,7 @@ from obstacle_afem import (BoundaryTrace, Square, build_initial_mesh,
                            refine)
 from obstacle_afem.boundary import apx_indicator, interpolate_boundary
 from tests.edge_oracles import check_trace_continuity
+from tests.mesh_oracles import edge_lengths
 
 
 def test_nodal_interpolation_constant(unit_square_mesh):
@@ -80,7 +81,7 @@ def test_apx_finite_difference_fallback_matches_analytic(unit_square_mesh):
         b = graded.boundary_edge_ids()
         graded = refine(graded, b[(graded.edges[b] == 0).any(axis=1)])
     assert graded.num_triangles == 54
-    assert graded.edge_lengths[graded.boundary_edge_ids()].min() < 1.3e-4
+    assert edge_lengths(graded)[graded.boundary_edge_ids()].min() < 1.3e-4
     for mesh, rtol, atol in [(unit_square_mesh, 1e-7, 1e-12),
                              (graded, 1e-4, 0.0)]:
         gl = interpolate_boundary(g_an, mesh)

@@ -137,7 +137,7 @@ def test_indicators_evaluate_f_one_quadrature_point_at_a_time():
     m = mesh.num_triangles
     assert shapes == [((m,), (m,))] * len(TRI_WEIGHTS)
     # the same oscillations as one evaluation of f on all points at once
-    x, y = (c.T for c in triangle_points(mesh))
+    x, y = (c.T for c in triangle_points(mesh, slice(None)))
     fv = np.asarray(f(x, y), dtype=float)
     areas = mesh.areas
     int_f = areas * (fv @ TRI_WEIGHTS)
@@ -166,7 +166,12 @@ def test_blocked_indicators_match_the_whole_table_form(
         set_block(monkeypatch, block, len(mesh.interior_edge_ids()))
         v = rng.normal(size=mesh.num_nodes)
         gl = interpolate_boundary(g, mesh)
-        for f in (shifted.f, lambda x, y: np.sin(7.0 * x) - y):
+        # f only enters elementwise, through the f table: one cheap f
+        # shows the blocks' bits, example 2's f runs in two cases
+        fs = [lambda x, y: np.sin(7.0 * x) - y]
+        if block in (None, "remainder-one"):
+            fs.append(shifted.f)
+        for f in fs:
             ind = assemble_indicators(mesh, v, f, g, gl)
             want = whole_table_indicators(mesh, v, f, g, gl)
             for got, ref in zip((ind.eta2, ind.osc2, ind.apx2), want):

@@ -18,7 +18,8 @@ from tests.kernel_oracles import (add_at_load, add_at_stiffness_diagonal,
                                   coo_stiffness, einsum_solution_gradients,
                                   einsum_triangle_points, hat_gradients,
                                   whole_table_load, whole_table_stiffness)
-from tests.mesh_oracles import midpoint_prolong, vstack_prolongations
+from tests.mesh_oracles import (edge_lengths, midpoint_prolong,
+                                vstack_prolongations)
 from tests.solver_oracles import h1_error, jacobi_cg_solve, scipy_cg_solve
 
 
@@ -32,7 +33,7 @@ def test_triangle_rule_weights_and_order():
     assert np.allclose(TRI_BARY.sum(axis=1), 1.0)
     # exact for x^3 y^2 on the unit right triangle: value 1/420
     mesh = single_triangle()
-    x, y = triangle_points(mesh)
+    x, y = triangle_points(mesh, slice(None))
     val = 0.5 * np.sum(TRI_WEIGHTS * x[:, 0] ** 3 * y[:, 0] ** 2)
     assert np.isclose(val, 1.0 / 420.0, atol=1e-15)
 
@@ -98,13 +99,14 @@ def kernel_meshes():
     inner = np.setdiff1d(np.arange(uniform.num_nodes),
                          uniform.boundary_node_ids())
     nodes[inner] += rng.uniform(-0.2, 0.2, (len(inner), 2)) \
-        * uniform.edge_lengths.min()
+        * edge_lengths(uniform).min()
     return meshes + [Mesh(nodes, uniform.triangles, uniform.ref_edge)]
 
 
 def test_triangle_points_match_the_einsum_form():
     for mesh in kernel_meshes():
-        pts, ref = triangle_points(mesh), einsum_triangle_points(mesh)
+        pts = triangle_points(mesh, slice(None))
+        ref = einsum_triangle_points(mesh)
         assert ref.shape == (mesh.num_triangles, 7, 2)
         scale = np.abs(mesh.nodes).max()
         for d, coord in enumerate(pts):
@@ -114,7 +116,7 @@ def test_triangle_points_match_the_einsum_form():
                     <= 2 * np.finfo(float).eps * scale)
 
 
-def test_gradients_match_their_oracles_bit_for_bit():
+def test_gradients_match_their_oracles_bit_for_bit(monkeypatch):
     # bit patterns, so that a zero of the other sign counts as a change
     rng = np.random.default_rng(5)
     for mesh in kernel_meshes():
@@ -126,10 +128,12 @@ def test_gradients_match_their_oracles_bit_for_bit():
                                   ref[..., d].view(np.uint64))
         for v in (np.zeros(mesh.num_nodes), rng.normal(size=mesh.num_nodes),
                   mesh.nodes[:, 0] - 2.0 * mesh.nodes[:, 1]):
-            g = solution_gradients(mesh, v)
-            assert np.array_equal(
-                g.view(np.uint64),
-                einsum_solution_gradients(mesh, v).view(np.uint64))
+            want = einsum_solution_gradients(mesh, v).view(np.uint64)
+            for block in (None, 2, 3, 7, "remainder-one"):
+                with monkeypatch.context() as patch:
+                    set_block(patch, block, mesh.num_triangles)
+                    g = solution_gradients(mesh, v)
+                assert np.array_equal(g.view(np.uint64), want)
 
 
 def graded_mesh():
@@ -259,24 +263,25 @@ def test_mesh_and_stiffness_peak_memory_per_triangle():
     # the six element entries per block and their per-node and per-edge
     # sums (138 B per triangle)
     assert peaks["stiffness"] <= 150
-    # one block's quadrature points and f's temporaries at one point
-    # (106 B)
+    # one block's quadrature points, its f table and f's temporaries at
+    # one point (102 B)
     assert peaks["load"] <= 120
-    # the (M, 7) f table and the jump terms, without the (E, 7)
-    # oscillation tables (224 B)
-    assert peaks["estimator"] <= 245
+    # the (M, 7) f table and one block of interior edges' jump and
+    # oscillation terms, without whole per-edge tables (206 B)
+    assert peaks["estimator"] <= 215
 
 
 def test_blocked_kernels_peak_memory_per_triangle():
-    # twelve blocks of triangles: measured 124, 107, 29 and 224 B per
-    # triangle; the whole-table kernels read 122, 152, 191 and 267 B, and
-    # areas from a whole intp copy of the triangles about 146 B
+    # twelve blocks of triangles: measured 124, 107, 29 and 146 B per
+    # triangle; the whole-table kernels read 122, 152, 191 and 267 B, the
+    # estimator with whole per-edge tables 224 B, and areas from a whole
+    # intp copy of the triangles about 146 B
     mesh, peaks = kernel_peaks(7)
     assert mesh.num_triangles == 98304
     assert peaks["Mesh"] <= 135
     assert peaks["stiffness"] <= 120
     assert peaks["load"] <= 40
-    assert peaks["estimator"] <= 245
+    assert peaks["estimator"] <= 170
 
 
 def test_load_matches_the_add_at_sum():
@@ -327,7 +332,7 @@ def test_load_evaluates_f_one_quadrature_point_at_a_time(lshape_mesh):
     m = mesh.num_triangles
     assert shapes == [((m,), (m,), True)] * len(TRI_WEIGHTS)
     # the same load as one evaluation of f on all points at once
-    x, y = (c.T for c in triangle_points(mesh))
+    x, y = (c.T for c in triangle_points(mesh, slice(None)))
     fvals = np.asarray(f(x, y), dtype=float)
     contrib = np.einsum("q,mq,qi,m->mi", TRI_WEIGHTS, fvals, TRI_BARY,
                         mesh.areas)
