@@ -62,7 +62,7 @@ def dorfler_mark(indicators, theta):
     total = float(contrib.sum())
     if total <= 0.0:
         raise ValueError("total estimator vanishes; nothing to mark")
-    order = np.lexsort((np.arange(len(contrib)), -contrib))
+    order = np.argsort(-contrib, kind="stable")
     cum = np.cumsum(contrib[order])
     threshold = theta * total * (1.0 - 1e-12)
     k = int(np.searchsorted(cum, threshold))

@@ -1,8 +1,7 @@
 """P1 finite element machinery.
 
-Stiffness and load assembly, energy evaluation, prolongation between
-nested meshes, and the CG solver of the PDAS systems (preconditioned by
-:func:`obstacle_afem.multigrid.vcycle`).  Stiffness entries
+Stiffness and load assembly, energy evaluation, and the prolongation
+of each bisection generation between nested meshes.  Stiffness entries
 are exact (piecewise-constant gradients); area integrals of data use the
 order-5 triangle rule from :mod:`obstacle_afem.quadrature`.
 """
@@ -10,7 +9,6 @@ order-5 triangle rule from :mod:`obstacle_afem.quadrature`.
 import numpy as np
 import scipy.sparse as sp
 
-from .multigrid import generation
 from .quadrature import (TRI_BARY, TRI_WEIGHTS, blocks, f_at_points,
                          triangle_points)
 
@@ -22,8 +20,6 @@ __all__ = [
     "energy_norm_diff",
     "solution_gradients",
 ]
-
-CG_RTOL = 1e-12
 
 
 def _hat_gradients(nodes, tri, areas):
@@ -90,10 +86,22 @@ def energy(stiffness, load, values):
     return float(0.5 * values @ (stiffness @ values) - load @ values)
 
 
+def generation(mesh, level):
+    """Prolongation of bisection generation ``level``, CSR from the nodes
+    of level - 1 to those of level: old node i keeps its value, a new node
+    takes half of each endpoint of its (min, max) parent edge, in order.
+    Its index arrays are int32 like ``node_parents``, so SciPy keeps them."""
+    old, new = mesh.level_nodes[level - 1:level + 1]
+    keep = np.arange(old, dtype=np.int32)
+    data = np.r_[np.ones(old), np.full(2 * (new - old), 0.5)]
+    indices = np.r_[keep, mesh.node_parents[old:new].ravel()]
+    indptr = np.r_[keep, np.arange(old, 2 * new - old + 1, 2, dtype=np.int32)]
+    return sp.csr_matrix((data, indices, indptr), shape=(new, old))
+
+
 def prolong(values, fine):
     """Represent a P1 function exactly on ``fine``, one bisection
-    generation after the mesh of ``values``, by that generation's
-    operator :func:`obstacle_afem.multigrid.generation`."""
+    generation after the mesh of ``values``, by :func:`generation`."""
     if fine.level < 1 or fine.level_nodes[-2] != len(values):
         raise ValueError("values do not live on the mesh refined by fine")
     return generation(fine, fine.level) @ values
@@ -117,32 +125,3 @@ def solution_gradients(mesh, values):
         for d, g in enumerate(_hat_gradients(mesh.nodes, tri, mesh.areas[s])):
             grads[s, d] = g[:, 0] * v[0] + g[:, 1] * v[1] + g[:, 2] * v[2]
     return grads
-
-
-def cg_solve(matrix, rhs, x0, precond):
-    """Conjugate gradients preconditioned by ``precond``, a function of
-    the residual, started from ``x0``; returns the solution and the
-    number of iterations.  Stops once ||r|| < CG_RTOL ||rhs||; raises if
-    ||rhs|| is not finite and after 10,000 iterations."""
-    x = np.array(x0, dtype=float)
-    with np.errstate(over="ignore"):
-        norm_b = np.linalg.norm(rhs)
-    if not np.isfinite(norm_b):
-        raise ValueError("CG right-hand side norm is not finite")
-    if norm_b == 0.0:
-        return np.zeros_like(x), 0
-    tol = CG_RTOL * norm_b
-    r = rhs - matrix @ x if x.any() else rhs.copy()
-    p = rho_prev = None
-    for steps in range(10000):
-        if np.linalg.norm(r) < tol:
-            return x, steps
-        z = precond(r)
-        rho = np.dot(r, z)
-        p = z.copy() if p is None else z + (rho / rho_prev) * p
-        q = matrix @ p
-        alpha = rho / np.dot(p, q)
-        x += alpha * p
-        r -= alpha * q
-        rho_prev = rho
-    raise RuntimeError("CG failed to converge (info=10000)")

@@ -96,6 +96,9 @@ def to_zero_obstacle(problem):
 
 # -- Example 1: constant obstacle on the square -------------------------
 
+_HALF_WIDTH = 1.5  # of the square (-1.5, 1.5)^2
+
+
 def _example1_solution(x, y):
     r = np.hypot(x, y)
     rs = np.maximum(r, 1.0)
@@ -110,17 +113,17 @@ def _example1_gradient(x, y):
 
 
 @lru_cache(maxsize=1)
-def example1_exact_energy(half_width=1.5, n_quad=80):
+def example1_exact_energy(n_quad=80):
     """Energy of the closed-form solution by radial quadrature.
 
     The integrand is radially symmetric and vanishes for r < 1; by
     8-fold symmetry of the square the energy is an integral over the
-    wedge 0 <= phi <= pi/4, 1 <= r <= half_width / cos(phi).
+    wedge 0 <= phi <= pi/4, 1 <= r <= 1.5 / cos(phi).
     """
     xg, wg = np.polynomial.legendre.leggauss(n_quad)
 
     def radial(phi):
-        rmax = half_width / np.cos(phi)
+        rmax = _HALF_WIDTH / np.cos(phi)
         r = 0.5 * (rmax - 1.0) * (xg + 1.0) + 1.0
         dens = 1.5 * r ** 2 + 0.5 / r ** 2 - 2.0 - 2.0 * np.log(r)
         return 0.5 * (rmax - 1.0) * np.sum(wg * dens * r)
@@ -136,7 +139,7 @@ def example1():
     g = BoundaryTrace(_example1_solution, _example1_gradient)
     return ProblemSpec(
         name="example1",
-        domain=Square(-1.5, -1.5, 1.5, 1.5),
+        domain=Square(-_HALF_WIDTH, -_HALF_WIDTH, _HALF_WIDTH, _HALF_WIDTH),
         g=g,
         f=lambda x, y: np.full_like(np.asarray(x, dtype=float), -2.0),
         chi=None,

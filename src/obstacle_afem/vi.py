@@ -1,16 +1,27 @@
-"""Discrete obstacle problem with zero obstacle.
+"""Discrete obstacle problem with zero obstacle: the SOLVE step.
 
 Primal-dual active set (PDAS) solver enforcing U >= 0 at interior nodes
 and U = g_l at boundary nodes; it exposes the multiplier
-lambda = (KU - b) restricted to interior nodes.
+lambda = (KU - b) restricted to interior nodes.  Each PDAS system, on the
+inactive interior nodes, is solved by CG preconditioned by one symmetric
+V-cycle of damped Jacobi sweeps.
+
+Newest vertex bisection nests the P1 spaces of its meshes, so the exact
+prolongations between the levels of a mesh's history follow from
+``Mesh.node_parents`` (:func:`obstacle_afem.fem.generation`); the
+Dirichlet data make the discrete obstacle sets non-nested only through
+the boundary values, which the PDAS systems do not contain.  The
+hierarchy is truncated to a system's nodes as in Kornhuber's (1994)
+truncated monotone multilevel method: the prolongations keep only those
+rows, coarse nodes whose truncated hat function vanishes are dropped,
+and the coarse matrices are the Galerkin products ``P' A P``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import cg_solve
-from .multigrid import level_prolongations, vcycle
+from .fem import generation
 
 __all__ = [
     "DiscreteSolution",
@@ -23,6 +34,10 @@ __all__ = [
 MAX_PDAS_ITER = 100
 # Largest negative boundary data g - chi (and g_l) accepted on Gamma.
 BOUNDARY_TOL = 1e-10
+CG_RTOL = 1e-12
+SMOOTHING_STEPS = 2   # Jacobi sweeps before and after each coarse correction
+JACOBI_DAMPING = 0.7
+COARSE_LIMIT = 200    # largest coarsest level, solved densely
 
 
 class PdasError(RuntimeError):
@@ -64,18 +79,16 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
 
     Primal-dual active set iteration with complementarity parameter c = 1:
     given the active set A, solve the linear system with U = 0 on A and
-    U = g_l on the boundary (CG preconditioned by a V-cycle on the mesh's
-    bisection history truncated to the inactive interior nodes, started
-    from the previous iterate), read off the multiplier, and update
-    A <- {i interior : lambda_i - U_i > 0} until A is stable; an active
-    set that recurs after two or more iterations raises.  The
-    interior nodes are those where ``gl`` (the nodal vector of
-    :func:`obstacle_afem.boundary.interpolate_boundary`) is NaN.
+    U = g_l on the boundary by CG from the previous iterate, read off the
+    multiplier, and update A <- {i interior : lambda_i - U_i > 0} until A
+    is stable; an active set that recurs after two or more iterations
+    raises.  The interior nodes are those where ``gl`` (the nodal vector
+    of :func:`obstacle_afem.boundary.interpolate_boundary`) is NaN.
 
-    ``warm_active`` seeds the active set: a boolean mask over the first
-    nodes, e.g. the previous level's (refinement appends the new nodes,
-    which then start inactive), or over all of them; entries at boundary
-    nodes are ignored.
+    ``warm_active`` seeds the active set: a 1-D boolean mask over the
+    first nodes, e.g. the previous level's (refinement appends the new
+    nodes, which then start inactive), or over all of them; entries at
+    boundary nodes are ignored.  Anything else raises ValueError.
     """
     interior = np.isnan(gl)
     if (gl < -BOUNDARY_TOL).any():
@@ -89,6 +102,10 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
 
     active = np.zeros(n, dtype=bool)
     if warm_active is not None:
+        if not (np.asarray(warm_active).dtype == bool
+                and np.ndim(warm_active) == 1 and len(warm_active) <= n):
+            raise ValueError("warm_active is not a boolean mask over at "
+                             f"most the mesh's {n} nodes")
         active[:len(warm_active)] = warm_active
         active &= interior
 
@@ -140,3 +157,82 @@ def check_kkt(sol, stiffness, load, gl):
                      active_multiplier=active_multiplier,
                      inactive_residual=inactive_residual,
                      boundary_residual=boundary_residual)
+
+
+def cg_solve(matrix, rhs, x0, precond):
+    """Conjugate gradients preconditioned by ``precond``, a function of
+    the residual, started from ``x0``; returns the solution and the
+    number of iterations.  Stops once ||r|| < CG_RTOL ||rhs||; raises if
+    ||rhs|| is not finite and after 10,000 iterations."""
+    x = np.array(x0, dtype=float)
+    with np.errstate(over="ignore"):
+        norm_b = np.linalg.norm(rhs)
+    if not np.isfinite(norm_b):
+        raise ValueError("CG right-hand side norm is not finite")
+    if norm_b == 0.0:
+        return np.zeros_like(x), 0
+    tol = CG_RTOL * norm_b
+    r = rhs - matrix @ x if x.any() else rhs.copy()
+    p = rho_prev = None
+    for steps in range(10000):
+        if np.linalg.norm(r) < tol:
+            return x, steps
+        z = precond(r)
+        rho = np.dot(r, z)
+        p = z.copy() if p is None else z + (rho / rho_prev) * p
+        q = matrix @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    raise RuntimeError("CG failed to converge (info=10000)")
+
+
+def level_prolongations(mesh):
+    """Prolongations between the kept levels of the mesh's history, finest
+    first: products of the generations in between, columns sorted (the
+    V-cycle sums in index order).  Going down, a level is kept when it has
+    at most half the nodes of the last kept one; level 0 always is."""
+    prolongations, p = [], None
+    for level in range(mesh.level, 0, -1):
+        g = generation(mesh, level)
+        p = g if p is None else p @ g
+        if level == 1 or 2 * mesh.level_nodes[level - 1] <= p.shape[0]:
+            prolongations.append(p.sorted_indices())
+            p = None
+    return prolongations
+
+
+def vcycle(matrix, prolongations, idx):
+    """One symmetric V-cycle for ``matrix``, the system on the fine nodes
+    ``idx``, as a function of the residual.  The first level with at most
+    ``COARSE_LIMIT`` unknowns is the coarsest and is solved by a
+    pseudo-inverse (truncated Galerkin matrices can be singular); a
+    coarsest level 0 with more unknowns is only smoothed.  Each level is
+    a closure that calls the cycle of the next coarser level."""
+    if len(idx) <= COARSE_LIMIT:
+        coarse = np.linalg.pinv(matrix.toarray(), hermitian=True)
+        return lambda r: coarse @ r
+    scale = JACOBI_DAMPING / matrix.diagonal()
+    if not prolongations:
+        return lambda r: _smooth(matrix, scale, r, scale * r,
+                                 2 * SMOOTHING_STEPS - 1)
+    p = prolongations[0][idx]
+    rows = np.flatnonzero(p.getnnz(axis=0))
+    p = p[:, rows]
+    pt = p.T  # kept: a transpose per cycle costs more than the matvec
+    coarser = vcycle(pt @ (matrix @ p), prolongations[1:], rows)
+
+    def apply(r):
+        x = _smooth(matrix, scale, r, scale * r, SMOOTHING_STEPS - 1)
+        x = x + p @ coarser(pt @ (r - matrix @ x))
+        return _smooth(matrix, scale, r, x, SMOOTHING_STEPS)
+
+    return apply
+
+
+def _smooth(a, scale, r, x, steps):
+    """``steps`` damped Jacobi sweeps on ``a x = r`` from ``x``."""
+    for _ in range(steps):
+        x += scale * (r - a @ x)
+    return x

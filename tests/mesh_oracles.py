@@ -9,8 +9,9 @@ history alone, so that the son counts and areas check ``refine``
 without trusting its own bookkeeping.
 ``midpoint_prolong`` and ``vstack_prolongations`` move nodal values
 between the meshes of a bisection history by vector arithmetic and by
-row gathers, to cross-check the per-generation operators of
-:mod:`obstacle_afem.multigrid` bit for bit.
+row gathers, to cross-check the per-generation operator
+:func:`obstacle_afem.fem.generation` and the kept levels'
+prolongations of :mod:`obstacle_afem.vi` bit for bit.
 ``build_edges_unique`` numbers the edges with ``np.unique`` over the
 vertex pairs and a second sort for the edge-to-triangle map, to
 cross-check the single-sort edge tables of :class:`obstacle_afem.mesh.Mesh`.
@@ -134,7 +135,7 @@ def midpoint_prolong(values, fine):
 
 
 def vstack_prolongations(mesh):
-    """Same contract as :func:`obstacle_afem.multigrid.level_prolongations`:
+    """Same contract as :func:`obstacle_afem.vi.level_prolongations`:
     the kept levels listed first, then each prolongation grown from the
     identity one generation at a time by stacking the mean of the parent
     rows under it."""

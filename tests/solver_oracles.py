@@ -5,7 +5,7 @@ projected Gauss-Seidel sweeps, with no active set and no linear solver,
 so that the tests can cross-check the PDAS solution of
 :func:`obstacle_afem.vi.solve_obstacle`; ``jacobi_cg_solve`` solves one
 PDAS system by Jacobi-preconditioned CG, with no mesh hierarchy, to
-cross-check the multilevel-preconditioned :func:`obstacle_afem.fem.cg_solve`;
+cross-check the multilevel-preconditioned :func:`obstacle_afem.vi.cg_solve`;
 ``scipy_cg_solve`` runs SciPy's CG with the same preconditioner and
 stopping rule as ``cg_solve``, to check its iterations one for one;
 ``h1_error`` measures a P1 function against a closed-form solution by
@@ -18,12 +18,13 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from obstacle_afem.boundary import interpolate_boundary
-from obstacle_afem.fem import (CG_RTOL, assemble_load, assemble_stiffness,
-                               energy, solution_gradients)
+from obstacle_afem.fem import (assemble_load, assemble_stiffness, energy,
+                               solution_gradients)
 from obstacle_afem.mesh import build_initial_mesh, refine
 from obstacle_afem.problems import to_zero_obstacle
 from obstacle_afem.quadrature import TRI_BARY, TRI_WEIGHTS, triangle_points
-from obstacle_afem.vi import BOUNDARY_TOL, DiscreteSolution, solve_obstacle
+from obstacle_afem.vi import (BOUNDARY_TOL, CG_RTOL, DiscreteSolution,
+                              solve_obstacle)
 
 
 def projected_sor_solve(mesh, stiffness, load, gl, omega=1.5,
@@ -84,7 +85,7 @@ def jacobi_cg_solve(matrix, rhs, x0=None):
 
 def scipy_cg_solve(matrix, rhs, x0, precond):
     """``scipy.sparse.linalg.cg`` with the arguments and stopping rule of
-    :func:`obstacle_afem.fem.cg_solve`; returns the solution and the
+    :func:`obstacle_afem.vi.cg_solve`; returns the solution and the
     number of iterations."""
     steps = []
     x, info = spla.cg(matrix, rhs, x0=x0, rtol=CG_RTOL, maxiter=10000,

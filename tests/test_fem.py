@@ -7,12 +7,12 @@ from obstacle_afem import (LShape, Square, assemble_load, assemble_stiffness,
                            run_adaptive, to_zero_obstacle)
 from obstacle_afem.boundary import interpolate_boundary
 from obstacle_afem.estimator import assemble_indicators
-from obstacle_afem.fem import _hat_gradients, cg_solve, solution_gradients
+from obstacle_afem.fem import _hat_gradients, solution_gradients
 from obstacle_afem.mesh import Mesh
 from obstacle_afem.quadrature import (TRI_BARY, TRI_WEIGHTS, gauss_segment,
                                       triangle_points)
-from obstacle_afem.multigrid import (COARSE_LIMIT, level_prolongations,
-                                     vcycle)
+from obstacle_afem.vi import (COARSE_LIMIT, cg_solve, level_prolongations,
+                              vcycle)
 from tests.conftest import random_refined_mesh, traced_peak
 from tests.kernel_oracles import (add_at_load, add_at_stiffness_diagonal,
                                   coo_stiffness, einsum_solution_gradients,

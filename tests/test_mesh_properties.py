@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obstacle_afem import LShape, Square, build_initial_mesh, prolong, refine
-from obstacle_afem.multigrid import level_prolongations
+from obstacle_afem.vi import level_prolongations
 from tests.mesh_oracles import (boundary_polygon, edge_lengths,
                                 father_triangles)
 

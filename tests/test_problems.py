@@ -50,7 +50,7 @@ def test_example1_exact_energy_frozen_value():
     assert np.isclose(example1_exact_energy(), 3.980995758125694,
                       atol=1e-10)
     # quadrature-converged: doubling the order changes nothing
-    assert np.isclose(example1_exact_energy(1.5, 160),
+    assert np.isclose(example1_exact_energy(160),
                       example1_exact_energy(), atol=1e-12)
 
 

@@ -8,8 +8,7 @@ from obstacle_afem import (BoundaryTrace, LShape, Mesh, Square,
                            refine, run_adaptive)
 from obstacle_afem import vi
 from obstacle_afem.boundary import interpolate_boundary
-from obstacle_afem.multigrid import COARSE_LIMIT
-from obstacle_afem.vi import check_kkt, solve_obstacle
+from obstacle_afem.vi import COARSE_LIMIT, check_kkt, solve_obstacle
 from tests.conftest import random_refined_mesh, recording
 from tests.solver_oracles import projected_sor_solve
 
@@ -186,6 +185,20 @@ def test_short_warm_mask_is_padded_with_inactive_nodes(zero_trace):
     assert np.array_equal(short.values, full.values)
     assert np.array_equal(short.active, full.active)
     assert short.iterations == full.iterations
+
+
+def test_warm_active_other_than_a_boolean_mask_of_at_most_n_is_rejected(
+        zero_trace):
+    # node ids would read as a mask, and a longer mask fails to broadcast
+    mesh = refined_square(4)
+    k, b, gl = setup_problem(mesh, lambda x, y: np.full_like(x, -2.0),
+                             zero_trace)
+    n = mesh.num_nodes
+    assert n == 289
+    for warm in (np.arange(101), np.zeros(n + 1, dtype=bool),
+                 np.zeros((17, 17), dtype=bool)):
+        with pytest.raises(ValueError, match="warm_active"):
+            solve_obstacle(mesh, k, b, gl, warm_active=warm)
 
 
 def test_mesh_without_history_solves_like_the_refined_mesh(zero_trace):
