@@ -3,7 +3,7 @@
 import numpy as np
 
 __all__ = ["TRI_BARY", "TRI_WEIGHTS", "blocks", "f_at_points",
-           "gauss_segment", "triangle_points"]
+           "triangle_points"]
 
 # Rows per block of the blocked kernels; near-equal blocks, because a
 # one-row product can round unlike a row of a longer one.
@@ -26,9 +26,6 @@ TRI_BARY = np.array([
     [1 - 2 * _a2, _a2, _a2],
 ])
 TRI_WEIGHTS = np.array([9 / 40, _w1, _w1, _w1, _w2, _w2, _w2])
-
-# Gauss-Legendre points per segment (exact up to degree 9).
-SEGMENT_POINTS = 5
 
 
 def blocks(n):
@@ -56,19 +53,3 @@ def f_at_points(f, pts):
         raise ValueError("load f is not finite at a quadrature point")
     return fvals
 
-
-def gauss_segment(p, q):
-    """Gauss-Legendre points and weights on the segments p-q.
-
-    ``p`` and ``q`` have shape (..., 2).  Returns ``(points, weights)``
-    with points of shape (..., SEGMENT_POINTS, 2) and weights of shape
-    (..., SEGMENT_POINTS) summing to each segment's length.
-    """
-    x, w = np.polynomial.legendre.leggauss(SEGMENT_POINTS)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    mid = 0.5 * (p + q)
-    half = 0.5 * (q - p)
-    pts = mid[..., None, :] + x[:, None] * half[..., None, :]
-    length = np.linalg.norm(q - p, axis=-1)
-    return pts, w * (length[..., None] / 2.0)

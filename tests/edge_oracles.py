@@ -18,7 +18,7 @@ import numpy as np
 
 from obstacle_afem import boundary
 from obstacle_afem.quadrature import TRI_WEIGHTS, f_at_points, \
-    gauss_segment, triangle_points
+    triangle_points
 from tests.kernel_oracles import einsum_solution_gradients
 from tests.mesh_oracles import edge_lengths
 
@@ -88,6 +88,15 @@ def boundary_residual(mesh, f, eid):
     t = mesh.edge2tri[eid, 0]
     area = mesh.areas[t]
     return float(area * area * (_f_at_points(mesh, f)[t] ** 2 @ TRI_WEIGHTS))
+
+
+def gauss_segment(p, q):
+    """5-point Gauss-Legendre points (5, 2) and weights (5,) on the
+    segment p-q, the weights summing to its length."""
+    x, w = np.polynomial.legendre.leggauss(5)
+    mid = 0.5 * (p + q)
+    half = 0.5 * (q - p)
+    return mid + x[:, None] * half, w * (np.linalg.norm(q - p) / 2.0)
 
 
 def apx_indicator(mesh, g, gl, eid):

@@ -4,6 +4,7 @@ import pytest
 from obstacle_afem import (BoundaryTrace, Square, build_initial_mesh,
                            refine)
 from obstacle_afem.boundary import apx_indicator, interpolate_boundary
+from obstacle_afem.mesh import Mesh
 from tests.edge_oracles import check_trace_continuity
 from tests.mesh_oracles import edge_lengths
 
@@ -53,8 +54,8 @@ def test_apx_vanishes_for_affine_data(unit_square_mesh):
                       lambda x, y: (np.full_like(x, 2.0),
                                     np.full_like(x, -1.0)))
     gl = interpolate_boundary(g, unit_square_mesh)
-    for eid in unit_square_mesh.boundary_edge_ids():
-        assert apx_indicator(unit_square_mesh, g, gl, eid) < 1e-28
+    eids = unit_square_mesh.boundary_edge_ids()
+    assert (apx_indicator(unit_square_mesh, g, gl, eids) < 1e-28).all()
 
 
 def test_apx_quadratic_closed_form(unit_square_mesh):
@@ -65,7 +66,21 @@ def test_apx_quadratic_closed_form(unit_square_mesh):
     gl = interpolate_boundary(g, mesh)
     bottom = [e for e in mesh.boundary_edge_ids()
               if np.allclose(mesh.nodes[mesh.edges[e], 1], 0.0)][0]
-    assert np.isclose(apx_indicator(mesh, g, gl, bottom), 1.0 / 3.0,
+    assert np.isclose(apx_indicator(mesh, g, gl, [bottom])[0], 1.0 / 3.0,
+                      atol=1e-14)
+
+
+def test_apx_quadratic_closed_form_on_a_slanted_edge():
+    # g = x^2 on the hypotenuse of length sqrt(2): g'' = 1 along the edge,
+    # indicator h^4/12 = 1/3
+    mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                np.array([[0, 1, 2]]), np.array([1]))
+    g = BoundaryTrace(lambda x, y: x ** 2,
+                      lambda x, y: (2.0 * x, np.zeros_like(x)))
+    gl = interpolate_boundary(g, mesh)
+    hyp = [e for e in mesh.boundary_edge_ids()
+           if set(mesh.edges[e]) == {1, 2}]
+    assert np.isclose(apx_indicator(mesh, g, gl, hyp)[0], 1.0 / 3.0,
                       atol=1e-14)
 
 
@@ -96,10 +111,12 @@ def test_apx_rejects_interior_edge(unit_square_mesh):
     gl = interpolate_boundary(g, unit_square_mesh)
     with pytest.raises(ValueError):
         apx_indicator(unit_square_mesh, g, gl,
-                      unit_square_mesh.interior_edge_ids()[0])
+                      unit_square_mesh.interior_edge_ids()[:1])
 
 
-@pytest.mark.parametrize("eid", [0.7, -1, 5, [0, 0.0], [1, 5], 2 ** 40])
+@pytest.mark.parametrize("eid", [[0.7], [-1], [5], [0, 0.0], [1, 5],
+                                 [2 ** 40]],
+                         ids=lambda e: str(e[0]) if len(e) == 1 else None)
 def test_apx_rejects_bad_edge_ids(unit_square_mesh, eid):
     # the unit square has edges 0 to 4
     g = BoundaryTrace(lambda x, y: x)
@@ -108,17 +125,24 @@ def test_apx_rejects_bad_edge_ids(unit_square_mesh, eid):
         apx_indicator(unit_square_mesh, g, gl, eid)
 
 
+@pytest.mark.parametrize("eid", [1, np.int64(1), [[1, 2]]])
+def test_apx_rejects_edge_ids_other_than_a_1d_array(unit_square_mesh, eid):
+    g = BoundaryTrace(lambda x, y: x)
+    gl = interpolate_boundary(g, unit_square_mesh)
+    with pytest.raises(ValueError, match="1-D"):
+        apx_indicator(unit_square_mesh, g, gl, eid)
+
+
 def test_apx_total_decays_by_factor_eight_for_quadratic(unit_square_mesh):
     g = BoundaryTrace(lambda x, y: x ** 2,
                       lambda x, y: (2.0 * x, np.zeros_like(x)))
     mesh = unit_square_mesh
     gl = interpolate_boundary(g, mesh)
-    coarse = sum(apx_indicator(mesh, g, gl, e)
-                 for e in mesh.boundary_edge_ids())
+    coarse = apx_indicator(mesh, g, gl, mesh.boundary_edge_ids()).sum()
     fine_mesh = refine(mesh, np.arange(mesh.num_edges))
     gl_f = interpolate_boundary(g, fine_mesh)
-    fine = sum(apx_indicator(fine_mesh, g, gl_f, e)
-               for e in fine_mesh.boundary_edge_ids())
+    fine = apx_indicator(fine_mesh, g, gl_f,
+                         fine_mesh.boundary_edge_ids()).sum()
     assert np.isclose(fine, coarse / 8.0, atol=1e-14)
 
 
@@ -128,13 +152,11 @@ def test_apx_reduction_under_marking(unit_square_mesh):
                       lambda x, y: (2.0 * x, np.zeros_like(x)))
     mesh = unit_square_mesh
     gl = interpolate_boundary(g, mesh)
-    parent = {int(e): apx_indicator(mesh, g, gl, e)
-              for e in mesh.boundary_edge_ids()}
+    total_c = apx_indicator(mesh, g, gl, mesh.boundary_edge_ids()).sum()
     fine_mesh = refine(mesh, np.arange(mesh.num_edges))
     gl_f = interpolate_boundary(g, fine_mesh)
-    total_f = sum(apx_indicator(fine_mesh, g, gl_f, e)
-                  for e in fine_mesh.boundary_edge_ids())
-    total_c = sum(parent.values())
+    total_f = apx_indicator(fine_mesh, g, gl_f,
+                            fine_mesh.boundary_edge_ids()).sum()
     assert total_f <= total_c - 0.5 * total_c + 1e-14
 
 

@@ -5,12 +5,12 @@ from obstacle_afem import (LShape, Square, assemble_load, assemble_stiffness,
                            build_initial_mesh, energy, energy_norm_diff,
                            example1, example2, prolong, quadrature, refine,
                            run_adaptive, to_zero_obstacle)
-from obstacle_afem.boundary import interpolate_boundary
+from obstacle_afem.boundary import (GAUSS_POINTS, GAUSS_WEIGHTS,
+                                    interpolate_boundary)
 from obstacle_afem.estimator import assemble_indicators
 from obstacle_afem.fem import _hat_gradients, solution_gradients
 from obstacle_afem.mesh import Mesh
-from obstacle_afem.quadrature import (TRI_BARY, TRI_WEIGHTS, gauss_segment,
-                                      triangle_points)
+from obstacle_afem.quadrature import TRI_BARY, TRI_WEIGHTS, triangle_points
 from obstacle_afem.vi import (COARSE_LIMIT, cg_solve, level_prolongations,
                               vcycle)
 from tests.conftest import random_refined_mesh, traced_peak
@@ -39,22 +39,13 @@ def test_triangle_rule_weights_and_order():
 
 
 def test_gauss_segment_exactness():
-    p, q = np.array([1.0, 2.0]), np.array([4.0, 6.0])
-    pts, w = gauss_segment(p, q)
-    length = 5.0
-    assert np.isclose(w.sum(), length)
-    # s^8 along the segment, s = arclength from p
-    s = np.linalg.norm(pts - p, axis=1)
-    assert np.isclose(np.sum(w * s ** 8), length ** 9 / 9.0)
-    # a batch of segments gives exactly the per-segment points and weights
-    rng = np.random.default_rng(3)
-    ps, qs = rng.normal(size=(2, 4, 3, 2))
-    pts_b, w_b = gauss_segment(ps, qs)
-    assert pts_b.shape == (4, 3, 5, 2) and w_b.shape == (4, 3, 5)
-    for i, j in np.ndindex(4, 3):
-        pts_1, w_1 = gauss_segment(ps[i, j], qs[i, j])
-        assert np.array_equal(pts_b[i, j], pts_1)
-        assert np.array_equal(w_b[i, j], w_1)
+    # the 5-point rule of apx on [-1, 1] integrates every monomial up to
+    # degree 9 exactly: 2 / (k + 1) for even k, 0 for odd k
+    assert GAUSS_POINTS.shape == GAUSS_WEIGHTS.shape == (5,)
+    for k in range(10):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert np.isclose(np.sum(GAUSS_WEIGHTS * GAUSS_POINTS ** k), exact,
+                          atol=1e-15)
 
 
 def test_local_stiffness_right_isoceles():
