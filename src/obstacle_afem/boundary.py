@@ -16,21 +16,15 @@ GAUSS_POINTS, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
 class BoundaryTrace:
     """Dirichlet datum g as an evaluable function on the boundary.
 
-    Parameters
-    ----------
-    value : callable
-        ``value(x, y)`` evaluable at boundary points, vectorized.
-    gradient : callable, optional
-        ``gradient(x, y) -> (gx, gy)``.  When supplied, arclength
-        derivatives are computed analytically as the tangential component;
-        otherwise by a central difference along the edge with step
-        ``min(0.04 * h, 6e-6)``: about the cube root of machine epsilon,
-        and short enough to keep each Gauss point's stencil on the edge.
+    ``value(x, y)`` is evaluable at boundary points, vectorized.
+    Arclength derivatives are taken by a central difference along the
+    edge with step ``min(0.04 * h, 6e-6)``: about the cube root of
+    machine epsilon, and short enough to keep each Gauss point's stencil
+    on the edge.
     """
 
-    def __init__(self, value, gradient=None):
+    def __init__(self, value):
         self._value = value
-        self._gradient = gradient
 
     def __call__(self, x, y):
         return self._value(x, y)
@@ -39,13 +33,10 @@ class BoundaryTrace:
         """Arclength derivative at points on straight edges.
 
         ``tangent`` is the pair (tx, ty) of unit-tangent components and
-        ``h`` the edge length (sets the finite-difference step in the
-        fallback), each broadcastable against ``x``.
+        ``h`` the edge length (sets the difference step), each
+        broadcastable against ``x``.
         """
         tx, ty = tangent
-        if self._gradient is not None:
-            gx, gy = self._gradient(x, y)
-            return np.asarray(gx) * tx + np.asarray(gy) * ty
         step = np.minimum(0.04 * h, 6e-6)
         fwd = self._value(x + step * tx, y + step * ty)
         bwd = self._value(x - step * tx, y - step * ty)

@@ -9,7 +9,6 @@ solves the original problem.
 import ast
 import json
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "to_zero_obstacle",
     "example1",
     "example2",
-    "example1_exact_energy",
     "reference_energy",
     "load_custom",
 ]
@@ -112,40 +110,28 @@ def _example1_gradient(x, y):
     return fac * x, fac * y
 
 
-@lru_cache(maxsize=1)
-def example1_exact_energy(n_quad=80):
-    """Energy of the closed-form solution by radial quadrature.
-
-    The integrand is radially symmetric and vanishes for r < 1; by
-    8-fold symmetry of the square the energy is an integral over the
-    wedge 0 <= phi <= pi/4, 1 <= r <= 1.5 / cos(phi).
-    """
-    xg, wg = np.polynomial.legendre.leggauss(n_quad)
-
-    def radial(phi):
-        rmax = _HALF_WIDTH / np.cos(phi)
-        r = 0.5 * (rmax - 1.0) * (xg + 1.0) + 1.0
-        dens = 1.5 * r ** 2 + 0.5 / r ** 2 - 2.0 - 2.0 * np.log(r)
-        return 0.5 * (rmax - 1.0) * np.sum(wg * dens * r)
-
-    phis = 0.5 * (np.pi / 4) * (xg + 1.0)
-    inner = np.array([radial(p) for p in phis])
-    return float(8.0 * 0.5 * (np.pi / 4) * np.sum(wg * inner))
+# Energy of the exact solution: by the square's 8-fold symmetry
+# J(u) = 8 int_0^{pi/4} [F(1.5 sec phi) - F(1)] dphi with the radial
+# antiderivative F(r) = 3r^4/8 - r^2/2 + (1/2 - r^2) ln r of r times the
+# energy density (which vanishes for r < 1); int_0^{pi/4} ln cos phi dphi
+# = G/2 - (pi/4) ln 2 and int_0^1 ln(1 + t^2) dt = ln 2 - 2 + pi/2 give
+# the closed form, with G = 0.9159655941772190... Catalan's constant.
+_EXAMPLE1_ENERGY = float(117 / 4 - 17 * np.pi / 4 + np.pi * np.log(3.0)
+                         - 2 * 0.915965594177219015 - 9 * np.log(4.5))
 
 
 def example1():
     """Constant zero obstacle on (-1.5, 1.5)^2 with f = -2 and boundary
     data given by the trace of the known radial solution."""
-    g = BoundaryTrace(_example1_solution, _example1_gradient)
     return ProblemSpec(
         name="example1",
         domain=Square(-_HALF_WIDTH, -_HALF_WIDTH, _HALF_WIDTH, _HALF_WIDTH),
-        g=g,
+        g=BoundaryTrace(_example1_solution),
         f=lambda x, y: np.full_like(np.asarray(x, dtype=float), -2.0),
         chi=None,
         exact_solution=_example1_solution,
         exact_gradient=_example1_gradient,
-        exact_energy=example1_exact_energy(),
+        exact_energy=_EXAMPLE1_ENERGY,
     )
 
 
@@ -267,39 +253,52 @@ _EXPR_NODES = (
 )
 
 
-def _allowed(node):
-    """Whitelist: the names x, y, r and those of ``_EXPR_NAMES``, numeric
-    constants, keyword-free calls of its functions, ``_EXPR_NODES``."""
-    if isinstance(node, ast.Name):
-        return node.id in ("x", "y", "r") or node.id in _EXPR_NAMES
-    if isinstance(node, ast.Constant):
-        return type(node.value) in (int, float)
+def _rejection(node, callees):
+    """Why ``node`` leaves the whitelist, or None.  The whitelist: the
+    names x, y, r and pi; numbers; ``_EXPR_NODES``, one operator per
+    comparison; keyword-free calls, by name (``callees``: a function is
+    no value), of the functions of ``_EXPR_NAMES`` with their count of
+    arguments: a ufunc's ``nin`` (so never ``out``), 3 for ``where``."""
     if isinstance(node, ast.Call):
-        return (not node.keywords and isinstance(node.func, ast.Name)
-                and callable(_EXPR_NAMES.get(node.func.id)))
-    return isinstance(node, _EXPR_NODES)
+        fn = _EXPR_NAMES.get(getattr(node.func, "id", None))
+        if callable(fn) and not node.keywords:
+            n, arity = len(node.args), getattr(fn, "nin", 3)
+            return None if n == arity else (f"{node.func.id} takes {arity} "
+                                            f"argument(s), not {n}")
+    elif isinstance(node, ast.Name):
+        if callable(_EXPR_NAMES.get(node.id)) and node not in callees:
+            return f"function {node.id} is not called"
+        if node.id in ("x", "y", "r") or node.id in _EXPR_NAMES:
+            return None
+    elif isinstance(node, ast.Compare) and len(node.ops) > 1:
+        return "a comparison takes one operator"
+    elif isinstance(node, _EXPR_NODES) or isinstance(node, ast.Constant) \
+            and type(node.value) in (int, float):
+        return None
+    return f"{type(node).__name__} is not allowed"
 
 
 def _compile_expr(expr):
     tree = ast.parse(expr, "<problem config>", mode="eval")
+    callees = {n.func for n in ast.walk(tree) if isinstance(n, ast.Call)}
     for node in ast.walk(tree):
-        if not _allowed(node):
-            raise ValueError(f"expression {expr!r}: "
-                             f"{type(node).__name__} is not allowed")
+        why = _rejection(node, callees)
+        if why:
+            raise ValueError(f"expression {expr!r}: {why}")
         if isinstance(node, ast.Constant):
             # floats only: no big-integer arithmetic; a huge literal is inf
             node.value = float(str(node.value))
     code = compile(tree, "<problem config>", "eval")
 
     def fn(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         # non-finite values are reported by the callers' checks
         try:
             with np.errstate(all="ignore"):
                 env = dict(_EXPR_NAMES, x=x, y=y, r=np.hypot(x, y))
-                return np.asarray(eval(code, {"__builtins__": {}}, env),
-                                  dtype=float)
+                # a complex value is a type error, not cast to its real part
+                return np.asarray(eval(code, {"__builtins__": {}}, env)
+                                  ).astype(float, casting="same_kind")
         except ArithmeticError as exc:
             raise ValueError(f"expression {expr!r}: {exc}") from None
 
@@ -329,10 +328,10 @@ def load_custom(path):
     """Problem from a JSON config with expression-valued data.
 
     Expressions use ``x``, ``y``, ``r``, ``pi``, numbers, arithmetic,
-    comparisons, ``&``/``|`` and calls of the functions in
-    ``_EXPR_NAMES`` (polynomial, radial, and sinusoidal pieces via
-    ``where``); anything else, a value of the wrong JSON type, and a key
-    outside this layout raise ValueError.  Layout::
+    one-operator comparisons, ``&``/``|`` and calls of the functions in
+    ``_EXPR_NAMES`` (see ``_rejection``); anything else, a value of the
+    wrong type at the coarse mesh's nodes or of the wrong JSON type, and
+    a key outside this layout raise ValueError.  Layout::
 
         {"name": "text",                                  # optional
          "domain": {"type": "square", "xmin": 0, ...} | {"type": "lshape"},
@@ -353,8 +352,17 @@ def load_custom(path):
     domain = shape(**{f.name: _entry(dom, f.name, "number", f.default)
                       for f in fields(shape)})
 
+    nodes = build_initial_mesh(domain).nodes.T
+
     def expr(obj, key):
-        return _compile_expr(_entry(obj, key, "string"))
+        fn = _compile_expr(_entry(obj, key, "string"))
+        try:
+            fn(*nodes)  # a type error does not depend on the points
+        except TypeError as exc:
+            raise ValueError(f"expression {obj[key]!r}: {exc}") from None
+        except ValueError:
+            pass  # an arithmetic error: the run's numerical failure
+        return fn
 
     chi = None
     if "chi" in cfg:

@@ -11,7 +11,9 @@ oracles take the solution gradients from
 lengths from :func:`tests.mesh_oracles.edge_lengths`, not from the
 package.
 ``check_trace_continuity`` probes a Dirichlet datum along the boundary
-edges of a mesh.
+edges of a mesh.  ``ExactTrace`` is a Dirichlet datum whose arclength
+derivative is the tangential component of its analytic gradient, for
+the tests whose closed forms need g' exactly.
 """
 
 import numpy as np
@@ -21,6 +23,19 @@ from obstacle_afem.quadrature import TRI_WEIGHTS, f_at_points, \
     triangle_points
 from tests.kernel_oracles import einsum_solution_gradients
 from tests.mesh_oracles import edge_lengths
+
+
+class ExactTrace(boundary.BoundaryTrace):
+    """Trace with an analytic ``gradient(x, y) -> (gx, gy)``."""
+
+    def __init__(self, value, gradient):
+        super().__init__(value)
+        self._gradient = gradient
+
+    def arc_derivative(self, x, y, tangent, h):
+        tx, ty = tangent
+        gx, gy = self._gradient(x, y)
+        return np.asarray(gx) * tx + np.asarray(gy) * ty
 
 
 def edge_normal(mesh, eid):

@@ -9,13 +9,15 @@ diagonal and the load summed by ``np.add.at`` in triangle order, the
 stiffness and load over all triangles at once (the blocked kernels'
 whole-table forms), and example 2's force and obstacle Laplacian
 evaluated by one formula on the whole domain.  The tests require the
-kernels to match them, mostly bit for bit.
+kernels to match them, mostly bit for bit.  Example 1's exact energy by
+radial quadrature checks its closed form.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from obstacle_afem.problems import _SHIFT, _gamma1_derivatives
+from obstacle_afem.problems import (_HALF_WIDTH, _SHIFT,
+                                    _gamma1_derivatives)
 from obstacle_afem.quadrature import (TRI_BARY, TRI_WEIGHTS, f_at_points,
                                       triangle_points)
 
@@ -133,3 +135,23 @@ def whole_domain_example2_f(x, y):
     singular = -rs ** (2.0 / 3.0) * s * (d1 / rs + d2) \
         - (4.0 / 3.0) * rs ** (-1.0 / 3.0) * d1 * s
     return np.where(r >= 0.25, singular, 0.0) - gamma2
+
+
+def radial_example1_energy(n_quad=80):
+    """Energy of the closed-form solution by radial quadrature.
+
+    The integrand is radially symmetric and vanishes for r < 1; by
+    8-fold symmetry of the square the energy is an integral over the
+    wedge 0 <= phi <= pi/4, 1 <= r <= 1.5 / cos(phi).
+    """
+    xg, wg = np.polynomial.legendre.leggauss(n_quad)
+
+    def radial(phi):
+        rmax = _HALF_WIDTH / np.cos(phi)
+        r = 0.5 * (rmax - 1.0) * (xg + 1.0) + 1.0
+        dens = 1.5 * r ** 2 + 0.5 / r ** 2 - 2.0 - 2.0 * np.log(r)
+        return 0.5 * (rmax - 1.0) * np.sum(wg * dens * r)
+
+    phis = 0.5 * (np.pi / 4) * (xg + 1.0)
+    inner = np.array([radial(p) for p in phis])
+    return float(8.0 * 0.5 * (np.pi / 4) * np.sum(wg * inner))

@@ -20,6 +20,7 @@ from obstacle_afem.fem import (assemble_load, assemble_stiffness, energy,
                                energy_norm_diff, prolong)
 from obstacle_afem.vi import check_kkt, solve_obstacle
 from tests.conftest import random_refined_mesh, recording
+from tests.edge_oracles import ExactTrace
 from tests.mesh_oracles import edge_lengths, father_triangles, min_angle
 from tests.solver_oracles import h1_error, projected_sor_solve
 
@@ -190,7 +191,7 @@ def test_criterion_7_pythagoras_identity():
         (lambda x, y: x ** 3, lambda x, y: (3.0 * x ** 2, 0.0 * x)),
     ]
     for value, gradient in cases:
-        g = BoundaryTrace(value, gradient)
+        g = ExactTrace(value, gradient)
         mesh = build_initial_mesh(Square(0, 0, 1, 1))
         for _ in range(3):
             fine = refine(mesh, np.arange(mesh.num_edges))

@@ -8,6 +8,7 @@ from obstacle_afem import adapt, problems
 from obstacle_afem import (BoundaryTrace, ProblemSpec, Square, dorfler_mark,
                            example1, example2, reference_energy, run_adaptive,
                            run_uniform)
+from tests.edge_oracles import ExactTrace
 
 
 class FakeIndicators:
@@ -193,8 +194,8 @@ def test_energy_monotone_under_uniform_refinement_with_affine_data():
     # are nested and the minimal energy cannot increase
     prob = ProblemSpec(
         name="affine", domain=Square(0, 0, 1, 1),
-        g=BoundaryTrace(lambda x, y: x + y,
-                        lambda x, y: (np.ones_like(x), np.ones_like(x))),
+        g=ExactTrace(lambda x, y: x + y,
+                     lambda x, y: (np.ones_like(x), np.ones_like(x))),
         f=lambda x, y: np.full_like(x, -3.0))
     records = run_uniform(prob, max_elements=600).records
     energies = [r.energy for r in records]

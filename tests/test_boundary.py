@@ -5,7 +5,7 @@ from obstacle_afem import (BoundaryTrace, Square, build_initial_mesh,
                            refine)
 from obstacle_afem.boundary import apx_indicator, interpolate_boundary
 from obstacle_afem.mesh import Mesh
-from tests.edge_oracles import check_trace_continuity
+from tests.edge_oracles import ExactTrace, check_trace_continuity
 from tests.mesh_oracles import edge_lengths
 
 
@@ -50,9 +50,9 @@ def test_nonnegative_datum_gives_nonnegative_interpolant(lshape_mesh):
 
 
 def test_apx_vanishes_for_affine_data(unit_square_mesh):
-    g = BoundaryTrace(lambda x, y: 2.0 * x - y + 1.0,
-                      lambda x, y: (np.full_like(x, 2.0),
-                                    np.full_like(x, -1.0)))
+    g = ExactTrace(lambda x, y: 2.0 * x - y + 1.0,
+                   lambda x, y: (np.full_like(x, 2.0),
+                                 np.full_like(x, -1.0)))
     gl = interpolate_boundary(g, unit_square_mesh)
     eids = unit_square_mesh.boundary_edge_ids()
     assert (apx_indicator(unit_square_mesh, g, gl, eids) < 1e-28).all()
@@ -60,8 +60,8 @@ def test_apx_vanishes_for_affine_data(unit_square_mesh):
 
 def test_apx_quadratic_closed_form(unit_square_mesh):
     # g = x^2 along the bottom edge of length 1: indicator h^4/3 = 1/3
-    g = BoundaryTrace(lambda x, y: x ** 2,
-                      lambda x, y: (2.0 * x, np.zeros_like(x)))
+    g = ExactTrace(lambda x, y: x ** 2,
+                   lambda x, y: (2.0 * x, np.zeros_like(x)))
     mesh = unit_square_mesh
     gl = interpolate_boundary(g, mesh)
     bottom = [e for e in mesh.boundary_edge_ids()
@@ -75,8 +75,8 @@ def test_apx_quadratic_closed_form_on_a_slanted_edge():
     # indicator h^4/12 = 1/3
     mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                 np.array([[0, 1, 2]]), np.array([1]))
-    g = BoundaryTrace(lambda x, y: x ** 2,
-                      lambda x, y: (2.0 * x, np.zeros_like(x)))
+    g = ExactTrace(lambda x, y: x ** 2,
+                   lambda x, y: (2.0 * x, np.zeros_like(x)))
     gl = interpolate_boundary(g, mesh)
     hyp = [e for e in mesh.boundary_edge_ids()
            if set(mesh.edges[e]) == {1, 2}]
@@ -85,8 +85,8 @@ def test_apx_quadratic_closed_form_on_a_slanted_edge():
 
 
 def test_apx_finite_difference_fallback_matches_analytic(unit_square_mesh):
-    g_an = BoundaryTrace(lambda x, y: np.sin(x) + y ** 3,
-                         lambda x, y: (np.cos(x), 3.0 * y ** 2))
+    g_an = ExactTrace(lambda x, y: np.sin(x) + y ** 3,
+                      lambda x, y: (np.cos(x), 3.0 * y ** 2))
     g_fd = BoundaryTrace(lambda x, y: np.sin(x) + y ** 3)
     # the boundary edges at node 0 bisected 13 times: edges down to
     # 2^-13, where a step proportional to h alone loses the difference
@@ -134,8 +134,8 @@ def test_apx_rejects_edge_ids_other_than_a_1d_array(unit_square_mesh, eid):
 
 
 def test_apx_total_decays_by_factor_eight_for_quadratic(unit_square_mesh):
-    g = BoundaryTrace(lambda x, y: x ** 2,
-                      lambda x, y: (2.0 * x, np.zeros_like(x)))
+    g = ExactTrace(lambda x, y: x ** 2,
+                   lambda x, y: (2.0 * x, np.zeros_like(x)))
     mesh = unit_square_mesh
     gl = interpolate_boundary(g, mesh)
     coarse = apx_indicator(mesh, g, gl, mesh.boundary_edge_ids()).sum()
@@ -148,8 +148,8 @@ def test_apx_total_decays_by_factor_eight_for_quadratic(unit_square_mesh):
 
 def test_apx_reduction_under_marking(unit_square_mesh):
     # halving an edge drops its indicator sum well below half of the parent
-    g = BoundaryTrace(lambda x, y: x ** 2,
-                      lambda x, y: (2.0 * x, np.zeros_like(x)))
+    g = ExactTrace(lambda x, y: x ** 2,
+                   lambda x, y: (2.0 * x, np.zeros_like(x)))
     mesh = unit_square_mesh
     gl = interpolate_boundary(g, mesh)
     total_c = apx_indicator(mesh, g, gl, mesh.boundary_edge_ids()).sum()

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -10,8 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obstacle_afem.cli import RunConfig, fit_rates, main, run
+from obstacle_afem.problems import _EXPR_NAMES
 
 
 def test_fit_rates_exact_half_slope():
@@ -379,10 +384,31 @@ def test_cli_custom_config_missing_key_exit_one(tmp_path, capsys):
     ("--problem", json.dumps({"name": 5, "domain": {"type": "square"},
                               "f": "0*x", "g": "0*x"}),
      "key 'name' must be a string"),
+    *(("--problem", json.dumps({"domain": {"type": "square"}, "f": f,
+                                "g": "0*x"}), message)
+      for f, message in [
+          # hypot's third argument was its out: f ran as r, not x
+          ("x + 0*hypot(x, y, x)", "hypot takes 2 argument(s), not 3"),
+          ("arctan2(x)", "arctan2 takes 2 argument(s), not 1"),
+          ("sin()", "sin takes 1 argument(s), not 0"),
+          ("maximum(x)", "maximum takes 2 argument(s), not 1"),
+          ("where(x > 0, 1)", "where takes 3 argument(s), not 2"),
+          ("0 < x < 1", "a comparison takes one operator"),
+          ("(x < 1) | y", "'bitwise_or' not supported"),
+          ("sin + x", "function sin is not called"),
+          ("-where", "function where is not called"),
+          # x lies in (0.3, 0.7) at no node of the coarse mesh
+          ("where((x > 0.3) & (x < 0.7), sin, 1)",
+           "function sin is not called"),
+          ("(-1)**0.5 + 0*x", "Cannot cast"),
+      ]),
 ], ids=["domain", "syntax", "sandbox", "json", "config-json", "square",
         "lshape", "square-inf", "lshape-inf", "square-huge-int",
         "lshape-huge-int", "square-area-overflow", "square-tiny",
-        "lshape-tiny", "name-number"])
+        "lshape-tiny", "name-number", "out-argument", "arctan2-arity",
+        "sin-arity", "maximum-arity", "where-arity", "chained-comparison",
+        "bitwise-float", "bare-function", "negated-function",
+        "function-value", "complex"])
 def test_cli_custom_config_errors_exit_one(tmp_path, capsys, flag, text,
                                            message):
     path = tmp_path / "bad.json"
@@ -392,6 +418,47 @@ def test_cli_custom_config_errors_exit_one(tmp_path, capsys, flag, text,
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+    assert len([line for line in err.splitlines()
+                if not line.startswith("usage: ")]) == 1
+
+
+# Expressions from the whitelisted grammar, well-formed or not: names
+# (functions included), numbers, calls with 0 to 3 arguments and the
+# operators, these mostly without parentheses, so that comparisons chain.
+_OPERATORS = ["+", "-", "*", "/", "//", "%", "**", "&", "|", "==", "!=",
+              "<", "<=", ">", ">="]
+_expressions = st.recursive(
+    st.sampled_from(["x", "y", "r", *_EXPR_NAMES, "0", "2", "0.5", "1e300"]),
+    lambda inner: st.one_of(
+        st.builds(lambda fn, args: f"{fn}({', '.join(args)})",
+                  st.sampled_from([n for n, v in _EXPR_NAMES.items()
+                                   if callable(v)]),
+                  st.lists(inner, max_size=3)),
+        st.builds(lambda a, op, b: f"{a} {op} {b}",
+                  inner, st.sampled_from(_OPERATORS), inner),
+        st.builds(lambda op, a: f"{op}{a}", st.sampled_from("-+"), inner),
+        inner.map(lambda a: f"({a})")),
+    max_leaves=6)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(key=st.sampled_from(["f", "g"]), expr=_expressions)
+def test_cli_generated_expressions_fail_cleanly(tmp_path_factory, key, expr):
+    # any expression ends in a run, a config error or a numerical failure,
+    # each with at most one error line and no traceback or warning
+    path = tmp_path_factory.mktemp("fuzz") / "expr.json"
+    cfg = {"domain": {"type": "square"}, "f": "0*x", "g": "0*x", key: expr}
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", "--problem", f"custom:{path}",
+                     "--max-elements", "8"])
+    lines = [line for line in err.getvalue().splitlines()
+             if not line.startswith("usage: ")]
+    assert code in (0, 1, 2)
+    assert len(lines) == (code != 0)
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("expr", [

@@ -7,7 +7,7 @@ from obstacle_afem.boundary import interpolate_boundary
 from obstacle_afem.estimator import assemble_indicators, dump_indicators
 from obstacle_afem.mesh import Mesh
 from obstacle_afem.quadrature import TRI_WEIGHTS, triangle_points
-from tests.edge_oracles import (apx_indicator, boundary_residual,
+from tests.edge_oracles import (ExactTrace, apx_indicator, boundary_residual,
                                 interior_osc, jump_indicator,
                                 whole_table_indicators)
 from tests.test_fem import oracle_meshes, set_block  # noqa: F401
@@ -99,8 +99,8 @@ def test_per_edge_helpers_match_vectorized_assembly():
     v = rng.normal(size=mesh.num_nodes)
     f = lambda x, y: np.sin(x) + y ** 2
     bdry = mesh.boundary_edge_ids()
-    analytic = BoundaryTrace(lambda x, y: x ** 2 + np.cos(y),
-                             lambda x, y: (2.0 * x, -np.sin(y)))
+    analytic = ExactTrace(lambda x, y: x ** 2 + np.cos(y),
+                          lambda x, y: (2.0 * x, -np.sin(y)))
     fallback = BoundaryTrace(lambda x, y: x ** 2 + np.cos(y))
     for g in (analytic, fallback):
         gl = interpolate_boundary(g, mesh)

@@ -5,13 +5,14 @@ import pytest
 
 from obstacle_afem import (BoundaryTrace, LShape, Obstacle, ProblemSpec,
                            Square, apx_indicator, build_initial_mesh,
-                           example1, example1_exact_energy, example2,
+                           example1, example2,
                            interpolate_boundary, load_custom, problems,
                            reference_energy, refine, to_zero_obstacle)
 from obstacle_afem.problems import (_chi_laplacian, _chi_value, _example2_f,
                                     _gamma1_derivatives)
 from tests.conftest import recording
-from tests.kernel_oracles import (whole_domain_chi_laplacian,
+from tests.kernel_oracles import (radial_example1_energy,
+                                  whole_domain_chi_laplacian,
                                   whole_domain_example2_f)
 from tests.solver_oracles import cold_reference_energy
 from tests.test_contraction import oscillating_dirichlet_problem
@@ -47,11 +48,13 @@ def test_example1_solution_solves_pde_outside_contact():
 def test_example1_exact_energy_frozen_value():
     # cross-checked against independent adaptive 2D quadrature of the
     # closed-form energy density (agreement 8e-12)
-    assert np.isclose(example1_exact_energy(), 3.980995758125694,
+    assert np.isclose(example1().exact_energy, 3.980995758125694,
                       atol=1e-10)
-    # quadrature-converged: doubling the order changes nothing
-    assert np.isclose(example1_exact_energy(160),
-                      example1_exact_energy(), atol=1e-12)
+
+
+def test_example1_exact_energy_matches_radial_quadrature():
+    # the closed form against the 80-point radial quadrature it replaced
+    assert abs(example1().exact_energy - radial_example1_energy()) <= 1e-14
 
 
 def test_transformation_is_identity_without_obstacle():
@@ -165,8 +168,8 @@ def test_example2_transformed_boundary_data_vanish():
     xs = np.array([-2.0, -2.0, -1.5, 0.0, 2.0, 2.0])
     ys = np.array([0.5, 2.0, 2.0, -2.0, -1.0, 1.0])
     assert np.abs(np.asarray(tp.g(xs, ys))).max() == 0.0
-    # so the Dirichlet oscillations of the shifted trace vanish exactly,
-    # with no analytic gradient of g - chi
+    # so the Dirichlet oscillations of the shifted trace, differentiated
+    # by the central difference, vanish exactly
     mesh = build_initial_mesh(LShape())
     for _ in range(3):
         mesh = refine(mesh, np.arange(mesh.num_edges))
