@@ -33,13 +33,10 @@ def _hat_gradients(nodes, tri, areas):
     return gx, gy
 
 
-def assemble_stiffness(mesh):
-    """Sparse symmetric stiffness matrix of the Dirichlet form, without
-    stored zeros (the entry of an edge opposite two right angles): the
-    diagonal summed per node and the off-diagonals per edge of
-    ``mesh.edges``, both in triangle order, one block at a time."""
-    n = mesh.num_nodes
-    diag, off = np.zeros(n), np.zeros(mesh.num_edges)
+def _element_sums(mesh):
+    """The stiffness diagonal summed per node and its off-diagonals per
+    edge of ``mesh.edges``, both in triangle order, one block at a time."""
+    diag, off = np.zeros(mesh.num_nodes), np.zeros(mesh.num_edges)
     for s in blocks(mesh.num_triangles):
         tri, a = mesh.triangles[s].astype(np.intp), mesh.areas[s]
         gx, gy = _hat_gradients(mesh.nodes, tri, a)
@@ -53,12 +50,24 @@ def assemble_stiffness(mesh):
         # one or two terms per edge: the same bits in either order
         np.add.at(diag, tri.ravel(), d.ravel())
         np.add.at(off, mesh.tri2edge[s].ravel(), o.ravel())
+    return diag, off
+
+
+def assemble_stiffness(mesh):
+    """Sparse symmetric stiffness matrix of the Dirichlet form, without
+    stored zeros (the entry of an edge opposite two right angles), from
+    :func:`_element_sums`, whose block temporaries are gone by then."""
+    n = mesh.num_nodes
+    diag, off = _element_sums(mesh)
     # the upper triangle: the edges, sorted by (min, max), are its rows
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(mesh.edges[:, 0], minlength=n), out=indptr[1:])
     upper = sp.csr_matrix((off, mesh.edges[:, 1], indptr), shape=(n, n))
-    # each entry from exactly one operand: the sums are exact
-    k = upper + upper.T + sp.diags(diag, format="csr")
+    # each entry from exactly one operand: the sums are exact; U is not
+    # alive while the second sum is built
+    k = upper + upper.T
+    del upper, off
+    k = k + sp.diags(diag, format="csr")
     k.eliminate_zeros()
     return k
 

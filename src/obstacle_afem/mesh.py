@@ -159,27 +159,30 @@ class Mesh:
         key += np.maximum(tri, nxt, out=nxt).ravel()
         del nxt
         order = np.argsort(key, kind="stable")
-        key = key[order]
+        # sorted in place: the values of key[order] without a second table
+        key.sort()
         first = np.ones(3 * m, dtype=bool)
         first[1:] = key[1:] != key[:-1]
         if (~first[1:] & ~first[:-1]).any():
             raise ValueError("edge shared by more than two triangles")
+        a, b = np.divmod(key[first], n)
+        del key
+        self.edges = np.stack((a, b), axis=1, dtype=np.int32)
+        del a, b
         # the two triangles of an edge overlap unless they run opposite
         forward = forward[order]
         if (~first[1:] & (forward[1:] == forward[:-1])).any():
             raise ValueError("edge run twice in the same direction")
+        del forward
         ids = np.cumsum(first, dtype=np.int32)
         ids -= 1
         tri2edge = np.empty(3 * m, dtype=np.int32)
         tri2edge[order] = ids
         self.tri2edge = tri2edge.reshape(m, 3)
-        a, b = np.divmod(key[first], n)
-        del key
-        self.edges = np.stack((a, b), axis=1, dtype=np.int32)
-        del a, b
+        order //= 3
         self.edge2tri = np.full((self.num_edges, 2), -1, dtype=np.int32)
-        self.edge2tri[:, 0] = order[first] // 3
-        self.edge2tri[ids[~first], 1] = order[~first] // 3
+        self.edge2tri[:, 0] = order[first]
+        self.edge2tri[ids[~first], 1] = order[~first]
         self.is_boundary_edge = self.edge2tri[:, 1] < 0
 
     # -- basic quantities -------------------------------------------------
@@ -268,6 +271,15 @@ def refine(mesh, marked):
     if marked.min() < 0 or marked.max() >= mesh.num_edges:
         raise ValueError("unknown edge id in marked set")
 
+    nodes, triangles, ref_edge, node_parents = _bisect(mesh, marked)
+    return Mesh(nodes, triangles, ref_edge, node_parents,
+                np.append(mesh.level_nodes, len(nodes)))
+
+
+def _bisect(mesh, marked):
+    """The closure and the son tables of :func:`refine`: the refined
+    mesh's nodes, triangles, reference edges and node parents.  Its
+    temporaries die on return, before ``Mesh`` builds the edge tables."""
     marked_mask = np.zeros(mesh.num_edges, dtype=bool)
     marked_mask[marked] = True
 
@@ -310,9 +322,7 @@ def refine(mesh, marked):
     refs[:, 0] = np.where(split, 2, mesh.ref_edge)
     refs[:, 2] = np.where(has_bc, 2, 1)
     keep = np.stack([np.ones(m, dtype=bool), has_ca, split, has_bc], axis=1)
-
-    return Mesh(nodes, sons[keep], refs[keep], node_parents,
-                np.append(mesh.level_nodes, len(nodes)))
+    return nodes, sons[keep], refs[keep], node_parents
 
 
 def dump_mesh(mesh, path):

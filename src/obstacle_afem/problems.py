@@ -7,6 +7,7 @@ solves the original problem.
 """
 
 import ast
+import functools
 import json
 from dataclasses import dataclass, fields
 
@@ -241,6 +242,10 @@ _EXPR_NAMES = {
     "hypot": np.hypot, "arctan2": np.arctan2, "where": np.where,
     "maximum": np.maximum, "minimum": np.minimum, "pi": np.pi,
 }
+# float64 arguments: numpy runs sin of a comparison in float16
+_EXPR_ENV = dict(_EXPR_NAMES, **{
+    k: functools.partial(_EXPR_NAMES[k], dtype=float)
+    for k in "sin cos tan exp log ln sqrt hypot arctan2".split()})
 
 # Syntax an expression may use besides names, numbers and calls:
 # arithmetic, bitwise and/or (to combine comparisons inside ``where``)
@@ -295,7 +300,7 @@ def _compile_expr(expr):
         # non-finite values are reported by the callers' checks
         try:
             with np.errstate(all="ignore"):
-                env = dict(_EXPR_NAMES, x=x, y=y, r=np.hypot(x, y))
+                env = dict(_EXPR_ENV, x=x, y=y, r=np.hypot(x, y))
                 # a complex value is a type error, not cast to its real part
                 return np.asarray(eval(code, {"__builtins__": {}}, env)
                                   ).astype(float, casting="same_kind")

@@ -117,10 +117,13 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
         u[active] = 0.0
         idx = np.nonzero(interior & ~active)[0]
         if idx.size:
+            # the V-cycle set-up, the solve's memory peak, runs after the
+            # last system, V-cycle and lam are freed, before CG's vectors
             a = csr[idx][:, idx]
-            u[idx], steps = cg_solve(a, rhs[idx], u[idx],
-                                     vcycle(a, prolongations, idx))
+            precond = vcycle(a, prolongations, idx)
+            u[idx], steps = cg_solve(a, rhs[idx], u[idx], precond)
             cg_iterations += steps
+            del a, precond
         lam = np.zeros(n)
         lam[interior] = (csr @ u - load)[interior]
         new_active = interior & ((lam - u) > 0)
@@ -136,6 +139,7 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
                 f"{seen[key]}")
         seen[key] = iteration
         active = new_active
+        del lam
     raise PdasError(
         f"PDAS did not converge within {MAX_PDAS_ITER} iterations")
 
@@ -185,6 +189,7 @@ def cg_solve(matrix, rhs, x0, precond):
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
+        del z, q  # not alive through the next V-cycle's temporaries
     raise RuntimeError("CG failed to converge (info=10000)")
 
 

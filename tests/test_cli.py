@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -423,17 +424,27 @@ def test_cli_custom_config_errors_exit_one(tmp_path, capsys, flag, text,
 
 
 # Expressions from the whitelisted grammar, well-formed or not: names
-# (functions included), numbers, calls with 0 to 3 arguments and the
-# operators, these mostly without parentheses, so that comparisons chain.
+# (functions included), numbers, calls with 0 to 3 arguments or with the
+# function's own count, and the operators, these mostly without
+# parentheses, so that comparisons chain.
 _OPERATORS = ["+", "-", "*", "/", "//", "%", "**", "&", "|", "==", "!=",
               "<", "<=", ">", ">="]
+_ARITY = {n: getattr(v, "nin", 3) for n, v in _EXPR_NAMES.items()
+          if callable(v)}
+
+
+def _call(fn, args):
+    return f"{fn}({', '.join(args)})"
+
+
 _expressions = st.recursive(
     st.sampled_from(["x", "y", "r", *_EXPR_NAMES, "0", "2", "0.5", "1e300"]),
     lambda inner: st.one_of(
-        st.builds(lambda fn, args: f"{fn}({', '.join(args)})",
-                  st.sampled_from([n for n, v in _EXPR_NAMES.items()
-                                   if callable(v)]),
+        st.builds(_call, st.sampled_from(list(_ARITY)),
                   st.lists(inner, max_size=3)),
+        st.sampled_from(list(_ARITY)).flatmap(lambda fn: st.lists(
+            inner, min_size=_ARITY[fn], max_size=_ARITY[fn]).map(
+                lambda args: _call(fn, args))),
         st.builds(lambda a, op, b: f"{a} {op} {b}",
                   inner, st.sampled_from(_OPERATORS), inner),
         st.builds(lambda op, a: f"{op}{a}", st.sampled_from("-+"), inner),
@@ -441,24 +452,73 @@ _expressions = st.recursive(
     max_leaves=6)
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=100)
-@given(key=st.sampled_from(["f", "g"]), expr=_expressions)
-def test_cli_generated_expressions_fail_cleanly(tmp_path_factory, key, expr):
-    # any expression ends in a run, a config error or a numerical failure,
-    # each with at most one error line and no traceback or warning
-    path = tmp_path_factory.mktemp("fuzz") / "expr.json"
-    cfg = {"domain": {"type": "square"}, "f": "0*x", "g": "0*x", key: expr}
+def csv_numbers(path):
+    """The rows of a run's CSV as numbers, without ``wall_ms``: -0.0
+    equals 0.0, and an empty cell stays empty."""
+    with open(path, newline="") as fh:
+        return [{k: v and float(v) for k, v in row.items() if k != "wall_ms"}
+                for row in csv.DictReader(fh)]
+
+
+def tiny_run(tmp, cfg, mode):
+    """Exit code and CSV numbers of a run of ``cfg`` to 8 elements, which
+    must end in a run, a config error or a numerical failure, each with
+    at most one error line and no traceback or warning."""
+    path, out = tmp / "expr.json", tmp / "run.csv"
     path.write_text(json.dumps(cfg))
     err = io.StringIO()
     with contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
-        code = main(["run", "--problem", f"custom:{path}",
-                     "--max-elements", "8"])
+        code = main(["run", "--problem", f"custom:{path}", "--mode", mode,
+                     "--max-elements", "8", "--out", str(out)])
     lines = [line for line in err.getvalue().splitlines()
              if not line.startswith("usage: ")]
     assert code in (0, 1, 2)
     assert len(lines) == (code != 0)
     assert "Traceback" not in err.getvalue()
+    return code, code == 0 and csv_numbers(out)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(key=st.sampled_from(["f", "g"]), expr=_expressions,
+       domain=st.sampled_from(["square", "lshape"]), chi=st.booleans(),
+       mode=st.sampled_from(["adaptive", "uniform"]), data=st.data())
+def test_cli_generated_expressions_fail_cleanly(tmp_path_factory, key, expr,
+                                                domain, chi, mode, data):
+    # any expression in any config shape fails cleanly, if at all; a run
+    # keeps its numbers when f gains 0 times one of the expression's
+    # subexpressions, so no call writes into or aliases its arguments
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg = {"domain": {"type": domain}, "f": "0*x", "g": "0*x", key: expr}
+    if chi:
+        cfg["chi"] = {"value": "-1 + 0*x", "laplacian": "0*x"}
+    code, table = tiny_run(tmp, cfg, mode)
+    if code != 0:
+        return
+    tree = ast.parse(expr, mode="eval")
+    callees = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    sub = data.draw(st.sampled_from([
+        ast.unparse(n) for n in ast.walk(tree.body)
+        if isinstance(n, ast.expr) and id(n) not in callees]))
+    cfg["f"] = f"({cfg['f']}) + 0*({sub})"
+    code, rerun = tiny_run(tmp, cfg, mode)
+    # 0 times an infinite subexpression is NaN: a numerical failure
+    assert code in (0, 2)
+    assert code == 2 or rerun == table
+
+
+def test_cli_function_of_a_comparison_runs_like_its_float(tmp_path):
+    # sin of a comparison ran in float16 and silently changed the run
+    tables = []
+    for f in ("sin(x > 0.5)", "sin(1.0*(x > 0.5))"):
+        path, out = tmp_path / "cfg.json", tmp_path / "run.csv"
+        path.write_text(json.dumps({"domain": {"type": "square"}, "f": f,
+                                    "g": "0*x"}))
+        assert main(["run", "--problem", f"custom:{path}", "--max-elements",
+                     "300", "--out", str(out)]) == 0
+        tables.append(csv_numbers(out))
+    assert len(tables[0]) > 3
+    assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("expr", [

@@ -3,8 +3,9 @@ import pytest
 
 from obstacle_afem import (LShape, Square, assemble_load, assemble_stiffness,
                            build_initial_mesh, energy, energy_norm_diff,
-                           example1, example2, prolong, quadrature, refine,
-                           run_adaptive, to_zero_obstacle)
+                           example1, example2, problems, prolong, quadrature,
+                           reference_energy, refine, run_adaptive,
+                           solve_obstacle, to_zero_obstacle)
 from obstacle_afem.boundary import (GAUSS_POINTS, GAUSS_WEIGHTS,
                                     interpolate_boundary)
 from obstacle_afem.estimator import assemble_indicators
@@ -13,7 +14,7 @@ from obstacle_afem.mesh import Mesh
 from obstacle_afem.quadrature import TRI_BARY, TRI_WEIGHTS, triangle_points
 from obstacle_afem.vi import (COARSE_LIMIT, cg_solve, level_prolongations,
                               vcycle)
-from tests.conftest import random_refined_mesh, traced_peak
+from tests.conftest import random_refined_mesh, recording, traced_peak
 from tests.kernel_oracles import (add_at_load, add_at_stiffness_diagonal,
                                   coo_stiffness, einsum_solution_gradients,
                                   einsum_triangle_points, hat_gradients,
@@ -247,13 +248,16 @@ def test_mesh_and_stiffness_peak_memory_per_triangle():
     mesh, peaks = kernel_peaks(6)
     m = mesh.num_triangles
     assert m == 24576
-    assert peaks["Mesh"] <= 150
-    # the uniform refine, four sons per triangle and their Mesh
+    # the edge key sorted in place and freed before the edge ids (113 B)
+    assert peaks["Mesh"] <= 125
+    # the uniform refine, four sons per triangle and their Mesh, with
+    # only Mesh's inputs alive at the call (537 B per coarse triangle)
     _, peak = traced_peak(refine, mesh, np.arange(mesh.num_edges))
-    assert peak <= 900 * m
+    assert peak <= 590 * m
     # the six element entries per block and their per-node and per-edge
-    # sums (138 B per triangle)
-    assert peaks["stiffness"] <= 150
+    # sums, freed before the three triangles are summed (107 B per
+    # triangle; 138 B with the last block's temporaries alive)
+    assert peaks["stiffness"] <= 118
     # one block's quadrature points, its f table and f's temporaries at
     # one point (102 B)
     assert peaks["load"] <= 120
@@ -263,16 +267,36 @@ def test_mesh_and_stiffness_peak_memory_per_triangle():
 
 
 def test_blocked_kernels_peak_memory_per_triangle():
-    # twelve blocks of triangles: measured 124, 107, 29 and 146 B per
+    # twelve blocks of triangles: measured 106, 85, 29 and 146 B per
     # triangle; the whole-table kernels read 122, 152, 191 and 267 B, the
-    # estimator with whole per-edge tables 224 B, and areas from a whole
-    # intp copy of the triangles about 146 B
+    # estimator with whole per-edge tables 224 B, areas from a whole
+    # intp copy of the triangles about 146 B, Mesh with the sorted key
+    # gathered beside the unsorted one 124 B, and the stiffness with the
+    # last block's temporaries and the upper triangle alive through the
+    # sums 107 B
     mesh, peaks = kernel_peaks(7)
     assert mesh.num_triangles == 98304
-    assert peaks["Mesh"] <= 135
-    assert peaks["stiffness"] <= 120
+    assert peaks["Mesh"] <= 117
+    assert peaks["stiffness"] <= 94
     assert peaks["load"] <= 40
     assert peaks["estimator"] <= 170
+
+
+def test_solve_peak_memory_per_node():
+    # the 98,304-element level of example 2's uniform reference loop,
+    # seeded as the loop seeds it: the prolongations, the system on the
+    # inactive nodes and its V-cycle hierarchy, whose set-up peaks at 141
+    # B per node (149 B with the CG vectors built before the V-cycle, and
+    # the last system, its V-cycle, the multiplier and CG's z and q alive
+    # while the next ones are built)
+    with recording(problems, "solve_obstacle") as calls:
+        reference_energy(example2(), 98304)
+    args, _ = calls[-1]
+    mesh = args[0]
+    assert mesh.num_triangles == 98304 and args[4] is not None
+    sol, peak = traced_peak(solve_obstacle, *args)
+    assert sol.iterations > 1
+    assert peak <= 155 * mesh.num_nodes
 
 
 def test_load_matches_the_add_at_sum():

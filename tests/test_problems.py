@@ -8,7 +8,8 @@ from obstacle_afem import (BoundaryTrace, LShape, Obstacle, ProblemSpec,
                            example1, example2,
                            interpolate_boundary, load_custom, problems,
                            reference_energy, refine, to_zero_obstacle)
-from obstacle_afem.problems import (_chi_laplacian, _chi_value, _example2_f,
+from obstacle_afem.problems import (_chi_laplacian, _chi_value,
+                                    _compile_expr, _example2_f,
                                     _gamma1_derivatives)
 from tests.conftest import recording
 from tests.kernel_oracles import (radial_example1_energy,
@@ -290,3 +291,28 @@ def test_load_custom_accepts_the_whole_grammar(tmp_path):
                      +y % 2) + np.maximum(np.sin(np.pi * x), 0.25) / 2
             - (x != y) * 1e-3)
     assert np.array_equal(f(x, y), want)
+
+
+@pytest.mark.parametrize("call", [
+    "sin({})", "cos({})", "tan({})", "exp({})", "log({})", "sqrt({})",
+    "hypot({}, y > 0)", "arctan2(y > 0, {})",
+])
+def test_float_functions_of_a_comparison_run_in_float64(call):
+    # numpy evaluates sin of a boolean array in float16: 0.84130859375
+    # at x = 1, not sin 1; where a float16 value is exact (sqrt, log), a
+    # constant added to it is rounded to float16
+    x = np.array([1.0, 0.0, 0.75, -2.0, 0.5, 3.0])
+    y = np.array([0.3, -1.0, 2.0, 0.5, -0.25, 1e-3])
+    for form in ("{}", "{} + 0.1"):
+        got = _compile_expr(form.format(call.format("x > 0.5")))(x, y)
+        want = _compile_expr(form.format(call.format("1.0*(x > 0.5)")))(x, y)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_other_functions_of_a_comparison_keep_their_values():
+    x = np.array([1.0, 0.0, -2.0])
+    for expr, want in [("abs(x > 0.5)", [1.0, 0.0, 0.0]),
+                       ("maximum(x > 0.5, x < -1)", [1.0, 0.0, 1.0]),
+                       ("minimum(x > 0.5, x < 2)", [1.0, 0.0, 0.0]),
+                       ("where(x > 0.5, x < 2, x > -3)", [1.0, 1.0, 1.0])]:
+        assert np.array_equal(_compile_expr(expr)(x, x), want)
