@@ -48,13 +48,9 @@ class IndicatorSet:
         return float(np.sum(self.apx2))
 
     @property
-    def rho_tilde2(self):
-        """Total without the Dirichlet oscillation terms."""
-        return self.rho2 - self.apx2_total
-
-    @property
     def rho_tilde(self):
-        return float(np.sqrt(max(0.0, self.rho_tilde2)))
+        """Estimator without the Dirichlet oscillation terms."""
+        return float(np.sqrt(max(0.0, self.rho2 - self.apx2_total)))
 
 
 # an overflow to inf reaches the loop as a non-finite estimator

@@ -39,15 +39,13 @@ class Obstacle:
 
 @dataclass
 class ProblemSpec:
-    """Data triple (chi, g, f) plus domain and optional exact reference."""
+    """Data triple (chi, g, f) plus domain and optional exact energy."""
 
     name: str
     domain: object
     g: BoundaryTrace
     f: callable
     chi: Obstacle = None
-    exact_solution: callable = None
-    exact_gradient: callable = None
     exact_energy: float = None
 
 
@@ -66,30 +64,33 @@ def to_zero_obstacle(problem):
     """Problem with the same domain and the data shifted so that the
     obstacle is identically zero (``problem`` itself if it has none).
 
-    Requires an analytic Laplacian of chi; raises if the shifted boundary
-    data g - chi|_Gamma are not finite or turn negative beyond tolerance.
+    Requires an analytic Laplacian of chi; raises if g - chi|_Gamma, with
+    chi = 0 if there is none, is not finite or turns negative beyond
+    tolerance at ``_SAMPLES_PER_EDGE`` points per coarse boundary edge.
     """
-    if problem.chi is None:
-        return problem
     chi = problem.chi
-    if chi.laplacian is None:
+    if chi is not None and chi.laplacian is None:
         raise ValueError("obstacle transformation requires an analytic "
                          "Laplacian of chi")
-
+    g = problem.g if chi is None else BoundaryTrace(
+        lambda x, y: problem.g(x, y) - chi.value(x, y))
+    pts = _sample_boundary(problem.domain)
+    vals = np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float)
+    if not np.isfinite(vals).all():
+        raise ValueError("Dirichlet data g is not finite" if chi is None
+                         else "shifted Dirichlet data g - chi are not finite")
+    if np.min(vals, initial=0.0) < -BOUNDARY_TOL:
+        raise ValueError("g < 0 on the boundary" if chi is None else
+                         "chi > g on the boundary: shifted Dirichlet data "
+                         "negative")
+    if chi is None:
+        return problem
     base_f = problem.f
 
     def f(x, y):
         return np.asarray(base_f(x, y), dtype=float) \
             + np.asarray(chi.laplacian(x, y), dtype=float)
 
-    g = BoundaryTrace(lambda x, y: problem.g(x, y) - chi.value(x, y))
-    pts = _sample_boundary(problem.domain)
-    vals = np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float)
-    if not np.isfinite(vals).all():
-        raise ValueError("shifted Dirichlet data g - chi are not finite")
-    if np.min(vals, initial=0.0) < -BOUNDARY_TOL:
-        raise ValueError("chi > g on the boundary: shifted Dirichlet data "
-                         "negative")
     return ProblemSpec(name=problem.name, domain=problem.domain, g=g, f=f)
 
 
@@ -104,13 +105,6 @@ def _example1_solution(x, y):
     return np.where(r >= 1.0, 0.5 * rs ** 2 - np.log(rs) - 0.5, 0.0)
 
 
-def _example1_gradient(x, y):
-    r = np.hypot(x, y)
-    rs = np.maximum(r, 1.0)
-    fac = np.where(r >= 1.0, 1.0 - 1.0 / rs ** 2, 0.0)
-    return fac * x, fac * y
-
-
 # Energy of the exact solution: by the square's 8-fold symmetry
 # J(u) = 8 int_0^{pi/4} [F(1.5 sec phi) - F(1)] dphi with the radial
 # antiderivative F(r) = 3r^4/8 - r^2/2 + (1/2 - r^2) ln r of r times the
@@ -122,16 +116,14 @@ _EXAMPLE1_ENERGY = float(117 / 4 - 17 * np.pi / 4 + np.pi * np.log(3.0)
 
 
 def example1():
-    """Constant zero obstacle on (-1.5, 1.5)^2 with f = -2 and boundary
-    data given by the trace of the known radial solution."""
+    """Constant zero obstacle on (-1.5, 1.5)^2 with f = -2; g is the
+    known radial solution u, defined on the whole square."""
     return ProblemSpec(
         name="example1",
         domain=Square(-_HALF_WIDTH, -_HALF_WIDTH, _HALF_WIDTH, _HALF_WIDTH),
         g=BoundaryTrace(_example1_solution),
         f=lambda x, y: np.full_like(np.asarray(x, dtype=float), -2.0),
         chi=None,
-        exact_solution=_example1_solution,
-        exact_gradient=_example1_gradient,
         exact_energy=_EXAMPLE1_ENERGY,
     )
 

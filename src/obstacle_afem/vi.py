@@ -176,7 +176,7 @@ def cg_solve(matrix, rhs, x0, precond):
     if norm_b == 0.0:
         return np.zeros_like(x), 0
     tol = CG_RTOL * norm_b
-    r = rhs - matrix @ x if x.any() else rhs.copy()
+    r = rhs - matrix @ x
     p = rho_prev = None
     for steps in range(10000):
         if np.linalg.norm(r) < tol:

@@ -10,7 +10,8 @@ stiffness and load over all triangles at once (the blocked kernels'
 whole-table forms), and example 2's force and obstacle Laplacian
 evaluated by one formula on the whole domain.  The tests require the
 kernels to match them, mostly bit for bit.  Example 1's exact energy by
-radial quadrature checks its closed form.
+radial quadrature checks its closed form, and the gradient of its exact
+solution (whose values are example 1's g) gives the H1 error.
 """
 
 import numpy as np
@@ -135,6 +136,13 @@ def whole_domain_example2_f(x, y):
     singular = -rs ** (2.0 / 3.0) * s * (d1 / rs + d2) \
         - (4.0 / 3.0) * rs ** (-1.0 / 3.0) * d1 * s
     return np.where(r >= 0.25, singular, 0.0) - gamma2
+
+
+def example1_gradient(x, y):
+    r = np.hypot(x, y)
+    rs = np.maximum(r, 1.0)
+    fac = np.where(r >= 1.0, 1.0 - 1.0 / rs ** 2, 0.0)
+    return fac * x, fac * y
 
 
 def radial_example1_energy(n_quad=80):

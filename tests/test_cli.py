@@ -327,6 +327,22 @@ def test_cli_boundary_tolerance_is_one_rule(tmp_path, capsys, chi, code,
     assert message in capsys.readouterr().err
 
 
+def test_cli_negative_g_without_obstacle_stops_before_level_zero(tmp_path):
+    # g = -1 in a dip at x = 0.3 on the boundary, between the coarse
+    # nodes: the boundary sample rejects it before any level is solved
+    path = tmp_path / "dip.json"
+    path.write_text(json.dumps({"domain": {"type": "square"}, "f": "0*x",
+                                "g": "1 - 2*exp(-10000*(x - 0.3)**2)"}))
+    out = tmp_path / "dip.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "obstacle_afem.cli", "run", "--problem",
+         f"custom:{path}", "--max-elements", "300", "--out", str(out)],
+        env=cli_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: g < 0 on the boundary"]
+    assert not out.exists()
+
+
 def test_cli_custom_config_missing_key_exit_one(tmp_path, capsys):
     path = tmp_path / "nog.json"
     path.write_text(json.dumps({"domain": {"type": "square"},

@@ -187,7 +187,7 @@ def test_totals_are_consistent(unit_square_mesh, zero_trace):
     assert (ind.contributions >= 0.0).all()
     assert np.isclose(ind.rho2,
                       ind.eta2.sum() + ind.osc2.sum() + ind.apx2.sum())
-    assert np.isclose(ind.rho_tilde2, ind.rho2 - ind.apx2_total)
+    assert np.isclose(ind.rho_tilde ** 2, ind.rho2 - ind.apx2_total)
     assert ind.rho_tilde <= ind.rho
 
 

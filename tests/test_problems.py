@@ -12,7 +12,7 @@ from obstacle_afem.problems import (_chi_laplacian, _chi_value,
                                     _compile_expr, _example2_f,
                                     _gamma1_derivatives)
 from tests.conftest import recording
-from tests.kernel_oracles import (radial_example1_energy,
+from tests.kernel_oracles import (example1_gradient, radial_example1_energy,
                                   whole_domain_chi_laplacian,
                                   whole_domain_example2_f)
 from tests.solver_oracles import cold_reference_energy
@@ -21,18 +21,29 @@ from tests.test_contraction import oscillating_dirichlet_problem
 
 def test_example1_solution_point_values():
     p = example1()
-    assert np.isclose(p.exact_solution(1.0, 0.0), 0.0)
-    assert np.isclose(p.exact_solution(0.5, 0.5), 0.0)
-    assert np.isclose(p.exact_solution(1.5, 0.0), 0.21953489189183562)
+    assert np.isclose(p.g(1.0, 0.0), 0.0)
+    assert np.isclose(p.g(0.5, 0.5), 0.0)
+    assert np.isclose(p.g(1.5, 0.0), 0.21953489189183562)
     assert np.allclose(p.f(np.zeros(3), np.zeros(3)), -2.0)
 
 
 def test_example1_gradient_continuous_at_contact_circle():
-    p = example1()
     eps = 1e-8
-    go = p.exact_gradient(1.0 + eps, 0.0)
-    gi = p.exact_gradient(1.0 - eps, 0.0)
+    go = example1_gradient(1.0 + eps, 0.0)
+    gi = example1_gradient(1.0 - eps, 0.0)
     assert abs(go[0] - gi[0]) < 1e-6 and abs(go[1] - gi[1]) < 1e-6
+
+
+def test_example1_gradient_is_the_gradient_of_g():
+    # example 1's g is its exact solution on the whole square; points
+    # inside and outside the contact circle r = 1, away from it
+    u = example1().g
+    h = 1e-6
+    for x, y in [(0.2, -0.3), (-0.5, 0.6), (1.2, 0.3), (-1.1, 0.8),
+                 (0.9, -1.4)]:
+        fd = ((u(x + h, y) - u(x - h, y)) / (2 * h),
+              (u(x, y + h) - u(x, y - h)) / (2 * h))
+        assert np.allclose(example1_gradient(x, y), fd, rtol=0, atol=1e-6)
 
 
 def test_example1_solution_solves_pde_outside_contact():
@@ -40,9 +51,8 @@ def test_example1_solution_solves_pde_outside_contact():
     p = example1()
     h = 1e-5
     for x, y in [(1.2, 0.3), (-1.1, 0.8), (0.9, 1.0)]:
-        lap = (p.exact_solution(x + h, y) + p.exact_solution(x - h, y)
-               + p.exact_solution(x, y + h) + p.exact_solution(x, y - h)
-               - 4.0 * p.exact_solution(x, y)) / h ** 2
+        lap = (p.g(x + h, y) + p.g(x - h, y) + p.g(x, y + h)
+               + p.g(x, y - h) - 4.0 * p.g(x, y)) / h ** 2
         assert abs(lap - 2.0) < 1e-5
 
 
@@ -62,6 +72,27 @@ def test_transformation_is_identity_without_obstacle():
     p = example1()
     tp = to_zero_obstacle(p)
     assert tp.g is p.g and tp.f is p.f and tp.chi is None
+
+
+def test_transformation_returns_a_problem_without_obstacle():
+    p = example1()
+    assert to_zero_obstacle(p) is p
+
+
+@pytest.mark.parametrize("g,message", [
+    # g < 0 only where |x - 0.3| < 0.0083, on the bottom and top edges
+    ("1 - 2*exp(-10000*(x - 0.3)**2)", "g < 0 on the boundary"),
+    ("sin(7*x)", "g < 0 on the boundary"),
+    ("sqrt(x - 0.5)", "Dirichlet data g is not finite"),
+])
+def test_transformation_checks_g_without_obstacle(tmp_path, g, message):
+    # without chi, g itself is sampled along the boundary, so data that
+    # are negative or not finite between the coarse nodes are rejected
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"domain": {"type": "square"}, "f": "0*x",
+                                "g": g}))
+    with pytest.raises(ValueError, match=message):
+        to_zero_obstacle(load_custom(str(path)))
 
 
 def test_affine_obstacle_shifts_data_only():
