@@ -1,10 +1,9 @@
-"""Dirichlet boundary data: traces, nodal interpolation, and the
-h-weighted oscillation indicators of the data approximation."""
+"""Dirichlet data, a vectorized function g(x, y): nodal interpolation and
+the h-weighted oscillation indicators of the data approximation."""
 
 import numpy as np
 
 __all__ = [
-    "BoundaryTrace",
     "interpolate_boundary",
     "apx_indicator",
 ]
@@ -13,34 +12,17 @@ __all__ = [
 GAUSS_POINTS, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
-class BoundaryTrace:
-    """Dirichlet datum g as an evaluable function on the boundary.
-
-    ``value(x, y)`` is evaluable at boundary points, vectorized.
-    Arclength derivatives are taken by a central difference along the
-    edge with step ``min(0.04 * h, 6e-6)``: about the cube root of
-    machine epsilon, and short enough to keep each Gauss point's stencil
-    on the edge.
-    """
-
-    def __init__(self, value):
-        self._value = value
-
-    def __call__(self, x, y):
-        return self._value(x, y)
-
-    def arc_derivative(self, x, y, tangent, h):
-        """Arclength derivative at points on straight edges.
-
-        ``tangent`` is the pair (tx, ty) of unit-tangent components and
-        ``h`` the edge length (sets the difference step), each
-        broadcastable against ``x``.
-        """
-        tx, ty = tangent
-        step = np.minimum(0.04 * h, 6e-6)
-        fwd = self._value(x + step * tx, y + step * ty)
-        bwd = self._value(x - step * tx, y - step * ty)
-        return (np.asarray(fwd) - np.asarray(bwd)) / (2.0 * step)
+def arc_derivative(g, x, y, tangent, h):
+    """Arclength derivative of g at points on straight edges: a central
+    difference with step ``min(0.04 * h, 6e-6)``, about the cube root of
+    machine epsilon and short enough to keep each Gauss point's stencil on
+    the edge.  ``tangent`` is the pair (tx, ty) of unit-tangent components
+    and ``h`` the edge length, each broadcastable against ``x``."""
+    tx, ty = tangent
+    step = np.minimum(0.04 * h, 6e-6)
+    fwd = g(x + step * tx, y + step * ty)
+    bwd = g(x - step * tx, y - step * ty)
+    return (np.asarray(fwd) - np.asarray(bwd)) / (2.0 * step)
 
 
 def interpolate_boundary(g, mesh):
@@ -60,7 +42,7 @@ def apx_indicator(mesh, g, gl, eid):
     ``gl`` is the nodal vector of :func:`interpolate_boundary`; ``eid`` is
     a 1-D integer array of edge ids, and the result has one value per id.
     The interpolant slope is the endpoint difference over the edge length;
-    g' is evaluated at the Gauss points along each edge.
+    g' is :func:`arc_derivative` at the Gauss points along each edge.
     """
     eid = np.asarray(eid)
     if eid.ndim != 1:
@@ -78,8 +60,8 @@ def apx_indicator(mesh, g, gl, eid):
     tangent = d / h[:, None]
     slope = (gl[n1] - gl[n0]) / h
     pts = 0.5 * (p + q)[:, None] + GAUSS_POINTS[:, None] * (0.5 * d)[:, None]
-    gp = g.arc_derivative(pts[..., 0], pts[..., 1],
-                          (tangent[:, 0, None], tangent[:, 1, None]),
-                          h[:, None])
+    gp = arc_derivative(g, pts[..., 0], pts[..., 1],
+                        (tangent[:, 0, None], tangent[:, 1, None]),
+                        h[:, None])
     w = GAUSS_WEIGHTS * (h[:, None] / 2.0)
     return h * np.sum(w * (np.asarray(gp) - slope[:, None]) ** 2, axis=-1)

@@ -215,6 +215,8 @@ def _whole(values, what, n, where):
     each is a whole number in [0, n), checked on the given values so that
     the cast cannot wrap an id into range."""
     raw = np.asarray(values)
+    if raw.dtype.kind == "b":  # True would pass as the id 1
+        raise ValueError(f"{what} table of booleans")
     with np.errstate(invalid="ignore"):
         ids = raw if raw.dtype.kind in "iu" else raw.astype(np.int64)
     if ids is not raw and (ids != raw).any():

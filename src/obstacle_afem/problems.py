@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .boundary import BoundaryTrace, interpolate_boundary
+from .boundary import interpolate_boundary
 from .fem import assemble_load, assemble_stiffness, energy
 from .mesh import LShape, Square, build_initial_mesh, refine
 from .vi import BOUNDARY_TOL, solve_obstacle
@@ -43,7 +43,7 @@ class ProblemSpec:
 
     name: str
     domain: object
-    g: BoundaryTrace
+    g: callable
     f: callable
     chi: Obstacle = None
     exact_energy: float = None
@@ -72,7 +72,7 @@ def to_zero_obstacle(problem):
     if chi is not None and chi.laplacian is None:
         raise ValueError("obstacle transformation requires an analytic "
                          "Laplacian of chi")
-    g = problem.g if chi is None else BoundaryTrace(
+    g = problem.g if chi is None else (
         lambda x, y: problem.g(x, y) - chi.value(x, y))
     pts = _sample_boundary(problem.domain)
     vals = np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float)
@@ -121,7 +121,7 @@ def example1():
     return ProblemSpec(
         name="example1",
         domain=Square(-_HALF_WIDTH, -_HALF_WIDTH, _HALF_WIDTH, _HALF_WIDTH),
-        g=BoundaryTrace(_example1_solution),
+        g=_example1_solution,
         f=lambda x, y: np.full_like(np.asarray(x, dtype=float), -2.0),
         chi=None,
         exact_energy=_EXAMPLE1_ENERGY,
@@ -190,7 +190,7 @@ def example2():
     return ProblemSpec(
         name="example2",
         domain=LShape(),
-        g=BoundaryTrace(_chi_value),
+        g=_chi_value,
         f=_example2_f,
         chi=Obstacle(value=_chi_value, laplacian=_chi_laplacian),
     )
@@ -370,7 +370,7 @@ def load_custom(path):
     return ProblemSpec(
         name=_entry(cfg, "name", "string", "custom"),
         domain=domain,
-        g=BoundaryTrace(expr(cfg, "g")),
+        g=expr(cfg, "g"),
         f=expr(cfg, "f"),
         chi=chi,
     )

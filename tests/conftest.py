@@ -5,8 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from obstacle_afem import (BoundaryTrace, LShape, Square, build_initial_mesh,
-                           refine)
+from obstacle_afem import LShape, Square, build_initial_mesh, refine
 
 # One line per acceptance criterion, filled in by tests/test_acceptance.py
 # and replayed after the test run (output capture would otherwise hide them).
@@ -82,4 +81,4 @@ def lshape_mesh():
 
 @pytest.fixture
 def zero_trace():
-    return BoundaryTrace(lambda x, y: np.zeros_like(np.asarray(x, float)))
+    return lambda x, y: np.zeros_like(np.asarray(x, float))

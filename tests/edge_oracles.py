@@ -11,10 +11,12 @@ oracles take the solution gradients from
 lengths from :func:`tests.mesh_oracles.edge_lengths`, not from the
 package.
 ``check_trace_continuity`` probes a Dirichlet datum along the boundary
-edges of a mesh.  ``ExactTrace`` is a Dirichlet datum whose arclength
-derivative is the tangential component of its analytic gradient, for
-the tests whose closed forms need g' exactly.
+edges of a mesh.  Inside an ``exact_trace`` block the arclength
+derivative of the datum is the tangential component of an analytic
+gradient, for the tests whose closed forms need g' exactly.
 """
+
+import contextlib
 
 import numpy as np
 
@@ -25,17 +27,24 @@ from tests.kernel_oracles import einsum_solution_gradients
 from tests.mesh_oracles import edge_lengths
 
 
-class ExactTrace(boundary.BoundaryTrace):
-    """Trace with an analytic ``gradient(x, y) -> (gx, gy)``."""
+@contextlib.contextmanager
+def exact_trace(gradient):
+    """Take the arclength derivative of the Dirichlet datum as the
+    tangential component of its analytic ``gradient(x, y) -> (gx, gy)``
+    while the block runs, in place of ``boundary.arc_derivative``'s
+    central difference."""
+    original = boundary.arc_derivative
 
-    def __init__(self, value, gradient):
-        super().__init__(value)
-        self._gradient = gradient
-
-    def arc_derivative(self, x, y, tangent, h):
+    def arc_derivative(g, x, y, tangent, h):
         tx, ty = tangent
-        gx, gy = self._gradient(x, y)
+        gx, gy = gradient(x, y)
         return np.asarray(gx) * tx + np.asarray(gy) * ty
+
+    boundary.arc_derivative = arc_derivative
+    try:
+        yield
+    finally:
+        boundary.arc_derivative = original
 
 
 def edge_normal(mesh, eid):
@@ -125,7 +134,7 @@ def apx_indicator(mesh, g, gl, eid):
     tangent = (q - p) / h
     slope = (gl[n1] - gl[n0]) / h
     pts, w = gauss_segment(p, q)
-    gp = g.arc_derivative(pts[:, 0], pts[:, 1], tangent, h)
+    gp = boundary.arc_derivative(g, pts[:, 0], pts[:, 1], tangent, h)
     return float(h * np.sum(w * (np.asarray(gp) - slope) ** 2))
 
 

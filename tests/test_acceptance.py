@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from obstacle_afem import (BoundaryTrace, LShape, ProblemSpec, Square, adapt,
+from obstacle_afem import (LShape, ProblemSpec, Square, adapt,
                            build_initial_mesh, dorfler_mark, example1,
                            example2, problems, refine, reference_energy,
                            run_adaptive, run_uniform)
@@ -20,7 +20,7 @@ from obstacle_afem.fem import (assemble_load, assemble_stiffness, energy,
                                energy_norm_diff, prolong)
 from obstacle_afem.vi import check_kkt, solve_obstacle
 from tests.conftest import random_refined_mesh, recording
-from tests.edge_oracles import ExactTrace
+from tests.edge_oracles import exact_trace
 from tests.kernel_oracles import example1_gradient
 from tests.mesh_oracles import edge_lengths, father_triangles, min_angle
 from tests.solver_oracles import h1_error, projected_sor_solve
@@ -145,7 +145,7 @@ def test_criterion_5_solver_oracle_equivalence():
             return (cf[0] + cf[1] * x + cf[2] * y + cf[3] * x * y
                     + cf[4] * x ** 2 + cf[5] * y ** 2)
 
-        g = BoundaryTrace(lambda x, y: (ca[0] + ca[1] * x + ca[2] * y) ** 2)
+        g = lambda x, y: (ca[0] + ca[1] * x + ca[2] * y) ** 2
         gl = interpolate_boundary(g, mesh)
         k = assemble_stiffness(mesh)
         b = assemble_load(mesh, f)
@@ -190,32 +190,32 @@ def test_criterion_7_pythagoras_identity():
         (lambda x, y: x ** 2, lambda x, y: (2.0 * x, 0.0 * x)),
         (lambda x, y: x ** 3, lambda x, y: (3.0 * x ** 2, 0.0 * x)),
     ]
-    for value, gradient in cases:
-        g = ExactTrace(value, gradient)
-        mesh = build_initial_mesh(Square(0, 0, 1, 1))
-        for _ in range(3):
-            fine = refine(mesh, np.arange(mesh.num_edges))
-            gl_c = interpolate_boundary(g, mesh)
-            gl_f = interpolate_boundary(g, fine)
-            vc = np.where(np.isnan(gl_c), 0.0, gl_c)
-            vc_f = prolong(vc, fine)
-            vf = np.where(np.isnan(gl_f), 0.0, gl_f)
-            # all three terms weighted with the coarse width 2 h_fine
-            term_fine = 2.0 * apx_indicator(
-                fine, g, gl_f, fine.boundary_edge_ids()).sum()
-            term_mid = 0.0
-            lengths = edge_lengths(fine)
-            for e in fine.boundary_edge_ids():
-                n0, n1 = fine.edges[e]
-                h = lengths[e]
-                slope_f = (vf[n1] - vf[n0]) / h
-                slope_c = (vc_f[n1] - vc_f[n0]) / h
-                term_mid += 2.0 * h * h * (slope_f - slope_c) ** 2
-            term_coarse = apx_indicator(
-                mesh, g, gl_c, mesh.boundary_edge_ids()).sum()
-            worst = max(worst,
-                        abs(term_fine + term_mid - term_coarse))
-            mesh = fine
+    for g, gradient in cases:
+        with exact_trace(gradient):
+            mesh = build_initial_mesh(Square(0, 0, 1, 1))
+            for _ in range(3):
+                fine = refine(mesh, np.arange(mesh.num_edges))
+                gl_c = interpolate_boundary(g, mesh)
+                gl_f = interpolate_boundary(g, fine)
+                vc = np.where(np.isnan(gl_c), 0.0, gl_c)
+                vc_f = prolong(vc, fine)
+                vf = np.where(np.isnan(gl_f), 0.0, gl_f)
+                # all three terms weighted with the coarse width 2 h_fine
+                term_fine = 2.0 * apx_indicator(
+                    fine, g, gl_f, fine.boundary_edge_ids()).sum()
+                term_mid = 0.0
+                lengths = edge_lengths(fine)
+                for e in fine.boundary_edge_ids():
+                    n0, n1 = fine.edges[e]
+                    h = lengths[e]
+                    slope_f = (vf[n1] - vf[n0]) / h
+                    slope_c = (vc_f[n1] - vc_f[n0]) / h
+                    term_mid += 2.0 * h * h * (slope_f - slope_c) ** 2
+                term_coarse = apx_indicator(
+                    mesh, g, gl_c, mesh.boundary_edge_ids()).sum()
+                worst = max(worst,
+                            abs(term_fine + term_mid - term_coarse))
+                mesh = fine
     ok = worst <= 1e-10
     report(7, ok, f"worst defect of the three-term identity {worst:.2e} "
            f"(want <= 1e-10) for quadratic and cubic traces, 3 levels")

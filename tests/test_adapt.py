@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from obstacle_afem import adapt, problems
-from obstacle_afem import (BoundaryTrace, ProblemSpec, Square, dorfler_mark,
+from obstacle_afem import (ProblemSpec, Square, dorfler_mark,
                            example1, example2, reference_energy, run_adaptive,
                            run_uniform)
-from tests.edge_oracles import ExactTrace
+from tests.edge_oracles import exact_trace
 
 
 class FakeIndicators:
@@ -27,8 +27,7 @@ def brute_force_min_cardinality(contrib, theta):
 
 def zero_problem():
     z = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
-    return ProblemSpec(name="zero", domain=Square(0, 0, 1, 1),
-                       g=BoundaryTrace(z), f=z)
+    return ProblemSpec(name="zero", domain=Square(0, 0, 1, 1), g=z, f=z)
 
 
 def achieved_fraction(contrib, marked):
@@ -194,10 +193,10 @@ def test_energy_monotone_under_uniform_refinement_with_affine_data():
     # are nested and the minimal energy cannot increase
     prob = ProblemSpec(
         name="affine", domain=Square(0, 0, 1, 1),
-        g=ExactTrace(lambda x, y: x + y,
-                     lambda x, y: (np.ones_like(x), np.ones_like(x))),
+        g=lambda x, y: x + y,
         f=lambda x, y: np.full_like(x, -3.0))
-    records = run_uniform(prob, max_elements=600).records
+    with exact_trace(lambda x, y: (np.ones_like(x), np.ones_like(x))):
+        records = run_uniform(prob, max_elements=600).records
     energies = [r.energy for r in records]
     assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
 

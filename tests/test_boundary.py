@@ -1,23 +1,22 @@
 import numpy as np
 import pytest
 
-from obstacle_afem import (BoundaryTrace, Square, build_initial_mesh,
-                           refine)
+from obstacle_afem import Square, build_initial_mesh, refine
 from obstacle_afem.boundary import apx_indicator, interpolate_boundary
 from obstacle_afem.mesh import Mesh
-from tests.edge_oracles import ExactTrace, check_trace_continuity
+from tests.edge_oracles import check_trace_continuity, exact_trace
 from tests.mesh_oracles import edge_lengths
 
 
 def test_nodal_interpolation_constant(unit_square_mesh):
-    g = BoundaryTrace(lambda x, y: np.full_like(x, 3.25))
+    g = lambda x, y: np.full_like(x, 3.25)
     gl = interpolate_boundary(g, unit_square_mesh)
     assert np.allclose(gl[unit_square_mesh.boundary_node_ids()], 3.25)
 
 
 def test_nodal_interpolation_matches_datum_at_nodes(lshape_mesh):
     mesh = refine(lshape_mesh, np.arange(lshape_mesh.num_edges))
-    g = BoundaryTrace(lambda x, y: x ** 2 - y)
+    g = lambda x, y: x ** 2 - y
     gl = interpolate_boundary(g, mesh)
     ids = mesh.boundary_node_ids()
     assert np.allclose(gl[ids],
@@ -35,7 +34,7 @@ def test_interpolant_value_frozen_corner():
 
 def test_interpolant_is_nan_exactly_at_interior_nodes(unit_square_mesh):
     mesh = refine(unit_square_mesh, np.arange(unit_square_mesh.num_edges))
-    g = BoundaryTrace(lambda x, y: x)
+    g = lambda x, y: x
     gl = interpolate_boundary(g, mesh)
     interior = ~np.isin(np.arange(mesh.num_nodes), mesh.boundary_node_ids())
     assert gl.shape == (mesh.num_nodes,) and gl.dtype == float
@@ -44,30 +43,42 @@ def test_interpolant_is_nan_exactly_at_interior_nodes(unit_square_mesh):
 
 
 def test_nonnegative_datum_gives_nonnegative_interpolant(lshape_mesh):
-    g = BoundaryTrace(lambda x, y: (x + y) ** 2)
+    g = lambda x, y: (x + y) ** 2
     gl = interpolate_boundary(g, lshape_mesh)
     assert (gl[lshape_mesh.boundary_node_ids()] >= 0.0).all()
 
 
 def test_apx_vanishes_for_affine_data(unit_square_mesh):
-    g = ExactTrace(lambda x, y: 2.0 * x - y + 1.0,
-                   lambda x, y: (np.full_like(x, 2.0),
-                                 np.full_like(x, -1.0)))
+    g = lambda x, y: 2.0 * x - y + 1.0
     gl = interpolate_boundary(g, unit_square_mesh)
     eids = unit_square_mesh.boundary_edge_ids()
-    assert (apx_indicator(unit_square_mesh, g, gl, eids) < 1e-28).all()
+    with exact_trace(lambda x, y: (np.full_like(x, 2.0),
+                                   np.full_like(x, -1.0))):
+        apx = apx_indicator(unit_square_mesh, g, gl, eids)
+    assert (apx < 1e-28).all()
 
 
 def test_apx_quadratic_closed_form(unit_square_mesh):
     # g = x^2 along the bottom edge of length 1: indicator h^4/3 = 1/3
-    g = ExactTrace(lambda x, y: x ** 2,
-                   lambda x, y: (2.0 * x, np.zeros_like(x)))
+    g = lambda x, y: x ** 2
     mesh = unit_square_mesh
     gl = interpolate_boundary(g, mesh)
     bottom = [e for e in mesh.boundary_edge_ids()
               if np.allclose(mesh.nodes[mesh.edges[e], 1], 0.0)][0]
-    assert np.isclose(apx_indicator(mesh, g, gl, [bottom])[0], 1.0 / 3.0,
-                      atol=1e-14)
+    with exact_trace(lambda x, y: (2.0 * x, np.zeros_like(x))):
+        apx = apx_indicator(mesh, g, gl, [bottom])
+    assert np.isclose(apx[0], 1.0 / 3.0, atol=1e-14)
+
+
+def test_apx_takes_a_plain_function(unit_square_mesh):
+    # the same closed form h^4/3 = 1/3 with g' by the central difference
+    mesh = unit_square_mesh
+    g = lambda x, y: x ** 2
+    gl = interpolate_boundary(g, mesh)
+    bottom = [e for e in mesh.boundary_edge_ids()
+              if np.allclose(mesh.nodes[mesh.edges[e], 1], 0.0)]
+    assert np.isclose(apx_indicator(mesh, g, gl, bottom)[0], 1.0 / 3.0,
+                      rtol=1e-8, atol=0.0)
 
 
 def test_apx_quadratic_closed_form_on_a_slanted_edge():
@@ -75,19 +86,17 @@ def test_apx_quadratic_closed_form_on_a_slanted_edge():
     # indicator h^4/12 = 1/3
     mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                 np.array([[0, 1, 2]]), np.array([1]))
-    g = ExactTrace(lambda x, y: x ** 2,
-                   lambda x, y: (2.0 * x, np.zeros_like(x)))
+    g = lambda x, y: x ** 2
     gl = interpolate_boundary(g, mesh)
     hyp = [e for e in mesh.boundary_edge_ids()
            if set(mesh.edges[e]) == {1, 2}]
-    assert np.isclose(apx_indicator(mesh, g, gl, hyp)[0], 1.0 / 3.0,
-                      atol=1e-14)
+    with exact_trace(lambda x, y: (2.0 * x, np.zeros_like(x))):
+        apx = apx_indicator(mesh, g, gl, hyp)
+    assert np.isclose(apx[0], 1.0 / 3.0, atol=1e-14)
 
 
 def test_apx_finite_difference_fallback_matches_analytic(unit_square_mesh):
-    g_an = ExactTrace(lambda x, y: np.sin(x) + y ** 3,
-                      lambda x, y: (np.cos(x), 3.0 * y ** 2))
-    g_fd = BoundaryTrace(lambda x, y: np.sin(x) + y ** 3)
+    g = lambda x, y: np.sin(x) + y ** 3
     # the boundary edges at node 0 bisected 13 times: edges down to
     # 2^-13, where a step proportional to h alone loses the difference
     # to round-off
@@ -99,15 +108,16 @@ def test_apx_finite_difference_fallback_matches_analytic(unit_square_mesh):
     assert edge_lengths(graded)[graded.boundary_edge_ids()].min() < 1.3e-4
     for mesh, rtol, atol in [(unit_square_mesh, 1e-7, 1e-12),
                              (graded, 1e-4, 0.0)]:
-        gl = interpolate_boundary(g_an, mesh)
+        gl = interpolate_boundary(g, mesh)
         eids = mesh.boundary_edge_ids()
-        assert np.allclose(apx_indicator(mesh, g_fd, gl, eids),
-                           apx_indicator(mesh, g_an, gl, eids),
+        with exact_trace(lambda x, y: (np.cos(x), 3.0 * y ** 2)):
+            analytic = apx_indicator(mesh, g, gl, eids)
+        assert np.allclose(apx_indicator(mesh, g, gl, eids), analytic,
                            rtol=rtol, atol=atol)
 
 
 def test_apx_rejects_interior_edge(unit_square_mesh):
-    g = BoundaryTrace(lambda x, y: x)
+    g = lambda x, y: x
     gl = interpolate_boundary(g, unit_square_mesh)
     with pytest.raises(ValueError):
         apx_indicator(unit_square_mesh, g, gl,
@@ -119,7 +129,7 @@ def test_apx_rejects_interior_edge(unit_square_mesh):
                          ids=lambda e: str(e[0]) if len(e) == 1 else None)
 def test_apx_rejects_bad_edge_ids(unit_square_mesh, eid):
     # the unit square has edges 0 to 4
-    g = BoundaryTrace(lambda x, y: x)
+    g = lambda x, y: x
     gl = interpolate_boundary(g, unit_square_mesh)
     with pytest.raises(ValueError, match="edge id"):
         apx_indicator(unit_square_mesh, g, gl, eid)
@@ -127,47 +137,47 @@ def test_apx_rejects_bad_edge_ids(unit_square_mesh, eid):
 
 @pytest.mark.parametrize("eid", [1, np.int64(1), [[1, 2]]])
 def test_apx_rejects_edge_ids_other_than_a_1d_array(unit_square_mesh, eid):
-    g = BoundaryTrace(lambda x, y: x)
+    g = lambda x, y: x
     gl = interpolate_boundary(g, unit_square_mesh)
     with pytest.raises(ValueError, match="1-D"):
         apx_indicator(unit_square_mesh, g, gl, eid)
 
 
 def test_apx_total_decays_by_factor_eight_for_quadratic(unit_square_mesh):
-    g = ExactTrace(lambda x, y: x ** 2,
-                   lambda x, y: (2.0 * x, np.zeros_like(x)))
+    g = lambda x, y: x ** 2
     mesh = unit_square_mesh
     gl = interpolate_boundary(g, mesh)
-    coarse = apx_indicator(mesh, g, gl, mesh.boundary_edge_ids()).sum()
     fine_mesh = refine(mesh, np.arange(mesh.num_edges))
     gl_f = interpolate_boundary(g, fine_mesh)
-    fine = apx_indicator(fine_mesh, g, gl_f,
-                         fine_mesh.boundary_edge_ids()).sum()
+    with exact_trace(lambda x, y: (2.0 * x, np.zeros_like(x))):
+        coarse = apx_indicator(mesh, g, gl, mesh.boundary_edge_ids()).sum()
+        fine = apx_indicator(fine_mesh, g, gl_f,
+                             fine_mesh.boundary_edge_ids()).sum()
     assert np.isclose(fine, coarse / 8.0, atol=1e-14)
 
 
 def test_apx_reduction_under_marking(unit_square_mesh):
     # halving an edge drops its indicator sum well below half of the parent
-    g = ExactTrace(lambda x, y: x ** 2,
-                   lambda x, y: (2.0 * x, np.zeros_like(x)))
+    g = lambda x, y: x ** 2
     mesh = unit_square_mesh
     gl = interpolate_boundary(g, mesh)
-    total_c = apx_indicator(mesh, g, gl, mesh.boundary_edge_ids()).sum()
     fine_mesh = refine(mesh, np.arange(mesh.num_edges))
     gl_f = interpolate_boundary(g, fine_mesh)
-    total_f = apx_indicator(fine_mesh, g, gl_f,
-                            fine_mesh.boundary_edge_ids()).sum()
+    with exact_trace(lambda x, y: (2.0 * x, np.zeros_like(x))):
+        total_c = apx_indicator(mesh, g, gl,
+                                mesh.boundary_edge_ids()).sum()
+        total_f = apx_indicator(fine_mesh, g, gl_f,
+                                fine_mesh.boundary_edge_ids()).sum()
     assert total_f <= total_c - 0.5 * total_c + 1e-14
 
 
 def test_continuity_check_accepts_continuous_data(lshape_mesh):
-    g = BoundaryTrace(lambda x, y: np.sin(x) * np.cos(y))
+    g = lambda x, y: np.sin(x) * np.cos(y)
     assert check_trace_continuity(g, lshape_mesh) < 1e-10
 
 
 def test_continuity_check_rejects_jump(unit_square_mesh):
-    g = BoundaryTrace(lambda x, y:
-                      np.where(np.asarray(y) > 0.5, 1.0, 0.0)
+    g = lambda x, y: (np.where(np.asarray(y) > 0.5, 1.0, 0.0)
                       + 0.0 * np.asarray(x))
     with pytest.raises(ValueError):
         check_trace_continuity(g, refine(unit_square_mesh,

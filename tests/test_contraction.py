@@ -20,7 +20,7 @@ of a much finer adaptive run.
 import numpy as np
 import pytest
 
-from obstacle_afem import (BoundaryTrace, Obstacle, ProblemSpec, Square,
+from obstacle_afem import (Obstacle, ProblemSpec, Square,
                            example1, example2, run_adaptive)
 
 GAMMAS = (0.01, 0.1, 1.0)
@@ -85,7 +85,7 @@ def oscillating_dirichlet_problem():
     return ProblemSpec(
         name="oscillating-dirichlet",
         domain=Square(0.0, 0.0, 1.0, 1.0),
-        g=BoundaryTrace(lambda x, y: 1.2 + np.sin(13 * x) * np.cos(11 * y)),
+        g=lambda x, y: 1.2 + np.sin(13 * x) * np.cos(11 * y),
         f=lambda x, y: np.full_like(x, -8.0),
         chi=Obstacle(value=lambda x, y: 0.1 * np.sin(4 * x) + 0 * y,
                      laplacian=lambda x, y: -1.6 * np.sin(4 * x) + 0 * y),

@@ -221,7 +221,13 @@ def test_stiffness_matches_coo_assembly_without_stored_zeros():
 def kernel_peaks(times):
     """The uniform L-shape refined ``times`` times, and the tracemalloc
     peaks of Mesh, the stiffness, the load and the estimator on it in B
-    per triangle."""
+    per triangle.
+
+    The guards on these peaks bound Python's traced allocations, not the
+    benchmark's ``peak_rss_mb`` (the process's ``ru_maxrss``): a one-sum
+    stiffness build passed them and still raised e2-uniform's peak RSS
+    by about 2 MB, so a memory change must also show the benchmark's
+    RSS."""
     mesh = build_initial_mesh(LShape())
     for _ in range(times):
         mesh = refine(mesh, np.arange(mesh.num_edges))

@@ -312,6 +312,15 @@ def test_whole_number_tables_accepted_and_int32_not_copied():
     assert mesh.node_parents is parents
 
 
+def test_boolean_tables_rejected():
+    # True == 1 would pass the whole-number check as vertex or edge id 1
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="reference edge table of booleans"):
+        Mesh(nodes, [[0, 1, 2], [0, 2, 3]], np.array([True, False]))
+    with pytest.raises(ValueError, match="vertex id table of booleans"):
+        Mesh(nodes[:3], np.array([[False, True, True]]), [0])
+
+
 def test_index_tables_of_refined_meshes_are_int32():
     # one closure refinement, then one uniform (four sons each)
     mesh = refine(build_initial_mesh(LShape()), [0])

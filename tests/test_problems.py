@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from obstacle_afem import (BoundaryTrace, LShape, Obstacle, ProblemSpec,
+from obstacle_afem import (LShape, Obstacle, ProblemSpec,
                            Square, apx_indicator, build_initial_mesh,
                            example1, example2,
                            interpolate_boundary, load_custom, problems,
@@ -99,7 +99,7 @@ def test_affine_obstacle_shifts_data_only():
     chi = Obstacle(value=lambda x, y: x + 1.0,
                    laplacian=lambda x, y: np.zeros_like(x))
     p = ProblemSpec(name="affine-chi", domain=Square(0, 0, 1, 1),
-                    g=BoundaryTrace(lambda x, y: x + 2.0),
+                    g=lambda x, y: x + 2.0,
                     f=lambda x, y: np.full_like(x, 5.0), chi=chi)
     tp = to_zero_obstacle(p)
     x = np.linspace(0.0, 1.0, 5)
@@ -110,14 +110,14 @@ def test_affine_obstacle_shifts_data_only():
 def test_transformation_requires_laplacian_and_feasibility():
     chi_no_lap = Obstacle(value=lambda x, y: x, laplacian=None)
     p = ProblemSpec(name="bad", domain=Square(0, 0, 1, 1),
-                    g=BoundaryTrace(lambda x, y: np.zeros_like(x)),
+                    g=lambda x, y: np.zeros_like(x),
                     f=lambda x, y: np.zeros_like(x), chi=chi_no_lap)
     with pytest.raises(ValueError):
         to_zero_obstacle(p)
     chi_high = Obstacle(value=lambda x, y: np.ones_like(x),
                         laplacian=lambda x, y: np.zeros_like(x))
     p2 = ProblemSpec(name="bad2", domain=Square(0, 0, 1, 1),
-                     g=BoundaryTrace(lambda x, y: np.zeros_like(x)),
+                     g=lambda x, y: np.zeros_like(x),
                      f=lambda x, y: np.zeros_like(x), chi=chi_high)
     with pytest.raises(ValueError):
         to_zero_obstacle(p2)
@@ -225,7 +225,7 @@ def test_reference_energy_trivial_and_monotone(zero_trace):
     # only lower the minimal energy
     prob = ProblemSpec(
         name="affine", domain=Square(0, 0, 1, 1),
-        g=BoundaryTrace(lambda x, y: x + y),
+        g=lambda x, y: x + y,
         f=lambda x, y: np.full_like(x, -3.0))
     coarse = reference_energy(prob, n_target=50)
     fine = reference_energy(prob, n_target=800)

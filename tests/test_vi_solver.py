@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from obstacle_afem import (BoundaryTrace, LShape, Mesh, Square,
+from obstacle_afem import (LShape, Mesh, Square,
                            assemble_load, assemble_stiffness,
                            build_initial_mesh, energy, example1, example2,
                            refine, run_adaptive)
@@ -110,7 +110,7 @@ def test_pdas_and_sor_agree_on_random_meshes():
             return (cf[0] + cf[1] * x + cf[2] * y + cf[3] * x * y
                     + cf[4] * x ** 2 + cf[5] * y ** 2)
 
-        g = BoundaryTrace(lambda x, y: (ca[0] + ca[1] * x + ca[2] * y) ** 2)
+        g = lambda x, y: (ca[0] + ca[1] * x + ca[2] * y) ** 2
         k, b, gl = setup_problem(mesh, f, g)
         s1 = solve_obstacle(mesh, k, b, gl)
         s2 = projected_sor_solve(mesh, k, b, gl)
@@ -237,7 +237,7 @@ def test_cg_iterations_stay_bounded_along_an_adaptive_run():
 
 def test_infeasible_boundary_data_rejected():
     mesh = refined_square(1)
-    g = BoundaryTrace(lambda x, y: np.full_like(x, -1.0))
+    g = lambda x, y: np.full_like(x, -1.0)
     k, b, gl = setup_problem(mesh, lambda x, y: np.zeros_like(x), g)
     with pytest.raises(ValueError):
         solve_obstacle(mesh, k, b, gl)
