@@ -69,10 +69,12 @@ def assemble_indicators(mesh, values, f, g, gl):
         fv[s] = f_at_points(f, triangle_points(mesh, s))
     int_f = areas * (fv @ TRI_WEIGHTS)
 
-    interior = mesh.interior_edge_ids()
+    triangles = mesh.edge_triangles()
+    # int32 ids, 4 B less per interior edge, make room for the table
+    interior = mesh.interior_edge_ids().astype(np.int32)
     for s in blocks(len(interior)):
         e = interior[s]
-        a, b = mesh.edge2tri[e].T
+        a, b = triangles[e].T
         t = mesh.nodes[mesh.edges[e, 1]] - mesh.nodes[mesh.edges[e, 0]]
         h = np.hypot(t[:, 0], t[:, 1])
         normals = np.stack([t[:, 1], -t[:, 0]], axis=1) / h[:, None]
@@ -84,7 +86,7 @@ def assemble_indicators(mesh, values, f, g, gl):
                            + areas[b] * ((fv[b] - m) ** 2 @ TRI_WEIGHTS))
 
     bdry = mesh.boundary_edge_ids()
-    tb = mesh.edge2tri[bdry, 0]
+    tb = triangles[bdry, 0]
     osc2[bdry] = areas[tb] * (areas[tb] * ((fv[tb] ** 2) @ TRI_WEIGHTS))
     apx2[bdry] = apx_indicator(mesh, g, gl, bdry)
 

@@ -56,20 +56,46 @@ def _element_sums(mesh):
 def assemble_stiffness(mesh):
     """Sparse symmetric stiffness matrix of the Dirichlet form, without
     stored zeros (the entry of an edge opposite two right angles), from
-    :func:`_element_sums`, whose block temporaries are gone by then."""
+    :func:`_element_sums`, whose block temporaries are gone by then.
+    The CSR arrays are written directly, with no full-size sum: each
+    row holds its entries left of the diagonal, the diagonal, then
+    those right of it, columns ascending."""
     n = mesh.num_nodes
     diag, off = _element_sums(mesh)
     # the upper triangle: the edges, sorted by (min, max), are its rows
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(mesh.edges[:, 0], minlength=n), out=indptr[1:])
-    upper = sp.csr_matrix((off, mesh.edges[:, 1], indptr), shape=(n, n))
-    # each entry from exactly one operand: the sums are exact; U is not
-    # alive while the second sum is built
-    k = upper + upper.T
+    # the column ids copied: eliminate_zeros compacts them in place
+    upper = sp.csr_matrix((off, mesh.edges[:, 1].copy(), indptr),
+                          shape=(n, n))
+    upper.eliminate_zeros()
+    # the lower triangle by rows: SciPy's CSC copy needs no sort
+    lower = upper.tocsc()
+    on = diag != 0  # a node in no triangle has an empty row
+    left = np.diff(lower.indptr)
+    nnz = 2 * upper.nnz + int(on.sum())
+    index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(on, out=indptr[1:])
+    indptr += lower.indptr
+    indptr += upper.indptr
+    # per row a run of slots up to the diagonal, then one right of it
+    slots = np.repeat(np.tile([False, True], n), np.stack(
+        [left + on, np.diff(upper.indptr)], axis=1).ravel())
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=index)
+    data[slots] = upper.data
+    indices[slots] = upper.indices
     del upper, off
-    k = k + sp.diags(diag, format="csr")
-    k.eliminate_zeros()
-    return k
+    # the slots neither right of nor at the diagonal: the lower triangle
+    at_diag = (indptr[:-1] + left)[on]
+    slots[at_diag] = True
+    np.logical_not(slots, out=slots)
+    data[slots] = lower.data
+    indices[slots] = lower.indices
+    data[at_diag] = diag[on]
+    indices[at_diag] = np.flatnonzero(on)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def assemble_load(mesh, f):

@@ -86,9 +86,10 @@ class Mesh:
     The triangle areas ``areas`` (positive, since the vertices run
     counterclockwise) and the edge tables are computed once on
     construction.  Interior edges have exactly two adjacent triangles,
-    boundary edges exactly one.  Every index table (``triangles``,
-    ``ref_edge``, ``node_parents``, ``tri2edge``, ``edges``,
-    ``edge2tri``) is stored as int32, so N and 3M must fit in int32.
+    boundary edges exactly one; ``edge_triangles()`` lists them.  Every
+    index table (``triangles``, ``ref_edge``, ``node_parents``,
+    ``tri2edge``, ``edges``) is stored as int32, so N and 3M must fit in
+    int32.
     """
 
     def __init__(self, nodes, triangles, ref_edge, node_parents=None,
@@ -179,11 +180,23 @@ class Mesh:
         tri2edge = np.empty(3 * m, dtype=np.int32)
         tri2edge[order] = ids
         self.tri2edge = tri2edge.reshape(m, 3)
-        order //= 3
-        self.edge2tri = np.full((self.num_edges, 2), -1, dtype=np.int32)
-        self.edge2tri[:, 0] = order[first]
-        self.edge2tri[ids[~first], 1] = order[~first]
-        self.is_boundary_edge = self.edge2tri[:, 1] < 0
+        # a key that does not repeat is an edge of one triangle
+        self.is_boundary_edge = np.append(first[1:], True)[first]
+
+    def edge_triangles(self):
+        """(E, 2) int32 table of the triangles of each edge: the lower id,
+        then the higher one, or -1 on a boundary edge.  Built from
+        ``tri2edge`` on each call, not stored: the estimator alone reads
+        it."""
+        table = np.empty((self.num_edges, 2), dtype=np.int32)
+        table[:, 0] = self.num_triangles
+        table[:, 1] = -1
+        t = np.arange(self.num_triangles, dtype=np.int32)
+        for col in self.tri2edge.T:
+            np.minimum.at(table[:, 0], col, t)
+            np.maximum.at(table[:, 1], col, t)
+        table[self.is_boundary_edge, 1] = -1
+        return table
 
     # -- basic quantities -------------------------------------------------
 

@@ -20,6 +20,7 @@ and the coarse matrices are the Galerkin products ``P' A P``.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fem import generation
 
@@ -203,7 +204,8 @@ def level_prolongations(mesh):
         g = generation(mesh, level)
         p = g if p is None else p @ g
         if level == 1 or 2 * mesh.level_nodes[level - 1] <= p.shape[0]:
-            prolongations.append(p.sorted_indices())
+            p.sort_indices()
+            prolongations.append(p)
             p = None
     return prolongations
 
@@ -223,10 +225,23 @@ def vcycle(matrix, prolongations, idx):
         return lambda r: _smooth(matrix, scale, r, scale * r,
                                  2 * SMOOTHING_STEPS - 1)
     p = prolongations[0][idx]
-    rows = np.flatnonzero(p.getnnz(axis=0))
-    p = p[:, rows]
+    reached = p.getnnz(axis=0) > 0
+    rows = np.flatnonzero(reached)
+    # renumber the reached coarse nodes in order: each row keeps its
+    # data and order, and p's columns are not copied
+    number = np.cumsum(reached, dtype=p.indices.dtype) - 1
+    p = sp.csr_matrix((p.data, number[p.indices], p.indptr),
+                      shape=(len(idx), len(rows)))
+    del reached, number
     pt = p.T  # kept: a transpose per cycle costs more than the matvec
-    coarser = vcycle(pt @ (matrix @ p), prolongations[1:], rows)
+    # P'(AP) from a CSR copy of P', made after AP (pt @ AP would copy
+    # the larger AP to CSC); sorted columns keep every sum of the cycle
+    # in index order
+    ap = matrix @ p
+    coarse = pt.tocsr() @ ap
+    del ap
+    coarse.sort_indices()
+    coarser = vcycle(coarse, prolongations[1:], rows)
 
     def apply(r):
         x = _smooth(matrix, scale, r, scale * r, SMOOTHING_STEPS - 1)

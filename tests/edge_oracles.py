@@ -64,7 +64,7 @@ def edge_patch(mesh, eid):
         raise ValueError("unknown edge id")
     if mesh.is_boundary_edge[eid]:
         raise ValueError("edge_patch requires an interior edge")
-    t_plus, t_minus = mesh.edge2tri[eid]
+    t_plus, t_minus = mesh.edge_triangles()[eid]
     areas = mesh.areas
     return int(t_plus), int(t_minus), float(areas[t_plus] + areas[t_minus])
 
@@ -79,7 +79,7 @@ def jump_indicator(mesh, values, eid):
     if mesh.is_boundary_edge[eid]:
         raise ValueError("jump_indicator requires an interior edge")
     grads = einsum_solution_gradients(mesh, np.asarray(values, dtype=float))
-    t_plus, t_minus = mesh.edge2tri[eid]
+    t_plus, t_minus = mesh.edge_triangles()[eid]
     jump = (grads[t_plus] - grads[t_minus]) @ edge_normal(mesh, eid)
     return float(edge_lengths(mesh)[eid] ** 2 * jump ** 2)
 
@@ -109,7 +109,7 @@ def boundary_residual(mesh, f, eid):
     eid = int(eid)
     if not mesh.is_boundary_edge[eid]:
         raise ValueError("boundary_residual requires a boundary edge")
-    t = mesh.edge2tri[eid, 0]
+    t = mesh.edge_triangles()[eid, 0]
     area = mesh.areas[t]
     return float(area * area * (_f_at_points(mesh, f)[t] ** 2 @ TRI_WEIGHTS))
 
@@ -158,8 +158,9 @@ def whole_table_indicators(mesh, values, f, g, gl):
         - mesh.nodes[mesh.edges[interior, 0]]
     h = edge_lengths(mesh)[interior]
     normals = np.stack([t[:, 1], -t[:, 0]], axis=1) / h[:, None]
-    tp = mesh.edge2tri[interior, 0]
-    tm = mesh.edge2tri[interior, 1]
+    triangles = mesh.edge_triangles()
+    tp = triangles[interior, 0]
+    tm = triangles[interior, 1]
     jump = np.einsum("ed,ed->e", grads[tp] - grads[tm], normals)
     eta2[interior] = h ** 2 * jump ** 2
 
@@ -170,7 +171,7 @@ def whole_table_indicators(mesh, values, f, g, gl):
     osc2[interior] = patch * var
 
     bdry = mesh.boundary_edge_ids()
-    tb = mesh.edge2tri[bdry, 0]
+    tb = triangles[bdry, 0]
     osc2[bdry] = areas[tb] * int_f2[tb]
     apx2[bdry] = boundary.apx_indicator(mesh, g, gl, bdry)
     return eta2, osc2, apx2

@@ -7,7 +7,9 @@ solution gradients and the local stiffness matrices by ``einsum``, the
 stiffness matrix assembled from COO triplets with its stored zeros, its
 diagonal and the load summed by ``np.add.at`` in triangle order, the
 stiffness and load over all triangles at once (the blocked kernels'
-whole-table forms), and example 2's force and obstacle Laplacian
+whole-table forms; the stiffness as the sparse sum U + U' + D of its
+triangles and diagonal, the form its directly written CSR arrays
+replaced), and example 2's force and obstacle Laplacian
 evaluated by one formula on the whole domain.  The tests require the
 kernels to match them, mostly bit for bit.  Example 1's exact energy by
 radial quadrature checks its closed form, and the gradient of its exact
@@ -84,7 +86,8 @@ def add_at_load(mesh, f):
 
 def whole_table_stiffness(mesh):
     """Stiffness matrix from the six element entries of all triangles at
-    once, summed by ``np.bincount`` per node and per edge."""
+    once, summed by ``np.bincount`` per node and per edge, and then as
+    the sparse sum U + U' + D, its zeros eliminated."""
     g = hat_gradients(mesh)
     gx, gy = g[..., 0], g[..., 1]
     a = mesh.areas

@@ -158,8 +158,9 @@ def vstack_prolongations(mesh):
 def build_edges_unique(mesh):
     """Edge tables of a mesh as ``(edges, tri2edge, edge2tri,
     is_boundary_edge, edge_lengths)``, same contract as the attributes
-    of :class:`obstacle_afem.mesh.Mesh` and :func:`edge_lengths`, the
-    index tables in the dtype of the mesh's triangles."""
+    of :class:`obstacle_afem.mesh.Mesh`, its ``edge_triangles()`` and
+    :func:`edge_lengths`, the index tables in the dtype of the mesh's
+    triangles."""
     tri = mesh.triangles
     m = tri.shape[0]
     local = tri[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)

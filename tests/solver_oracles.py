@@ -8,6 +8,9 @@ PDAS system by Jacobi-preconditioned CG, with no mesh hierarchy, to
 cross-check the multilevel-preconditioned :func:`obstacle_afem.vi.cg_solve`;
 ``scipy_cg_solve`` runs SciPy's CG with the same preconditioner and
 stopping rule as ``cg_solve``, to check its iterations one for one;
+``csc_vcycle`` is the V-cycle set-up that copies the columns of each
+truncated prolongation and forms ``P' (A P)`` through SciPy's CSC copy
+of ``A P``, to check :func:`obstacle_afem.vi.vcycle` bit for bit;
 ``h1_error`` measures a P1 function against a closed-form solution by
 quadrature; ``cold_reference_energy`` is the uniform reference loop of
 :func:`obstacle_afem.problems.reference_energy` with the new nodes of
@@ -23,8 +26,9 @@ from obstacle_afem.fem import (assemble_load, assemble_stiffness, energy,
 from obstacle_afem.mesh import build_initial_mesh, refine
 from obstacle_afem.problems import to_zero_obstacle
 from obstacle_afem.quadrature import TRI_BARY, TRI_WEIGHTS, triangle_points
-from obstacle_afem.vi import (BOUNDARY_TOL, CG_RTOL, DiscreteSolution,
-                              solve_obstacle)
+from obstacle_afem.vi import (BOUNDARY_TOL, CG_RTOL, COARSE_LIMIT,
+                              JACOBI_DAMPING, SMOOTHING_STEPS,
+                              DiscreteSolution, _smooth, solve_obstacle)
 
 
 def projected_sor_solve(mesh, stiffness, load, gl, omega=1.5,
@@ -94,6 +98,32 @@ def scipy_cg_solve(matrix, rhs, x0, precond):
     if info != 0:
         raise RuntimeError(f"CG failed to converge (info={info})")
     return x, len(steps)
+
+
+def csc_vcycle(matrix, prolongations, idx):
+    """One symmetric V-cycle, same contract as
+    :func:`obstacle_afem.vi.vcycle`: the reached columns of each
+    truncated prolongation picked by a copy, the coarse matrices the
+    CSC products ``p.T @ (matrix @ p)``."""
+    if len(idx) <= COARSE_LIMIT:
+        coarse = np.linalg.pinv(matrix.toarray(), hermitian=True)
+        return lambda r: coarse @ r
+    scale = JACOBI_DAMPING / matrix.diagonal()
+    if not prolongations:
+        return lambda r: _smooth(matrix, scale, r, scale * r,
+                                 2 * SMOOTHING_STEPS - 1)
+    p = prolongations[0][idx]
+    rows = np.flatnonzero(p.getnnz(axis=0))
+    p = p[:, rows]
+    pt = p.T
+    coarser = csc_vcycle(pt @ (matrix @ p), prolongations[1:], rows)
+
+    def apply(r):
+        x = _smooth(matrix, scale, r, scale * r, SMOOTHING_STEPS - 1)
+        x = x + p @ coarser(pt @ (r - matrix @ x))
+        return _smooth(matrix, scale, r, x, SMOOTHING_STEPS)
+
+    return apply
 
 
 def h1_error(mesh, values, exact, exact_grad):

@@ -146,14 +146,15 @@ def test_indicators_evaluate_f_one_quadrature_point_at_a_time():
     int_f2 = areas * ((fv ** 2) @ TRI_WEIGHTS)
     expected = np.zeros(mesh.num_edges)
     interior = mesh.interior_edge_ids()
-    tp, tm = mesh.edge2tri[interior, 0], mesh.edge2tri[interior, 1]
+    triangles = mesh.edge_triangles()
+    tp, tm = triangles[interior, 0], triangles[interior, 1]
     patch = areas[tp] + areas[tm]
     mean = (int_f[tp] + int_f[tm]) / patch
     expected[interior] = patch * (
         areas[tp] * ((fv[tp] - mean[:, None]) ** 2 @ TRI_WEIGHTS)
         + areas[tm] * ((fv[tm] - mean[:, None]) ** 2 @ TRI_WEIGHTS))
     bdry = mesh.boundary_edge_ids()
-    tb = mesh.edge2tri[bdry, 0]
+    tb = triangles[bdry, 0]
     expected[bdry] = areas[tb] * int_f2[tb]
     assert np.array_equal(ind.osc2, expected)
 

@@ -21,7 +21,8 @@ from tests.kernel_oracles import (add_at_load, add_at_stiffness_diagonal,
                                   whole_table_load, whole_table_stiffness)
 from tests.mesh_oracles import (edge_lengths, midpoint_prolong,
                                 vstack_prolongations)
-from tests.solver_oracles import h1_error, jacobi_cg_solve, scipy_cg_solve
+from tests.solver_oracles import (csc_vcycle, h1_error, jacobi_cg_solve,
+                                  scipy_cg_solve)
 
 
 def single_triangle():
@@ -218,6 +219,25 @@ def test_stiffness_matches_coo_assembly_without_stored_zeros():
                for mesh in meshes) > 16
 
 
+def test_stiffness_matches_the_sparse_sum_with_an_empty_row():
+    # the oracle meshes are matched in the blocked-kernel test; here an
+    # adaptive mesh of the square and a node in no triangle, whose row
+    # is empty as in the sum U + U' + D with its zeros eliminated
+    meshes = [
+        run_adaptive(example1(), 0.5, max_elements=2000).mesh,
+        Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+             [[0, 1, 2]], [0])]
+    for mesh in meshes:
+        k, ref = assemble_stiffness(mesh), whole_table_stiffness(mesh)
+        assert k.has_canonical_format and (k.data != 0.0).all()
+        assert k.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(k, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+    assert k.indptr[3] == k.indptr[4] == k.nnz
+
+
 def kernel_peaks(times):
     """The uniform L-shape refined ``times`` times, and the tracemalloc
     peaks of Mesh, the stiffness, the load and the estimator on it in B
@@ -282,6 +302,11 @@ def test_blocked_kernels_peak_memory_per_triangle():
     # sums 107 B
     mesh, peaks = kernel_peaks(7)
     assert mesh.num_triangles == 98304
+    # the arrays a Mesh holds: 62 B per triangle, 74 with a stored
+    # (E, 2) edge-to-triangle table
+    held = sum(v.nbytes for v in vars(mesh).values()
+               if isinstance(v, np.ndarray))
+    assert held <= 64 * mesh.num_triangles
     assert peaks["Mesh"] <= 117
     assert peaks["stiffness"] <= 94
     assert peaks["load"] <= 40
@@ -558,6 +583,35 @@ def test_vcycle_is_symmetric_positive_definite():
     assert not shapes[1][0] and shapes[1][1] > 1
     assert shapes[2] == (False, 0)
     assert not shapes[3][0] and shapes[3][1] > 1
+
+
+def test_vcycle_matches_the_csc_product_form():
+    # bit for bit: the reached columns renumbered in place of a copy and
+    # P'(AP) as a CSR product with sorted columns, against the column
+    # copy and SciPy's CSC product, on systems of all interior nodes, of
+    # random inactive sets and of an adaptive PDAS solution
+    rng = np.random.default_rng(21)
+    square, lshape = _uniform_square(6), build_initial_mesh(LShape())
+    for _ in range(5):
+        lshape = refine(lshape, np.arange(lshape.num_edges))
+    adaptive = run_adaptive(example2(), 0.5, max_elements=2000)
+    cases = [(square, np.zeros(square.num_nodes, bool)),
+             (square, rng.random(square.num_nodes) < 0.3),
+             (square, rng.random(square.num_nodes) < 0.8),
+             (lshape, rng.random(lshape.num_nodes) < 0.5),
+             (adaptive.mesh, adaptive.solution.active)]
+    for mesh, active in cases:
+        keep = ~active
+        keep[mesh.boundary_node_ids()] = False
+        idx = np.flatnonzero(keep)
+        sub = assemble_stiffness(mesh)[idx][:, idx]
+        prolongations = level_prolongations(mesh)
+        assert len(idx) > COARSE_LIMIT and len(prolongations) > 1
+        precond = vcycle(sub, prolongations, idx)
+        oracle = csc_vcycle(sub, prolongations, idx)
+        for r in rng.normal(size=(3, len(idx))):
+            assert np.array_equal(precond(r).view(np.uint64),
+                                  oracle(r).view(np.uint64))
 
 
 def test_cg_solve_returns_zero_for_zero_rhs(unit_square_mesh):

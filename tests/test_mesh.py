@@ -152,12 +152,13 @@ def test_refine_matches_loop_oracle(unit_square_mesh, lshape_mesh):
 
 
 def _assert_edges_match_unique_oracle(mesh):
-    names = ("edges", "tri2edge", "edge2tri", "is_boundary_edge",
+    names = ("edges", "tri2edge", "edge_triangles", "is_boundary_edge",
              "edge_lengths", "areas")
     refs = (*build_edges_unique(mesh), gathered_areas(mesh))
+    computed = {"edge_lengths": edge_lengths(mesh),
+                "edge_triangles": mesh.edge_triangles()}
     for name, ref in zip(names, refs):
-        got = edge_lengths(mesh) if name == "edge_lengths" \
-            else getattr(mesh, name)
+        got = computed[name] if name in computed else getattr(mesh, name)
         assert got.dtype == ref.dtype, name
         assert np.array_equal(got, ref), name
 
@@ -326,8 +327,9 @@ def test_index_tables_of_refined_meshes_are_int32():
     mesh = refine(build_initial_mesh(LShape()), [0])
     mesh = refine(mesh, np.arange(mesh.num_edges))
     for name in ("triangles", "ref_edge", "node_parents", "tri2edge",
-                 "edges", "edge2tri"):
+                 "edges"):
         assert getattr(mesh, name).dtype == np.int32, name
+    assert mesh.edge_triangles().dtype == np.int32
 
 
 # an int32 cast would wrap 2**32 + k to k, an id in range: the range
@@ -449,7 +451,8 @@ def test_random_refinement_preserves_conformity():
     mesh = random_refined_mesh(rng, LShape(), max_nodes=300)
     # interior edges have two neighbors, boundary edges one; the boundary
     # edges form closed loops (every boundary node has even degree 2)
-    assert ((mesh.edge2tri[:, 1] >= 0) == ~mesh.is_boundary_edge).all()
+    assert ((mesh.edge_triangles()[:, 1] >= 0)
+            == ~mesh.is_boundary_edge).all()
     deg = np.bincount(mesh.edges[mesh.is_boundary_edge].ravel(),
                       minlength=mesh.num_nodes)
     assert set(deg[deg > 0]) == {2}
