@@ -59,14 +59,16 @@ def assemble_indicators(mesh, values, f, g, gl):
     """Complete indicator set for a discrete solution: the f table in
     blocks of triangles, then the jump and oscillation terms in blocks of
     interior edges."""
+    # the f table stays whole: each patch reads both of its triangles;
+    # allocated before the smaller arrays, it can reuse the heap that
+    # the solve freed rather than take fresh pages
+    fv = np.empty((mesh.num_triangles, len(TRI_WEIGHTS)))
+    for s in blocks(mesh.num_triangles):
+        fv[s] = f_at_points(f, triangle_points(mesh, s))
     values = np.asarray(values, dtype=float)
     eta2, osc2, apx2 = np.zeros((3, mesh.num_edges))
     areas = mesh.areas
     grads = solution_gradients(mesh, values)
-    # the f table stays whole: each patch reads both of its triangles
-    fv = np.empty((mesh.num_triangles, len(TRI_WEIGHTS)))
-    for s in blocks(mesh.num_triangles):
-        fv[s] = f_at_points(f, triangle_points(mesh, s))
     int_f = areas * (fv @ TRI_WEIGHTS)
 
     triangles = mesh.edge_triangles()
@@ -94,12 +96,15 @@ def assemble_indicators(mesh, values, f, g, gl):
 
 
 def dump_indicators(indicators, path):
-    """CSV dump: edge_id,kind,eta2,osc2,apx2."""
-    mesh = indicators.mesh
+    """CSV dump: edge_id,kind,eta2,osc2,apx2; the rows from ``tolist()``,
+    one block of edges at a time."""
+    mesh, kinds = indicators.mesh, ("interior", "boundary")
     with open(path, "w") as fh:
         fh.write("edge_id,kind,eta2,osc2,apx2\n")
-        for eid in range(mesh.num_edges):
-            kind = "boundary" if mesh.is_boundary_edge[eid] else "interior"
-            fh.write(f"{eid},{kind},{float(indicators.eta2[eid])!r},"
-                     f"{float(indicators.osc2[eid])!r},"
-                     f"{float(indicators.apx2[eid])!r}\n")
+        for s in blocks(mesh.num_edges):
+            rows = zip(range(s.start, s.stop),
+                       *(a[s].tolist() for a in (
+                           mesh.is_boundary_edge, indicators.eta2,
+                           indicators.osc2, indicators.apx2)))
+            fh.writelines(f"{e},{kinds[b]},{eta2!r},{osc2!r},{apx2!r}\n"
+                          for e, b, eta2, osc2, apx2 in rows)

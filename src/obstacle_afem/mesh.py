@@ -166,10 +166,13 @@ class Mesh:
         first[1:] = key[1:] != key[:-1]
         if (~first[1:] & ~first[:-1]).any():
             raise ValueError("edge shared by more than two triangles")
-        a, b = np.divmod(key[first], n)
+        # the endpoints straight into the int32 table, the key cut in place
+        key = key[first]
+        self.edges = np.empty((len(key), 2), dtype=np.int32)
+        self.edges[:, 0] = key // n
+        key %= n
+        self.edges[:, 1] = key
         del key
-        self.edges = np.stack((a, b), axis=1, dtype=np.int32)
-        del a, b
         # the two triangles of an edge overlap unless they run opposite
         forward = forward[order]
         if (~first[1:] & (forward[1:] == forward[:-1])).any():
@@ -344,11 +347,13 @@ def dump_mesh(mesh, path):
     """Write the plain-text mesh format.
 
     One header line ``nodes N triangles M``, then N lines ``x y``, then
-    M lines ``v0 v1 v2 ref_edge``.
+    M lines ``v0 v1 v2 ref_edge``; the rows from ``tolist()``, one block
+    at a time.
     """
     with open(path, "w") as fh:
         fh.write(f"nodes {mesh.num_nodes} triangles {mesh.num_triangles}\n")
-        for x, y in mesh.nodes:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-        for (v0, v1, v2), r in zip(mesh.triangles, mesh.ref_edge):
-            fh.write(f"{v0} {v1} {v2} {r}\n")
+        for s in blocks(mesh.num_nodes):
+            fh.writelines(f"{x!r} {y!r}\n" for x, y in mesh.nodes[s].tolist())
+        for s in blocks(mesh.num_triangles):
+            rows = zip(mesh.triangles[s].tolist(), mesh.ref_edge[s].tolist())
+            fh.writelines(f"{a} {b} {c} {r}\n" for (a, b, c), r in rows)

@@ -110,7 +110,6 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
         active[:len(warm_active)] = warm_active
         active &= interior
 
-    prolongations = level_prolongations(mesh)
     cg_iterations = 0
     # the iteration that produced each active set so far (0: the seed)
     seen = {np.packbits(active).tobytes(): 0}
@@ -121,7 +120,7 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
             # the V-cycle set-up, the solve's memory peak, runs after the
             # last system, V-cycle and lam are freed, before CG's vectors
             a = csr[idx][:, idx]
-            precond = vcycle(a, prolongations, idx)
+            precond = vcycle(a, mesh, mesh.level, idx)
             u[idx], steps = cg_solve(a, rhs[idx], u[idx], precond)
             cg_iterations += steps
             del a, precond
@@ -194,37 +193,37 @@ def cg_solve(matrix, rhs, x0, precond):
     raise RuntimeError("CG failed to converge (info=10000)")
 
 
-def level_prolongations(mesh):
-    """Prolongations between the kept levels of the mesh's history, finest
-    first: products of the generations in between, columns sorted (the
-    V-cycle sums in index order).  Going down, a level is kept when it has
-    at most half the nodes of the last kept one; level 0 always is."""
-    prolongations, p = [], None
-    for level in range(mesh.level, 0, -1):
-        g = generation(mesh, level)
-        p = g if p is None else p @ g
-        if level == 1 or 2 * mesh.level_nodes[level - 1] <= p.shape[0]:
-            p.sort_indices()
-            prolongations.append(p)
-            p = None
-    return prolongations
+def truncated_prolongation(mesh, level, idx):
+    """The rows ``idx`` of the prolongation to ``level`` from the next kept
+    level below it, and that level: the product of the generations in
+    between, its rows sliced before the products (each row of a product
+    comes from that row alone) and its columns sorted (the V-cycle sums
+    in index order).  Going down, a level is kept when it has at most
+    half the nodes of ``level``; level 0 always is."""
+    p, kept = generation(mesh, level)[idx], level - 1
+    while kept > 0 and 2 * mesh.level_nodes[kept] > mesh.level_nodes[level]:
+        p = p @ generation(mesh, kept)
+        kept -= 1
+    p.sort_indices()
+    return p, kept
 
 
-def vcycle(matrix, prolongations, idx):
-    """One symmetric V-cycle for ``matrix``, the system on the fine nodes
-    ``idx``, as a function of the residual.  The first level with at most
-    ``COARSE_LIMIT`` unknowns is the coarsest and is solved by a
-    pseudo-inverse (truncated Galerkin matrices can be singular); a
-    coarsest level 0 with more unknowns is only smoothed.  Each level is
-    a closure that calls the cycle of the next coarser level."""
+def vcycle(matrix, mesh, level, idx):
+    """One symmetric V-cycle for ``matrix``, the system on the nodes
+    ``idx`` of the mesh's history level ``level``, as a function of the
+    residual.  The first level with at most ``COARSE_LIMIT`` unknowns is
+    the coarsest and is solved by a pseudo-inverse (truncated Galerkin
+    matrices can be singular); a coarsest level 0 with more unknowns is
+    only smoothed.  Each level is a closure that calls the cycle of the
+    next kept level."""
     if len(idx) <= COARSE_LIMIT:
         coarse = np.linalg.pinv(matrix.toarray(), hermitian=True)
         return lambda r: coarse @ r
     scale = JACOBI_DAMPING / matrix.diagonal()
-    if not prolongations:
+    if level == 0:
         return lambda r: _smooth(matrix, scale, r, scale * r,
                                  2 * SMOOTHING_STEPS - 1)
-    p = prolongations[0][idx]
+    p, kept = truncated_prolongation(mesh, level, idx)
     reached = p.getnnz(axis=0) > 0
     rows = np.flatnonzero(reached)
     # renumber the reached coarse nodes in order: each row keeps its
@@ -241,7 +240,7 @@ def vcycle(matrix, prolongations, idx):
     coarse = pt.tocsr() @ ap
     del ap
     coarse.sort_indices()
-    coarser = vcycle(coarse, prolongations[1:], rows)
+    coarser = vcycle(coarse, mesh, kept, rows)
 
     def apply(r):
         x = _smooth(matrix, scale, r, scale * r, SMOOTHING_STEPS - 1)

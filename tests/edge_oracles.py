@@ -14,6 +14,9 @@ package.
 edges of a mesh.  Inside an ``exact_trace`` block the arclength
 derivative of the datum is the tangential component of an analytic
 gradient, for the tests whose closed forms need g' exactly.
+``row_dump_indicators`` writes the indicator CSV one edge at a time,
+each value through ``float``, to check the bytes of
+:func:`obstacle_afem.estimator.dump_indicators`.
 """
 
 import contextlib
@@ -202,3 +205,16 @@ def check_trace_continuity(g, mesh, tol=1e-10, delta=1e-7):
     if worst > tol * scale:
         raise ValueError("boundary trace discontinuous at a node")
     return worst
+
+
+def row_dump_indicators(indicators, path):
+    """Same contract as :func:`obstacle_afem.estimator.dump_indicators`,
+    one ``write`` per edge."""
+    mesh = indicators.mesh
+    with open(path, "w") as fh:
+        fh.write("edge_id,kind,eta2,osc2,apx2\n")
+        for eid in range(mesh.num_edges):
+            kind = "boundary" if mesh.is_boundary_edge[eid] else "interior"
+            fh.write(f"{eid},{kind},{float(indicators.eta2[eid])!r},"
+                     f"{float(indicators.osc2[eid])!r},"
+                     f"{float(indicators.apx2[eid])!r}\n")

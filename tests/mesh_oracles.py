@@ -10,8 +10,11 @@ without trusting its own bookkeeping.
 ``midpoint_prolong`` and ``vstack_prolongations`` move nodal values
 between the meshes of a bisection history by vector arithmetic and by
 row gathers, to cross-check the per-generation operator
-:func:`obstacle_afem.fem.generation` and the kept levels'
-prolongations of :mod:`obstacle_afem.vi` bit for bit.
+:func:`obstacle_afem.fem.generation` bit for bit.
+``level_prolongations`` multiplies the generations into the whole
+prolongations between the kept levels, finest first, to cross-check
+the row-sliced ones that each V-cycle set-up of :mod:`obstacle_afem.vi`
+builds for itself.
 ``build_edges_unique`` numbers the edges with ``np.unique`` over the
 vertex pairs and a second sort for the edge-to-triangle map, to
 cross-check the single-sort edge tables of :class:`obstacle_afem.mesh.Mesh`.
@@ -25,11 +28,15 @@ that the boundary of a mesh is checked against the domain rather than
 against the coarse mesh tables it was built from.
 ``diameters``, ``min_angle`` and ``shape_regularity`` measure the shape
 of a mesh's triangles for the refinement invariants.
+``row_dump_mesh`` writes the plain-text mesh format one row at a time,
+each coordinate through ``float``, to check the bytes of
+:func:`obstacle_afem.mesh.dump_mesh`.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
+from obstacle_afem.fem import generation
 from obstacle_afem.mesh import LShape, Mesh, Square
 
 
@@ -134,8 +141,24 @@ def midpoint_prolong(values, fine):
     return out
 
 
+def level_prolongations(mesh):
+    """Prolongations between the kept levels of the mesh's history, finest
+    first: products of the generations in between, columns sorted.  Going
+    down, a level is kept when it has at most half the nodes of the last
+    kept one; level 0 always is."""
+    prolongations, p = [], None
+    for level in range(mesh.level, 0, -1):
+        g = generation(mesh, level)
+        p = g if p is None else p @ g
+        if level == 1 or 2 * mesh.level_nodes[level - 1] <= p.shape[0]:
+            p.sort_indices()
+            prolongations.append(p)
+            p = None
+    return prolongations
+
+
 def vstack_prolongations(mesh):
-    """Same contract as :func:`obstacle_afem.vi.level_prolongations`:
+    """Same contract as :func:`level_prolongations`:
     the kept levels listed first, then each prolongation grown from the
     identity one generation at a time by stacking the mean of the parent
     rows under it."""
@@ -240,3 +263,14 @@ def min_angle(mesh):
 def shape_regularity(mesh):
     """max over triangles of diam(T)^2 / |T|."""
     return float(np.max(diameters(mesh) ** 2 / mesh.areas))
+
+
+def row_dump_mesh(mesh, path):
+    """Same contract as :func:`obstacle_afem.mesh.dump_mesh`, one
+    ``write`` per row."""
+    with open(path, "w") as fh:
+        fh.write(f"nodes {mesh.num_nodes} triangles {mesh.num_triangles}\n")
+        for x, y in mesh.nodes:
+            fh.write(f"{float(x)!r} {float(y)!r}\n")
+        for (v0, v1, v2), r in zip(mesh.triangles, mesh.ref_edge):
+            fh.write(f"{v0} {v1} {v2} {r}\n")

@@ -8,9 +8,10 @@ PDAS system by Jacobi-preconditioned CG, with no mesh hierarchy, to
 cross-check the multilevel-preconditioned :func:`obstacle_afem.vi.cg_solve`;
 ``scipy_cg_solve`` runs SciPy's CG with the same preconditioner and
 stopping rule as ``cg_solve``, to check its iterations one for one;
-``csc_vcycle`` is the V-cycle set-up that copies the columns of each
-truncated prolongation and forms ``P' (A P)`` through SciPy's CSC copy
-of ``A P``, to check :func:`obstacle_afem.vi.vcycle` bit for bit;
+``csc_vcycle`` is the V-cycle set-up that slices whole prolongations,
+copies the columns of each truncated one and forms ``P' (A P)`` through
+SciPy's CSC copy of ``A P``, to check :func:`obstacle_afem.vi.vcycle`
+bit for bit;
 ``h1_error`` measures a P1 function against a closed-form solution by
 quadrature; ``cold_reference_energy`` is the uniform reference loop of
 :func:`obstacle_afem.problems.reference_energy` with the new nodes of
@@ -102,9 +103,11 @@ def scipy_cg_solve(matrix, rhs, x0, precond):
 
 def csc_vcycle(matrix, prolongations, idx):
     """One symmetric V-cycle, same contract as
-    :func:`obstacle_afem.vi.vcycle`: the reached columns of each
-    truncated prolongation picked by a copy, the coarse matrices the
-    CSC products ``p.T @ (matrix @ p)``."""
+    :func:`obstacle_afem.vi.vcycle` but fed the whole prolongations
+    between the kept levels (``tests.mesh_oracles.level_prolongations``):
+    each sliced to the rows of its system after the products, the
+    reached columns picked by a copy, the coarse matrices the CSC
+    products ``p.T @ (matrix @ p)``."""
     if len(idx) <= COARSE_LIMIT:
         coarse = np.linalg.pinv(matrix.toarray(), hermitian=True)
         return lambda r: coarse @ r

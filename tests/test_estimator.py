@@ -3,15 +3,16 @@ import contextlib
 import numpy as np
 import pytest
 
-from obstacle_afem import (LShape, Square, build_initial_mesh,
-                           example2, refine, to_zero_obstacle)
+from obstacle_afem import (LShape, Square, build_initial_mesh, example1,
+                           example2, quadrature, refine, run_adaptive,
+                           to_zero_obstacle)
 from obstacle_afem.boundary import interpolate_boundary
 from obstacle_afem.estimator import assemble_indicators, dump_indicators
 from obstacle_afem.mesh import Mesh
 from obstacle_afem.quadrature import TRI_WEIGHTS, triangle_points
 from tests.edge_oracles import (apx_indicator, boundary_residual, exact_trace,
                                 interior_osc, jump_indicator,
-                                whole_table_indicators)
+                                row_dump_indicators, whole_table_indicators)
 from tests.test_fem import oracle_meshes, set_block  # noqa: F401
 
 
@@ -216,6 +217,24 @@ def test_coarse_solution_estimator_dominated_by_boundary_osc():
     # piecewise affine with no gradient jump across the single diagonal
     assert ind.eta2.sum() < 1e-20
     assert ind.osc2.sum() > ind.apx2.sum()
+
+
+@pytest.mark.parametrize("block", [None, 3, 7])
+def test_dump_indicators_writes_the_row_writers_bytes(tmp_path, monkeypatch,
+                                                      block):
+    # the final indicators of adaptive runs on the square (g != 0, so
+    # apx2 > 0) and on the L-shape, in one block of edges or in several
+    sets = [run_adaptive(problem, 0.5, max_elements=500).indicators
+            for problem in (example1(), example2())]
+    assert (sets[0].apx2 > 0).any()
+    if block is not None:
+        monkeypatch.setattr(quadrature, "BLOCK", block)
+    for ind in sets:
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        dump_indicators(ind, got)
+        row_dump_indicators(ind, want)
+        assert got.read_bytes() == want.read_bytes()
+        assert len(got.read_bytes().splitlines()) == 1 + ind.mesh.num_edges
 
 
 def test_dump_indicators_format(tmp_path, unit_square_mesh, zero_trace):

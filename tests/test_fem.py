@@ -12,15 +12,14 @@ from obstacle_afem.estimator import assemble_indicators
 from obstacle_afem.fem import _hat_gradients, solution_gradients
 from obstacle_afem.mesh import Mesh
 from obstacle_afem.quadrature import TRI_BARY, TRI_WEIGHTS, triangle_points
-from obstacle_afem.vi import (COARSE_LIMIT, cg_solve, level_prolongations,
-                              vcycle)
+from obstacle_afem.vi import COARSE_LIMIT, cg_solve, vcycle
 from tests.conftest import random_refined_mesh, recording, traced_peak
 from tests.kernel_oracles import (add_at_load, add_at_stiffness_diagonal,
                                   coo_stiffness, einsum_solution_gradients,
                                   einsum_triangle_points, hat_gradients,
                                   whole_table_load, whole_table_stiffness)
-from tests.mesh_oracles import (edge_lengths, midpoint_prolong,
-                                vstack_prolongations)
+from tests.mesh_oracles import (edge_lengths, level_prolongations,
+                                midpoint_prolong, vstack_prolongations)
 from tests.solver_oracles import (csc_vcycle, h1_error, jacobi_cg_solve,
                                   scipy_cg_solve)
 
@@ -274,12 +273,15 @@ def test_mesh_and_stiffness_peak_memory_per_triangle():
     mesh, peaks = kernel_peaks(6)
     m = mesh.num_triangles
     assert m == 24576
-    # the edge key sorted in place and freed before the edge ids (113 B)
-    assert peaks["Mesh"] <= 125
+    # the edge key sorted in place and freed before the edge ids, the
+    # endpoints written straight into the int32 edge table (84 B; 106 B
+    # with divmod's two int64 arrays and their np.stack copy)
+    assert peaks["Mesh"] <= 92
     # the uniform refine, four sons per triangle and their Mesh, with
-    # only Mesh's inputs alive at the call (537 B per coarse triangle)
+    # only Mesh's inputs alive at the call (423 B per coarse triangle;
+    # 513 B with the divmod pair)
     _, peak = traced_peak(refine, mesh, np.arange(mesh.num_edges))
-    assert peak <= 590 * m
+    assert peak <= 465 * m
     # the six element entries per block and their per-node and per-edge
     # sums, freed before the three triangles are summed (107 B per
     # triangle; 138 B with the last block's temporaries alive)
@@ -293,13 +295,13 @@ def test_mesh_and_stiffness_peak_memory_per_triangle():
 
 
 def test_blocked_kernels_peak_memory_per_triangle():
-    # twelve blocks of triangles: measured 106, 85, 29 and 146 B per
+    # twelve blocks of triangles: measured 78, 76, 29 and 153 B per
     # triangle; the whole-table kernels read 122, 152, 191 and 267 B, the
     # estimator with whole per-edge tables 224 B, areas from a whole
     # intp copy of the triangles about 146 B, Mesh with the sorted key
-    # gathered beside the unsorted one 124 B, and the stiffness with the
-    # last block's temporaries and the upper triangle alive through the
-    # sums 107 B
+    # gathered beside the unsorted one 124 B and with divmod's int64
+    # endpoint pair 100 B, and the stiffness with the last block's
+    # temporaries and the upper triangle alive through the sums 107 B
     mesh, peaks = kernel_peaks(7)
     assert mesh.num_triangles == 98304
     # the arrays a Mesh holds: 62 B per triangle, 74 with a stored
@@ -307,7 +309,7 @@ def test_blocked_kernels_peak_memory_per_triangle():
     held = sum(v.nbytes for v in vars(mesh).values()
                if isinstance(v, np.ndarray))
     assert held <= 64 * mesh.num_triangles
-    assert peaks["Mesh"] <= 117
+    assert peaks["Mesh"] <= 85
     assert peaks["stiffness"] <= 94
     assert peaks["load"] <= 40
     assert peaks["estimator"] <= 170
@@ -315,11 +317,14 @@ def test_blocked_kernels_peak_memory_per_triangle():
 
 def test_solve_peak_memory_per_node():
     # the 98,304-element level of example 2's uniform reference loop,
-    # seeded as the loop seeds it: the prolongations, the system on the
-    # inactive nodes and its V-cycle hierarchy, whose set-up peaks at 141
-    # B per node (149 B with the CG vectors built before the V-cycle, and
-    # the last system, its V-cycle, the multiplier and CG's z and q alive
-    # while the next ones are built)
+    # seeded as the loop seeds it: the system on the inactive nodes and
+    # its V-cycle hierarchy, each level's truncated prolongation sliced
+    # to its rows as the set-up builds it.  The first set-up peaks at 107
+    # B per node in the coarsest level's pinv, with every finer level's
+    # matrix and prolongation alive (97 B in the finest level's P'(AP),
+    # 85 B while its prolongation is sliced from the whole generation);
+    # the first CG reads 105 B.  With the whole prolongations of all kept
+    # levels held through the solve it read 141 B
     with recording(problems, "solve_obstacle") as calls:
         reference_energy(example2(), 98304)
     args, _ = calls[-1]
@@ -327,7 +332,7 @@ def test_solve_peak_memory_per_node():
     assert mesh.num_triangles == 98304 and args[4] is not None
     sol, peak = traced_peak(solve_obstacle, *args)
     assert sol.iterations > 1
-    assert peak <= 155 * mesh.num_nodes
+    assert peak <= 120 * mesh.num_nodes
 
 
 def test_load_matches_the_add_at_sum():
@@ -504,15 +509,14 @@ def test_cg_matches_direct(unit_square_mesh):
     interior = np.ones(mesh.num_nodes, bool)
     interior[mesh.boundary_node_ids()] = False
     active = np.random.default_rng(5).random(mesh.num_nodes) < 0.3
-    prolongations = level_prolongations(mesh)
-    assert len(prolongations) == 3
+    assert len(level_prolongations(mesh)) == 3
     import scipy.sparse.linalg as spla
     for idx in (np.nonzero(interior)[0], np.nonzero(interior & ~active)[0]):
         sub = k[idx][:, idx]
         rhs = load[idx]
         direct = spla.spsolve(sub.tocsc(), rhs)
         x, steps = cg_solve(sub, rhs, np.zeros(len(idx)),
-                            vcycle(sub, prolongations, idx))
+                            vcycle(sub, mesh, mesh.level, idx))
         assert np.abs(x - direct).max() < 1e-10
         assert 0 < steps < 20
         assert np.abs(jacobi_cg_solve(sub, rhs) - direct).max() < 1e-10
@@ -531,11 +535,10 @@ def test_cg_solve_matches_scipy_cg(unit_square_mesh):
     interior[mesh.boundary_node_ids()] = False
     rng = np.random.default_rng(5)
     active = rng.random(mesh.num_nodes) < 0.3
-    prolongations = level_prolongations(mesh)
     for idx in (np.nonzero(interior)[0], np.nonzero(interior & ~active)[0]):
         sub = k[idx][:, idx]
         rhs = load[idx]
-        precond = vcycle(sub, prolongations, idx)
+        precond = vcycle(sub, mesh, mesh.level, idx)
         for x0 in (np.zeros(len(idx)), rng.normal(size=len(idx))):
             x, steps = cg_solve(sub, rhs, x0, precond)
             x_ref, steps_ref = scipy_cg_solve(sub, rhs, x0, precond)
@@ -571,9 +574,9 @@ def test_vcycle_is_symmetric_positive_definite():
             keep &= ~active
         idx = np.flatnonzero(keep)
         sub = assemble_stiffness(mesh)[idx][:, idx]
-        prolongations = level_prolongations(mesh)
-        shapes.append((len(idx) <= COARSE_LIMIT, len(prolongations)))
-        precond = vcycle(sub, prolongations, idx)
+        shapes.append((len(idx) <= COARSE_LIMIT,
+                       len(level_prolongations(mesh))))
+        precond = vcycle(sub, mesh, mesh.level, idx)
         r1, r2 = rng.normal(size=(2, len(idx)))
         b1, b2 = precond(r1), precond(r2)
         assert (abs(r2 @ b1 - r1 @ b2)
@@ -586,10 +589,12 @@ def test_vcycle_is_symmetric_positive_definite():
 
 
 def test_vcycle_matches_the_csc_product_form():
-    # bit for bit: the reached columns renumbered in place of a copy and
-    # P'(AP) as a CSR product with sorted columns, against the column
-    # copy and SciPy's CSC product, on systems of all interior nodes, of
-    # random inactive sets and of an adaptive PDAS solution
+    # bit for bit: each set-up's prolongation sliced before the products,
+    # the reached columns renumbered in place of a copy and P'(AP) as a
+    # CSR product with sorted columns, against the whole prolongations
+    # sliced after, the column copy and SciPy's CSC product, on systems
+    # of all interior nodes, of random inactive sets and of an adaptive
+    # PDAS solution
     rng = np.random.default_rng(21)
     square, lshape = _uniform_square(6), build_initial_mesh(LShape())
     for _ in range(5):
@@ -607,7 +612,7 @@ def test_vcycle_matches_the_csc_product_form():
         sub = assemble_stiffness(mesh)[idx][:, idx]
         prolongations = level_prolongations(mesh)
         assert len(idx) > COARSE_LIMIT and len(prolongations) > 1
-        precond = vcycle(sub, prolongations, idx)
+        precond = vcycle(sub, mesh, mesh.level, idx)
         oracle = csc_vcycle(sub, prolongations, idx)
         for r in rng.normal(size=(3, len(idx))):
             assert np.array_equal(precond(r).view(np.uint64),

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from obstacle_afem import (LShape, Mesh, Square, build_initial_mesh,
-                           dump_mesh, refine)
+                           dump_mesh, quadrature, refine)
 from tests.conftest import random_refined_mesh
 from tests.edge_oracles import edge_patch
 from tests.mesh_oracles import (boundary_polygon, build_edges_unique,
                                 edge_lengths, father_triangles,
                                 gathered_areas, min_angle, refine_loop,
-                                shape_regularity)
+                                row_dump_mesh, shape_regularity)
 
 
 def test_initial_square_counts():
@@ -456,6 +456,30 @@ def test_random_refinement_preserves_conformity():
     deg = np.bincount(mesh.edges[mesh.is_boundary_edge].ravel(),
                       minlength=mesh.num_nodes)
     assert set(deg[deg > 0]) == {2}
+
+
+@pytest.mark.parametrize("block", [None, 3, 7])
+def test_dump_mesh_writes_the_row_writers_bytes(tmp_path, monkeypatch,
+                                                 block):
+    # uniform and random refinements of both domains and a triangle with
+    # a signed zero and reprs of 17 digits, in one block or in several
+    rng = np.random.default_rng(36)
+    meshes = [Mesh([[-0.0, 0.0], [0.1 + 0.2, 1e-300], [0.0, 1.0 / 3.0]],
+                   [[0, 1, 2]], [2])]
+    for domain in (Square(-1.0, -1.0, 1.0, 1.0), LShape()):
+        mesh = build_initial_mesh(domain)
+        for _ in range(3):
+            mesh = refine(mesh, np.arange(mesh.num_edges))
+        meshes += [mesh, random_refined_mesh(rng, domain, max_nodes=300)]
+    if block is not None:
+        monkeypatch.setattr(quadrature, "BLOCK", block)
+    for mesh in meshes:
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        dump_mesh(mesh, got)
+        row_dump_mesh(mesh, want)
+        assert got.read_bytes() == want.read_bytes()
+        assert len(got.read_bytes().splitlines()) \
+            == 1 + mesh.num_nodes + mesh.num_triangles
 
 
 def test_dump_mesh_format(tmp_path, unit_square_mesh):

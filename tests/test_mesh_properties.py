@@ -5,17 +5,20 @@ sequences of random mark sets; every refined mesh must keep the area,
 put a node at the midpoint of each marked edge, give each triangle one
 to four sons and keep its boundary edges on the domain's polygon.  The
 bisection history it carries must give the same prolongations as the
-level-by-level ``prolong``.
+level-by-level ``prolong``, and each V-cycle set-up's prolongation,
+sliced to its rows before the products, the same arrays as the whole
+one sliced after.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obstacle_afem import LShape, Square, build_initial_mesh, prolong, refine
-from obstacle_afem.vi import level_prolongations
+from obstacle_afem import (LShape, Square, build_initial_mesh, example1,
+                           example2, prolong, refine, run_adaptive)
+from obstacle_afem.vi import truncated_prolongation
 from tests.mesh_oracles import (boundary_polygon, edge_lengths,
-                                father_triangles)
+                                father_triangles, level_prolongations)
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None,
                              database=None, max_examples=60)
@@ -126,3 +129,70 @@ def test_history_prolongations_chain_level_by_level_prolong(domain, data):
         assert np.allclose(p @ v, chained, rtol=0.0, atol=1e-12)
         fine = coarse
     assert fine == 0
+
+
+def assert_set_ups_slice_the_whole_prolongations(mesh, masks):
+    """At every kept level, on each node mask that ``masks(n)`` gives
+    over its n nodes: the set-up's truncated prolongation has the
+    arrays, dtypes and next kept level of the oracle's whole
+    prolongation sliced after the products."""
+    counts = list(mesh.level_nodes)
+    level = mesh.level
+    for whole in level_prolongations(mesh):
+        kept = counts.index(whole.shape[1])
+        for mask in masks(counts[level]):
+            idx = np.flatnonzero(mask)
+            p, got = truncated_prolongation(mesh, level, idx)
+            want = whole[idx]
+            assert got == kept and p.shape == want.shape
+            for a, b in ((p.indptr, want.indptr),
+                         (p.indices, want.indices),
+                         (p.data.view(np.uint64), want.data.view(np.uint64))):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        level = kept
+    assert level == 0
+
+
+@PROPERTY_SETTINGS
+@given(domains, st.data())
+def test_set_up_prolongations_slice_rows_before_the_products(domain, data):
+    # drawn uniform steps, then random marks that leave several
+    # generations between kept levels; drawn masks, all rows and one row
+    mesh = build_initial_mesh(domain)
+    for _ in range(data.draw(st.integers(0, 3))):
+        mesh = refine(mesh, np.arange(mesh.num_edges))
+    steps = data.draw(st.integers(1, 6))
+    mesh = [fine for *_, fine in refine_randomly(data, mesh, steps)][-1]
+
+    def masks(n):
+        one = np.zeros(n, bool)
+        one[data.draw(st.integers(0, n - 1))] = True
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        share = data.draw(st.floats(0.0, 1.0))
+        return [np.ones(n, bool), one,
+                np.random.default_rng(seed).random(n) < share]
+
+    assert_set_ups_slice_the_whole_prolongations(mesh, masks)
+
+
+def test_set_up_prolongations_slice_rows_on_uniform_and_adaptive_meshes():
+    rng = np.random.default_rng(36)
+
+    def masks(n):
+        one = np.zeros(n, bool)
+        one[rng.integers(n)] = True
+        return [np.ones(n, bool), one, rng.random(n) < 0.3,
+                rng.random(n) < 0.9]
+
+    # most kept levels of the adaptive meshes merge two generations
+    meshes = [run_adaptive(problem, 0.5, max_elements=2000).mesh
+              for problem in (example1(), example2())]
+    assert all(len(level_prolongations(m)) < m.level for m in meshes)
+    for domain in (Square(), LShape()):
+        mesh = build_initial_mesh(domain)
+        for _ in range(5):
+            mesh = refine(mesh, np.arange(mesh.num_edges))
+        meshes.append(mesh)
+    for mesh in meshes:
+        assert mesh.level >= 5
+        assert_set_ups_slice_the_whole_prolongations(mesh, masks)
