@@ -96,10 +96,12 @@ def test_run_deterministic_csv(tmp_path):
 
 
 def cli_env(**extra):
-    """Environment for a CLI subprocess that imports this ``src/``."""
+    """Environment for a CLI subprocess that imports this ``src/``, with
+    numpy's RuntimeWarnings as errors, as in-process tests have them."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning", **extra,
+                PYTHONPATH=os.pathsep.join(
+                    filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def test_cli_runs_are_deterministic(tmp_path):
@@ -121,20 +123,28 @@ def test_cli_runs_are_deterministic(tmp_path):
     assert tables[0] == tables[1]
 
 
-def test_cli_run_and_fit_roundtrip(tmp_path, capsys):
-    out = tmp_path / "e1.csv"
-    code = main(["run", "--problem", "example1", "--theta", "0.8",
-                 "--max-elements", "4000", "--out", str(out)])
+@pytest.mark.parametrize("args,max_elements,slopes", [
+    (["--problem", "example1", "--theta", "0.8"], 4000, (-0.8, -0.3)),
+    # eps against the reference loop's 24,576-element uniform mesh
+    (["--problem", "example2", "--mode", "uniform", "--reference-elements",
+      "25000"], 1500, (-0.3, -0.15)),
+], ids=["example1", "example2-uniform-reference"])
+def test_cli_run_and_fit_roundtrip(tmp_path, capsys, args, max_elements,
+                                   slopes):
+    out = tmp_path / "run.csv"
+    code = main(["run", *args, "--max-elements", str(max_elements),
+                 "--out", str(out)])
     assert code == 0
     rows = list(csv.DictReader(open(out)))
-    assert 4000 <= int(rows[-1]["N"]) <= 16000
+    assert max_elements <= int(rows[-1]["N"]) <= 4 * max_elements
+    assert all(float(row["eps"]) > 0 for row in rows)
     code = main(["fit-rates", str(out), "--quantity", "sqrt_eps",
                  "--window", "5"])
     assert code == 0
     line = capsys.readouterr().out.strip().splitlines()[-1]
     assert line.endswith("points=5")
     slope = float(line.split()[0].split("=")[1])
-    assert -0.8 < slope < -0.3
+    assert slopes[0] < slope < slopes[1]
 
 
 def test_cli_uniform_quadruples(tmp_path):
@@ -325,6 +335,19 @@ def test_cli_boundary_tolerance_is_one_rule(tmp_path, capsys, chi, code,
     assert main(["run", "--problem", f"custom:{path}",
                  "--max-elements", "200"]) == code
     assert message in capsys.readouterr().err
+
+
+def test_cli_obstacle_shifts_the_trace_of_apx(tmp_path):
+    # g is affine and g - chi is not: apx is 0.0068 or more on the shifted
+    # trace, and about 1e-12 (the central difference's rounding) on g
+    path, out = tmp_path / "chi.json", tmp_path / "chi.csv"
+    path.write_text(json.dumps({
+        "domain": {"type": "square"}, "f": "-1 + 0*x", "g": "0.3 + 0.1*x",
+        "chi": {"value": "0.1*sin(4*x)", "laplacian": "-1.6*sin(4*x)"}}))
+    assert main(["run", "--problem", f"custom:{path}", "--max-elements",
+                 "500", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(open(out)))
+    assert rows and all(float(row["apx"]) > 1e-3 for row in rows)
 
 
 def test_cli_negative_g_without_obstacle_stops_before_level_zero(tmp_path):
@@ -732,11 +755,21 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_dump_flags(tmp_path):
+@pytest.mark.parametrize("args", [
+    ["--problem", "example1", "--max-elements", "100"],
+    ["--problem", "example2", "--mode", "uniform", "--max-elements", "1500"],
+], ids=["example1", "example2-uniform"])
+def test_cli_dump_flags(tmp_path, args):
     mesh_path = tmp_path / "mesh.txt"
     ind_path = tmp_path / "ind.csv"
-    assert main(["run", "--problem", "example1", "--max-elements", "100",
-                 "--dump-mesh", str(mesh_path),
+    assert main(["run", *args, "--dump-mesh", str(mesh_path),
                  "--dump-indicators", str(ind_path)]) == 0
-    assert mesh_path.read_text().startswith("nodes ")
-    assert ind_path.read_text().startswith("edge_id,kind,")
+    mesh_lines = mesh_path.read_text().splitlines()
+    ind_lines = ind_path.read_text().splitlines()
+    header = re.fullmatch(r"nodes (\d+) triangles (\d+)", mesh_lines[0])
+    n, m = map(int, header.groups())
+    assert ind_lines[0] == "edge_id,kind,eta2,osc2,apx2"
+    # a header, then one row per node and per triangle; one row per edge,
+    # E = N + M - 1 on a simply connected domain
+    assert len(mesh_lines) == 1 + n + m
+    assert len(ind_lines) == n + m
