@@ -56,24 +56,24 @@ class IndicatorSet:
 # an overflow to inf reaches the loop as a non-finite estimator
 @np.errstate(over="ignore")
 def assemble_indicators(mesh, values, f, g, gl):
-    """Complete indicator set for a discrete solution: the f table in
-    blocks of triangles, then the jump and oscillation terms in blocks of
-    interior edges."""
-    # the f table stays whole: each patch reads both of its triangles;
-    # allocated before the smaller arrays, it can reuse the heap that
-    # the solve freed rather than take fresh pages
-    fv = np.empty((mesh.num_triangles, len(TRI_WEIGHTS)))
-    for s in blocks(mesh.num_triangles):
-        fv[s] = f_at_points(f, triangle_points(mesh, s))
+    """Complete indicator set for a discrete solution: the mean of f
+    and ||f - mean||^2 on each triangle, in blocks of triangles, then the
+    jump and oscillation terms in blocks of interior edges.
+
+    A patch's ||f - mean||^2 is its triangles' two terms plus the gap of
+    their means, squared and weighted by |T_a| |T_b| / |T_a + T_b|."""
     values = np.asarray(values, dtype=float)
     eta2, osc2, apx2 = np.zeros((3, mesh.num_edges))
     areas = mesh.areas
+    mean, dev2 = np.empty((2, mesh.num_triangles))
+    for s in blocks(mesh.num_triangles):
+        fv = f_at_points(f, triangle_points(mesh, s))
+        mean[s] = fv @ TRI_WEIGHTS
+        dev2[s] = areas[s] * ((fv - mean[s, None]) ** 2 @ TRI_WEIGHTS)
     grads = solution_gradients(mesh, values)
-    int_f = areas * (fv @ TRI_WEIGHTS)
 
     triangles = mesh.edge_triangles()
-    # int32 ids, 4 B less per interior edge, make room for the table
-    interior = mesh.interior_edge_ids().astype(np.int32)
+    interior = mesh.interior_edge_ids()
     for s in blocks(len(interior)):
         e = interior[s]
         a, b = triangles[e].T
@@ -82,14 +82,12 @@ def assemble_indicators(mesh, values, f, g, gl):
         normals = np.stack([t[:, 1], -t[:, 0]], axis=1) / h[:, None]
         jump = np.einsum("ed,ed->e", grads[a] - grads[b], normals)
         eta2[e] = h ** 2 * jump ** 2
-        patch = areas[a] + areas[b]
-        m = ((int_f[a] + int_f[b]) / patch)[:, None]
-        osc2[e] = patch * (areas[a] * ((fv[a] - m) ** 2 @ TRI_WEIGHTS)
-                           + areas[b] * ((fv[b] - m) ** 2 @ TRI_WEIGHTS))
+        osc2[e] = ((areas[a] + areas[b]) * (dev2[a] + dev2[b])
+                   + areas[a] * areas[b] * (mean[a] - mean[b]) ** 2)
 
     bdry = mesh.boundary_edge_ids()
     tb = triangles[bdry, 0]
-    osc2[bdry] = areas[tb] * (areas[tb] * ((fv[tb] ** 2) @ TRI_WEIGHTS))
+    osc2[bdry] = areas[tb] * (dev2[tb] + areas[tb] * mean[tb] ** 2)
     apx2[bdry] = apx_indicator(mesh, g, gl, bdry)
 
     return IndicatorSet(mesh=mesh, eta2=eta2, osc2=osc2, apx2=apx2)

@@ -87,8 +87,8 @@ def jump_indicator(mesh, values, eid):
     return float(edge_lengths(mesh)[eid] ** 2 * jump ** 2)
 
 
-def _f_at_points(mesh, f):
-    x, y = (c.T for c in triangle_points(mesh, slice(None)))
+def _f_at_points(mesh, f, rows):
+    x, y = (c.T for c in triangle_points(mesh, rows))
     return np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
 
 
@@ -97,13 +97,13 @@ def interior_osc(mesh, f, eid):
     eid = int(eid)
     if mesh.is_boundary_edge[eid]:
         raise ValueError("interior_osc requires an interior edge")
-    fv = _f_at_points(mesh, f)
     areas = mesh.areas
     tp, tm, patch = edge_patch(mesh, eid)
-    mean = (areas[tp] * (fv[tp] @ TRI_WEIGHTS)
-            + areas[tm] * (fv[tm] @ TRI_WEIGHTS)) / patch
-    var = (areas[tp] * ((fv[tp] - mean) ** 2 @ TRI_WEIGHTS)
-           + areas[tm] * ((fv[tm] - mean) ** 2 @ TRI_WEIGHTS))
+    fp, fm = _f_at_points(mesh, f, [tp, tm])
+    mean = (areas[tp] * (fp @ TRI_WEIGHTS)
+            + areas[tm] * (fm @ TRI_WEIGHTS)) / patch
+    var = (areas[tp] * ((fp - mean) ** 2 @ TRI_WEIGHTS)
+           + areas[tm] * ((fm - mean) ** 2 @ TRI_WEIGHTS))
     return float(patch * var)
 
 
@@ -114,7 +114,8 @@ def boundary_residual(mesh, f, eid):
         raise ValueError("boundary_residual requires a boundary edge")
     t = mesh.edge_triangles()[eid, 0]
     area = mesh.areas[t]
-    return float(area * area * (_f_at_points(mesh, f)[t] ** 2 @ TRI_WEIGHTS))
+    return float(area * area
+                 * (_f_at_points(mesh, f, [t])[0] ** 2 @ TRI_WEIGHTS))
 
 
 def gauss_segment(p, q):
@@ -144,7 +145,7 @@ def apx_indicator(mesh, g, gl, eid):
 @np.errstate(over="ignore")
 def whole_table_indicators(mesh, values, f, g, gl):
     """``(eta2, osc2, apx2)`` of ``assemble_indicators``, computed with
-    the (E, 7) tables of all interior edges at once."""
+    the whole (M, 7) f table and all interior edges at once."""
     values = np.asarray(values, dtype=float)
     n_edges = mesh.num_edges
     eta2 = np.zeros(n_edges)
@@ -152,8 +153,8 @@ def whole_table_indicators(mesh, values, f, g, gl):
     apx2 = np.zeros(n_edges)
     areas = mesh.areas
     fv = f_at_points(f, triangle_points(mesh, slice(None)))
-    int_f = areas * (fv @ TRI_WEIGHTS)
-    int_f2 = areas * ((fv ** 2) @ TRI_WEIGHTS)
+    mean = fv @ TRI_WEIGHTS
+    dev2 = areas * ((fv - mean[:, None]) ** 2 @ TRI_WEIGHTS)
 
     interior = mesh.interior_edge_ids()
     grads = einsum_solution_gradients(mesh, values)
@@ -167,15 +168,12 @@ def whole_table_indicators(mesh, values, f, g, gl):
     jump = np.einsum("ed,ed->e", grads[tp] - grads[tm], normals)
     eta2[interior] = h ** 2 * jump ** 2
 
-    patch = areas[tp] + areas[tm]
-    mean = (int_f[tp] + int_f[tm]) / patch
-    var = (areas[tp] * ((fv[tp] - mean[:, None]) ** 2 @ TRI_WEIGHTS)
-           + areas[tm] * ((fv[tm] - mean[:, None]) ** 2 @ TRI_WEIGHTS))
-    osc2[interior] = patch * var
+    osc2[interior] = ((areas[tp] + areas[tm]) * (dev2[tp] + dev2[tm])
+                      + areas[tp] * areas[tm] * (mean[tp] - mean[tm]) ** 2)
 
     bdry = mesh.boundary_edge_ids()
     tb = triangles[bdry, 0]
-    osc2[bdry] = areas[tb] * int_f2[tb]
+    osc2[bdry] = areas[tb] * (dev2[tb] + areas[tb] * mean[tb] ** 2)
     apx2[bdry] = boundary.apx_indicator(mesh, g, gl, bdry)
     return eta2, osc2, apx2
 

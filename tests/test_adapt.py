@@ -1,14 +1,21 @@
+import importlib.util
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import obstacle_afem
 from obstacle_afem import adapt, problems
 from obstacle_afem import (ProblemSpec, Square, dorfler_mark,
                            example1, example2, reference_energy, run_adaptive,
                            run_uniform)
+from tests.conftest import recording
 from tests.edge_oracles import exact_trace
+
+WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" \
+    / "workloads.py"
 
 
 class FakeIndicators:
@@ -217,3 +224,20 @@ def test_max_level_is_the_last_level_computed():
     result = run_adaptive(example1(), 0.5, max_level=2)
     assert [r.level for r in result.records] == [0, 1, 2]
     assert len(run_uniform(example1(), max_level=0).records) == 1
+
+
+@pytest.mark.parametrize("name", ["e2-adaptive", "e1-adaptive"])
+def test_adaptive_workloads_keep_the_benchmark_trajectories(name):
+    # the benchmark's own workload call, fingerprint rule and golden
+    # value: per level N, pdas_iters and the number of marked edges
+    spec = importlib.util.spec_from_file_location("workloads",
+                                                  WORKLOADS_PATH)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    factory, run = workloads.WORKLOADS[name]
+    with recording(adapt, "refine") as calls:
+        result, _ = run(obstacle_afem, getattr(problems, factory)())
+    marked = [len(args[1]) for args, _ in calls]
+    golden = workloads.load_golden()[name]
+    assert len(result.records) == golden["levels"]
+    assert workloads.fingerprint(result, marked) == golden["fingerprint"]

@@ -110,16 +110,27 @@ def test_per_edge_helpers_match_vectorized_assembly():
             ind = assemble_indicators(mesh, v, f, g, gl)
             per_edge = [apx_indicator(mesh, g, gl, eid) for eid in bdry]
         assert np.array_equal(ind.apx2[bdry], per_edge)
-    for eid in mesh.interior_edge_ids()[::5]:
-        assert np.isclose(ind.eta2[eid], jump_indicator(mesh, v, eid),
-                          rtol=1e-12)
-        assert np.isclose(ind.osc2[eid], interior_osc(mesh, f, eid),
-                          rtol=1e-12)
-    for eid in bdry[::3]:
-        assert np.isclose(ind.osc2[eid], boundary_residual(mesh, f, eid),
-                          rtol=1e-12)
-        assert ind.apx2[eid] >= 0.0
-        assert ind.eta2[eid] == 0.0
+    # and example 2's shifted f with its discrete solution on an adaptive
+    # L-shape mesh, graded towards the corner and the free boundary
+    shifted = to_zero_obstacle(example2())
+    result = run_adaptive(example2(), 0.5, max_elements=4000)
+    graded = result.mesh
+    gl = interpolate_boundary(shifted.g, graded)
+    cases = [(mesh, v, f, ind),
+             (graded, result.solution.values, shifted.f,
+              assemble_indicators(graded, result.solution.values, shifted.f,
+                                  shifted.g, gl))]
+    for mesh, v, f, ind in cases:
+        for eid in mesh.interior_edge_ids()[::5]:
+            assert np.isclose(ind.eta2[eid], jump_indicator(mesh, v, eid),
+                              rtol=1e-12)
+            assert np.isclose(ind.osc2[eid], interior_osc(mesh, f, eid),
+                              rtol=1e-12)
+        for eid in mesh.boundary_edge_ids()[::3]:
+            assert np.isclose(ind.osc2[eid],
+                              boundary_residual(mesh, f, eid), rtol=1e-12)
+            assert ind.apx2[eid] >= 0.0
+            assert ind.eta2[eid] == 0.0
 
 
 def test_indicators_evaluate_f_one_quadrature_point_at_a_time():
@@ -143,20 +154,18 @@ def test_indicators_evaluate_f_one_quadrature_point_at_a_time():
     x, y = (c.T for c in triangle_points(mesh, slice(None)))
     fv = np.asarray(f(x, y), dtype=float)
     areas = mesh.areas
-    int_f = areas * (fv @ TRI_WEIGHTS)
-    int_f2 = areas * ((fv ** 2) @ TRI_WEIGHTS)
+    mean = fv @ TRI_WEIGHTS
+    dev2 = areas * ((fv - mean[:, None]) ** 2 @ TRI_WEIGHTS)
     expected = np.zeros(mesh.num_edges)
     interior = mesh.interior_edge_ids()
     triangles = mesh.edge_triangles()
     tp, tm = triangles[interior, 0], triangles[interior, 1]
-    patch = areas[tp] + areas[tm]
-    mean = (int_f[tp] + int_f[tm]) / patch
-    expected[interior] = patch * (
-        areas[tp] * ((fv[tp] - mean[:, None]) ** 2 @ TRI_WEIGHTS)
-        + areas[tm] * ((fv[tm] - mean[:, None]) ** 2 @ TRI_WEIGHTS))
+    expected[interior] = (
+        (areas[tp] + areas[tm]) * (dev2[tp] + dev2[tm])
+        + areas[tp] * areas[tm] * (mean[tp] - mean[tm]) ** 2)
     bdry = mesh.boundary_edge_ids()
     tb = triangles[bdry, 0]
-    expected[bdry] = areas[tb] * int_f2[tb]
+    expected[bdry] = areas[tb] * (dev2[tb] + areas[tb] * mean[tb] ** 2)
     assert np.array_equal(ind.osc2, expected)
 
 
@@ -170,8 +179,9 @@ def test_blocked_indicators_match_the_whole_table_form(
         set_block(monkeypatch, block, len(mesh.interior_edge_ids()))
         v = rng.normal(size=mesh.num_nodes)
         gl = interpolate_boundary(g, mesh)
-        # f only enters elementwise, through the f table: one cheap f
-        # shows the blocks' bits, example 2's f runs in two cases
+        # f only enters through each triangle's mean and deviation, one
+        # block of rows at a time: one cheap f shows the blocks' bits,
+        # example 2's f runs in two cases
         fs = [lambda x, y: np.sin(7.0 * x) - y]
         if block in (None, "remainder-one"):
             fs.append(shifted.f)

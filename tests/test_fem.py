@@ -289,19 +289,22 @@ def test_mesh_and_stiffness_peak_memory_per_triangle():
     # one block's quadrature points, its f table and f's temporaries at
     # one point (102 B)
     assert peaks["load"] <= 120
-    # the (M, 7) f table and one block of interior edges' jump and
-    # oscillation terms, without whole per-edge tables (206 B)
-    assert peaks["estimator"] <= 215
+    # one block of interior edges' jump and oscillation terms beside the
+    # per-edge outputs, the gradients and each triangle's mean and
+    # deviation of f (162 B); 212 B with the whole (M, 7) f table held
+    # through that pass
+    assert peaks["estimator"] <= 185
 
 
 def test_blocked_kernels_peak_memory_per_triangle():
-    # twelve blocks of triangles: measured 78, 76, 29 and 153 B per
+    # twelve blocks of triangles: measured 78, 76, 29 and 107 B per
     # triangle; the whole-table kernels read 122, 152, 191 and 267 B, the
-    # estimator with whole per-edge tables 224 B, areas from a whole
-    # intp copy of the triangles about 146 B, Mesh with the sorted key
-    # gathered beside the unsorted one 124 B and with divmod's int64
-    # endpoint pair 100 B, and the stiffness with the last block's
-    # temporaries and the upper triangle alive through the sums 107 B
+    # estimator with the whole (M, 7) f table 153 B and with whole
+    # per-edge tables besides 224 B, areas from a whole intp copy of the
+    # triangles about 146 B, Mesh with the sorted key gathered beside the
+    # unsorted one 124 B and with divmod's int64 endpoint pair 100 B, and
+    # the stiffness with the last block's temporaries and the upper
+    # triangle alive through the sums 107 B
     mesh, peaks = kernel_peaks(7)
     assert mesh.num_triangles == 98304
     # the arrays a Mesh holds: 62 B per triangle, 74 with a stored
@@ -312,7 +315,7 @@ def test_blocked_kernels_peak_memory_per_triangle():
     assert peaks["Mesh"] <= 85
     assert peaks["stiffness"] <= 94
     assert peaks["load"] <= 40
-    assert peaks["estimator"] <= 170
+    assert peaks["estimator"] <= 125
 
 
 def test_solve_peak_memory_per_node():
