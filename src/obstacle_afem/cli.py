@@ -2,7 +2,6 @@
 
 import argparse
 import csv
-import json
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -12,7 +11,8 @@ import numpy as np
 from .adapt import run_adaptive, run_uniform
 from .estimator import dump_indicators
 from .mesh import dump_mesh
-from .problems import example1, example2, load_custom, reference_energy
+from .problems import (example1, example2, load_custom, read_json,
+                       reference_energy)
 
 __all__ = ["RunConfig", "RateFit", "run", "fit_rates", "main"]
 
@@ -201,28 +201,18 @@ def _build_parser():
 
 
 def _read_config(path):
-    """The ``RunConfig`` fields a JSON config file sets.  A value has its
-    field's type, or is null where the default is."""
-    with open(path) as fh:
-        try:
-            file_cfg = json.load(fh)
-        except ValueError as exc:
-            raise UsageError(f"bad config file: {exc}")
-    if type(file_cfg) is not dict:
-        raise UsageError("config file must hold a JSON object")
-    run_fields = {f.name: f for f in fields(RunConfig)}
-    settings = {}
-    for key, val in file_cfg.items():
-        field = run_fields.get(key.replace("-", "_"))
-        if field is None:
-            raise UsageError(f"unknown config key {key!r}")
-        if not (val is None and field.default is None
-                or type(val) is field.type
-                or type(val) is int and field.type is float):
-            raise UsageError(f"config key {key!r} must be "
-                             f"{field.type.__name__}, not {val!r}")
-        settings[field.name] = val
-    return settings
+    """The ``RunConfig`` fields a JSON config file sets, each under its
+    name or with ``_`` written ``-``.  A value has its field's type, or is
+    an integer where that is float, or null where the default is."""
+    layout = {key: (f.type,) + (int,) * (f.type is float)
+              + (type(None),) * (f.default is None)
+              for f in fields(RunConfig)
+              for key in (f.name, f.name.replace("_", "-"))}
+    try:
+        cfg = read_json(path, layout, lambda key: key.replace("-", "_"))
+    except ValueError as exc:
+        raise UsageError(f"bad config file: {exc}")
+    return {key.replace("-", "_"): val for key, val in cfg.items()}
 
 
 def main(argv=None):

@@ -302,23 +302,37 @@ def _compile_expr(expr):
     return fn
 
 
-_JSON_KINDS = {"object": (dict,), "string": (str,), "number": (int, float)}
+_JSON_NAMES = {dict: "an object", str: "a string", float: "a number",
+               int: "an integer", type(None): "null"}
 
 
-def _entry(obj, key, kind, default=None):
-    """``obj[key]`` (``default`` if given and the key is absent), which
-    must be a JSON ``object``, ``string`` or ``number``."""
-    val = obj[key] if default is None else obj.get(key, default)
-    if type(val) not in _JSON_KINDS[kind]:
-        raise ValueError(f"key {key!r} must be a {kind}")
-    return val
+def check_layout(obj, layout):
+    """``obj``, a dict, if each key is in ``layout``, ``{key: allowed
+    types}``, with a value of one of them (an integer is a number)."""
+    for key, val in obj.items():
+        if key not in layout:
+            raise ValueError(f"unknown key {key!r}")
+        if type(val) not in layout[key]:
+            kinds = [_JSON_NAMES[t] for t in layout[key]
+                     if t is not int or float not in layout[key]]
+            raise ValueError(f"key {key!r} must be {' or '.join(kinds)}")
+    return obj
 
 
-def _known_keys(obj, *keys):
-    """Raise ``unknown key`` for the first key of ``obj`` not in ``keys``."""
-    unknown = [key for key in obj if key not in keys]
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r}")
+def read_json(path, layout, same_key=lambda key: key):
+    """The JSON object in the file ``path``, checked by ``check_layout``.
+    Two keys of one object with the same ``same_key`` raise ValueError."""
+    def unique(pairs):
+        for i, (key, _) in enumerate(pairs):
+            if same_key(key) in [same_key(k) for k, _ in pairs[:i]]:
+                raise ValueError(f"key {key!r} is given twice")
+        return dict(pairs)
+
+    with open(path) as fh:
+        obj = json.load(fh, object_pairs_hook=unique)
+    if type(obj) is not dict:
+        raise ValueError("the file must hold a JSON object")
+    return check_layout(obj, layout)
 
 
 def load_custom(path):
@@ -327,32 +341,28 @@ def load_custom(path):
     Expressions use ``x``, ``y``, ``r``, ``pi``, numbers, arithmetic,
     one-operator comparisons, ``&``/``|`` and calls of the functions in
     ``_EXPR_NAMES`` (see ``_rejection``); anything else, a value of the
-    wrong type at the coarse mesh's nodes or of the wrong JSON type, and
-    a key outside this layout raise ValueError.  Layout::
+    wrong type at the coarse mesh's nodes, and a file that ``read_json``
+    or ``check_layout`` rejects for this layout raise ValueError::
 
         {"name": "text",                                  # optional
          "domain": {"type": "square", "xmin": 0, ...} | {"type": "lshape"},
          "f": "expr", "g": "expr",
          "chi": {"value": "expr", "laplacian": "expr"}}   # optional
     """
-    with open(path) as fh:
-        cfg = json.load(fh)
-    if type(cfg) is not dict:
-        raise ValueError("the config must be a JSON object")
-    _known_keys(cfg, "name", "domain", "f", "g", "chi")
-    dom = _entry(cfg, "domain", "object")
-    shape = {"square": Square, "lshape": LShape}.get(
-        _entry(dom, "type", "string"))
+    cfg = read_json(path, {"name": (str,), "domain": (dict,), "f": (str,),
+                           "g": (str,), "chi": (dict,)})
+    dom = cfg["domain"]
+    kind = check_layout({"type": dom.pop("type")}, {"type": (str,)})["type"]
+    shape = {"square": Square, "lshape": LShape}.get(kind)
     if shape is None:
-        raise ValueError(f"unknown domain type {dom['type']!r}")
-    _known_keys(dom, "type", *(f.name for f in fields(shape)))
-    domain = shape(**{f.name: _entry(dom, f.name, "number", f.default)
-                      for f in fields(shape)})
+        raise ValueError(f"unknown domain type {kind!r}")
+    domain = shape(**check_layout(dom, {f.name: (float, int)
+                                        for f in fields(shape)}))
 
     nodes = build_initial_mesh(domain).nodes.T
 
     def expr(obj, key):
-        fn = _compile_expr(_entry(obj, key, "string"))
+        fn = _compile_expr(obj[key])
         try:
             fn(*nodes)  # a type error does not depend on the points
         except TypeError as exc:
@@ -363,12 +373,11 @@ def load_custom(path):
 
     chi = None
     if "chi" in cfg:
-        obstacle = _entry(cfg, "chi", "object")
-        _known_keys(obstacle, "value", "laplacian")
-        chi = Obstacle(value=expr(obstacle, "value"),
-                       laplacian=expr(obstacle, "laplacian"))
+        check_layout(cfg["chi"], {"value": (str,), "laplacian": (str,)})
+        chi = Obstacle(value=expr(cfg["chi"], "value"),
+                       laplacian=expr(cfg["chi"], "laplacian"))
     return ProblemSpec(
-        name=_entry(cfg, "name", "string", "custom"),
+        name=cfg.get("name", "custom"),
         domain=domain,
         g=expr(cfg, "g"),
         f=expr(cfg, "f"),

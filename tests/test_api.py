@@ -65,3 +65,17 @@ def test_submodule_reads_every_import(name):
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(imported - read) == []
+
+
+def test_src_parses_json_in_one_place():
+    # the run config and the custom problem file both pass
+    # problems.read_json: one parse, one layout check, one rule for a
+    # key given twice
+    calls = [(path.name, node.lineno)
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("load", "loads")
+             and getattr(node.func.value, "id", None) == "json"]
+    assert len(calls) == 1 and calls[0][0] == "problems.py", calls

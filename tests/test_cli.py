@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obstacle_afem.cli import RunConfig, fit_rates, main, run
-from obstacle_afem.problems import _EXPR_NAMES
+from obstacle_afem.cli import RunConfig, _read_config, fit_rates, main, run
+from obstacle_afem.mesh import LShape, Square
+from obstacle_afem.problems import _EXPR_NAMES, load_custom
 
 
 def test_fit_rates_exact_half_slope():
@@ -619,6 +620,174 @@ def test_cli_config_of_the_wrong_shape_exit_one(tmp_path, capsys, flag,
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,text,key", [
+    # json.load keeps the last value: this file ran with g = 0
+    ("--problem", '{"domain": {"type": "square"}, "f": "-2 + 0*x", '
+                  '"g": "1 + 0*x", "g": "0*x"}', "g"),
+    ("--problem", '{"domain": {"type": "square", "xmax": 2, "xmax": 3}, '
+                  '"f": "0*x", "g": "0*x"}', "xmax"),
+    ("--problem", '{"domain": {"type": "square"}, "f": "0*x", "g": "0*x", '
+                  '"chi": {"value": "0*x", "laplacian": "0*x", '
+                  '"value": "-1 + 0*x"}}', "value"),
+    ("--config", '{"theta": 0.3, "theta": 0.6}', "theta"),
+    # two spellings of one field: this file ran with 200 elements
+    ("--config", '{"mode": "uniform", "max-elements": 10, '
+                 '"max_elements": 200}', "max_elements"),
+], ids=["custom", "domain", "chi", "config", "config-spellings"])
+def test_cli_key_given_twice_exit_one(tmp_path, capsys, flag, text, key):
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    arg = str(path) if flag == "--config" else f"custom:{path}"
+    assert main(["run", flag, arg, "--max-elements", "50"]) == 1
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if not line.startswith("usage: ")]
+    assert len(err) == 1 and f"key {key!r} is given twice" in err[0]
+
+
+# The layouts of both JSON inputs as the README states them, {key: JSON
+# types}: the run config, whose keys may also be written with "-" for
+# "_", the custom problem file, its domain by type, and chi.
+_NUMBER, _TEXT, _NULL = (float, int), (str,), type(None)
+_LAYOUTS = {
+    "run": {"problem": _TEXT, "mode": _TEXT, "theta": _NUMBER,
+            "max_elements": (int,), "max_level": (int,),
+            "out": (str, _NULL), "dump_mesh": (str, _NULL),
+            "dump_indicators": (str, _NULL),
+            "reference_elements": (int, _NULL)},
+    "custom": {"name": _TEXT, "domain": (dict,), "f": _TEXT, "g": _TEXT,
+               "chi": (dict,)},
+    "square": {"type": _TEXT, "xmin": _NUMBER, "ymin": _NUMBER,
+               "xmax": _NUMBER, "ymax": _NUMBER},
+    "lshape": {"type": _TEXT, "half_width": _NUMBER},
+    "chi": {"value": _TEXT, "laplacian": _TEXT},
+}
+_JSON = {_NULL: st.none(), bool: st.booleans(), int: st.integers(-9, 9),
+         float: st.floats(-9, 9), str: st.text(max_size=4),
+         list: st.lists(st.integers(-9, 9), max_size=2),
+         dict: st.dictionaries(st.text(max_size=2), st.integers(-9, 9),
+                               max_size=2)}
+_ANY = st.one_of(*_JSON.values())
+# bounds that keep the domain valid whichever of them are left out
+_LOW = st.one_of(st.integers(-5, 0), st.floats(-5, 0.25))
+_HIGH = st.one_of(st.integers(1, 5), st.floats(0.75, 5))
+_BOUNDS = {"xmin": _LOW, "ymin": _LOW, "xmax": _HIGH, "ymax": _HIGH,
+           "half_width": _HIGH}
+_CONSTANT = st.floats(-9, 9).map(repr)
+
+
+class _Pairs(list):
+    """A JSON object as a list of (key, value) pairs: a key may repeat."""
+
+
+def _dumps(value):
+    if isinstance(value, _Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dumps(v)}"
+                               for k, v in value) + "}"
+    return json.dumps(value)
+
+
+def _run_spellings(key):
+    return [key, key.replace("_", "-")]
+
+
+def _one_spelling(key):
+    return [key]
+
+
+def _draw_object(data, keys, value, spellings=_one_spelling):
+    """Some of ``keys`` in any order, each in one of its spellings, with
+    a value drawn from ``value(key)``."""
+    return _Pairs(data.draw(st.permutations(
+        [(data.draw(st.sampled_from(spellings(k))), data.draw(value(k)))
+         for k in keys if data.draw(st.booleans())])))
+
+
+def _custom_file(data, with_chi):
+    """A valid custom problem file and its domain class: constant
+    expressions, and bounds that keep the domain valid."""
+    shape = data.draw(st.sampled_from([Square, LShape]))
+    kind = shape.__name__.lower()
+    domain = _draw_object(data, [k for k in _LAYOUTS[kind] if k != "type"],
+                          _BOUNDS.get)
+    domain.insert(data.draw(st.integers(0, len(domain))), ("type", kind))
+    pairs = [("domain", domain), ("f", data.draw(_CONSTANT)),
+             ("g", data.draw(_CONSTANT))]
+    if data.draw(st.booleans()):
+        pairs.append(("name", data.draw(st.text(max_size=4))))
+    if with_chi:
+        pairs.append(("chi", _Pairs([("value", data.draw(_CONSTANT)),
+                                     ("laplacian", data.draw(_CONSTANT))])))
+    return _Pairs(data.draw(st.permutations(pairs))), shape
+
+
+def _break(data, obj, layout, change, spellings):
+    """Give ``obj`` an unknown key, a value of another JSON type or a key
+    twice; the key the error must name."""
+    if change == "unknown":
+        known = {s for k in layout for s in spellings(k)}
+        key = data.draw(st.text(max_size=6).filter(lambda k: k not in known))
+        obj.insert(data.draw(st.integers(0, len(obj))), (key, data.draw(_ANY)))
+        return key
+    name = data.draw(st.sampled_from(list(layout)))
+    obj[:] = [(k, v) for k, v in obj if k not in spellings(name)]
+    spelled = st.sampled_from(spellings(name))
+    # a key given twice has values of its types, so that is the only fault
+    value = st.sampled_from([t for t in _JSON if (t in layout[name])
+                             == (change == "twice")]).flatmap(_JSON.get)
+    at = data.draw(st.integers(0, len(obj)))
+    if change == "twice":
+        obj.insert(at, (data.draw(spelled), data.draw(value)))
+        at = data.draw(st.integers(at + 1, len(obj)))
+    key = data.draw(spelled)
+    obj.insert(at, (key, data.draw(value)))
+    return key
+
+
+@pytest.mark.parametrize("target", ["run", "custom", "domain", "chi"])
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(data=st.data(),
+       change=st.sampled_from([None, "unknown", "type", "twice"]))
+def test_json_inputs_follow_one_layout_rule(tmp_path_factory, target, data,
+                                            change):
+    # a conforming object is read with its values; an unknown key, a value
+    # of another JSON type and a key given twice raise naming that key
+    if target == "run":
+        layout, spellings = _LAYOUTS["run"], _run_spellings
+        top = obj = _draw_object(data, layout, lambda k: st.one_of(
+            *(_JSON[t] for t in layout[k])), spellings)
+    else:
+        top, shape = _custom_file(
+            data, target == "chi" or data.draw(st.booleans()))
+        cfg = dict(top)
+        kind = shape.__name__.lower()
+        layout = _LAYOUTS[kind if target == "domain" else target]
+        obj, spellings = top if target == "custom" else cfg[target], \
+            _one_spelling
+    key = change and _break(data, obj, layout, change, spellings)
+    path = tmp_path_factory.mktemp("layout") / "input.json"
+    path.write_text(_dumps(top))
+    read = _read_config if target == "run" else load_custom
+    if change:
+        with pytest.raises(ValueError) as err:
+            read(str(path))
+        assert repr(key) in str(err.value)
+    elif target == "run":
+        assert read(str(path)) == {k.replace("-", "_"): v for k, v in top}
+    else:
+        spec = read(str(path))
+        assert spec.name == cfg.get("name", "custom")
+        assert type(spec.domain) is shape
+        assert asdict(spec.domain) == {**asdict(shape()), **{
+            k: v for k, v in cfg["domain"] if k != "type"}}
+        assert [spec.f(0.0, 0.0), spec.g(0.0, 0.0)] \
+            == [float(cfg["f"]), float(cfg["g"])]
+        chi = dict(cfg.get("chi", {}))
+        assert (spec.chi is None) == (not chi)
+        if chi:
+            assert [spec.chi.value(0.0, 0.0), spec.chi.laplacian(0.0, 0.0)] \
+                == [float(chi["value"]), float(chi["laplacian"])]
 
 
 def test_cli_config_null_where_the_default_is_null(tmp_path, capsys):
