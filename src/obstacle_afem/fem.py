@@ -121,17 +121,21 @@ def energy(stiffness, load, values):
     return float(0.5 * values @ (stiffness @ values) - load @ values)
 
 
-def generation(mesh, level):
+def generation(mesh, level, rows=None):
     """Prolongation of bisection generation ``level``, CSR from the nodes
-    of level - 1 to those of level: old node i keeps its value, a new node
-    takes half of each endpoint of its (min, max) parent edge, in order.
-    Its index arrays are int32 like ``node_parents``, so SciPy keeps them."""
+    of level - 1 to those of level, or to its sorted ``rows`` only: old
+    node i keeps its value, a new node takes half of each endpoint of its
+    (min, max) parent edge, in order.  Its index arrays are int32 like
+    ``node_parents``, so SciPy keeps them."""
     old, new = mesh.level_nodes[level - 1:level + 1]
-    keep = np.arange(old, dtype=np.int32)
-    data = np.r_[np.ones(old), np.full(2 * (new - old), 0.5)]
-    indices = np.r_[keep, mesh.node_parents[old:new].ravel()]
-    indptr = np.r_[keep, np.arange(old, 2 * new - old + 1, 2, dtype=np.int32)]
-    return sp.csr_matrix((data, indices, indptr), shape=(new, old))
+    rows = np.arange(new) if rows is None else rows
+    split, count = np.searchsorted(rows, old), len(rows)
+    data = np.r_[np.ones(split), np.full(2 * (count - split), 0.5)]
+    indices = np.r_[rows[:split].astype(np.int32),
+                    mesh.node_parents[rows[split:]].ravel()]
+    indptr = np.r_[np.arange(split, dtype=np.int32),
+                   np.arange(split, 2 * count - split + 1, 2, dtype=np.int32)]
+    return sp.csr_matrix((data, indices, indptr), shape=(count, old))
 
 
 def prolong(values, fine):

@@ -321,7 +321,8 @@ def check_layout(obj, layout):
 
 def read_json(path, layout, same_key=lambda key: key):
     """The JSON object in the file ``path``, checked by ``check_layout``.
-    Two keys of one object with the same ``same_key`` raise ValueError."""
+    Two keys of one object with the same ``same_key``, and nesting past
+    the recursion limit, raise ValueError."""
     def unique(pairs):
         for i, (key, _) in enumerate(pairs):
             if same_key(key) in [same_key(k) for k, _ in pairs[:i]]:
@@ -329,7 +330,10 @@ def read_json(path, layout, same_key=lambda key: key):
         return dict(pairs)
 
     with open(path) as fh:
-        obj = json.load(fh, object_pairs_hook=unique)
+        try:
+            obj = json.load(fh, object_pairs_hook=unique)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if type(obj) is not dict:
         raise ValueError("the file must hold a JSON object")
     return check_layout(obj, layout)

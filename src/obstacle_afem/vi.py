@@ -4,7 +4,7 @@ Primal-dual active set (PDAS) solver enforcing U >= 0 at interior nodes
 and U = g_l at boundary nodes; it exposes the multiplier
 lambda = (KU - b) restricted to interior nodes.  Each PDAS system, on the
 inactive interior nodes, is solved by CG preconditioned by one symmetric
-V-cycle of damped Jacobi sweeps.
+V-cycle of damped Jacobi sweeps, loosely until the active set repeats.
 
 Newest vertex bisection nests the P1 spaces of its meshes, so the exact
 prolongations between the levels of a mesh's history follow from
@@ -36,9 +36,10 @@ MAX_PDAS_ITER = 100
 # Largest negative boundary data g - chi (and g_l) accepted on Gamma.
 BOUNDARY_TOL = 1e-10
 CG_RTOL = 1e-12
+PDAS_RTOL = 1e-7      # CG tolerance of the PDAS systems until A repeats
 SMOOTHING_STEPS = 2   # Jacobi sweeps before and after each coarse correction
 JACOBI_DAMPING = 0.7
-COARSE_LIMIT = 200    # largest coarsest level, solved densely
+COARSE_LIMIT = 100    # largest coarsest level, solved densely
 
 
 class PdasError(RuntimeError):
@@ -82,9 +83,14 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
     given the active set A, solve the linear system with U = 0 on A and
     U = g_l on the boundary by CG from the previous iterate, read off the
     multiplier, and update A <- {i interior : lambda_i - U_i > 0} until A
-    is stable; an active set that recurs after two or more iterations
-    raises.  The interior nodes are those where ``gl`` (the nodal vector
-    of :func:`obstacle_afem.boundary.interpolate_boundary`) is NaN.
+    repeats up to flips with |lambda_i - U_i| <= rtol ||b_I||.  The steps
+    need only the sign of lambda - U, so CG stops at rtol = ``PDAS_RTOL``
+    until A repeats; one solve to ``CG_RTOL`` on the same system and
+    V-cycle then confirms A, or overturns it and PDAS goes on with tight
+    solves only (rtol is ``CG_RTOL`` too when no node is inactive).  An
+    active set that recurs within one phase raises.  The interior nodes
+    are those where ``gl`` (the nodal vector of
+    :func:`obstacle_afem.boundary.interpolate_boundary`) is NaN.
 
     ``warm_active`` seeds the active set: a 1-D boolean mask over the
     first nodes, e.g. the previous level's (refinement appends the new
@@ -110,25 +116,36 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
         active[:len(warm_active)] = warm_active
         active &= interior
 
+    with np.errstate(over="ignore"):  # on overflow every flip decides
+        norm_b = np.nan_to_num(np.linalg.norm(rhs[interior]), posinf=0.0)
+
     cg_iterations = 0
+    rtol = PDAS_RTOL
     # the iteration that produced each active set so far (0: the seed)
     seen = {np.packbits(active).tobytes(): 0}
     for iteration in range(1, MAX_PDAS_ITER + 1):
         u[active] = 0.0
         idx = np.nonzero(interior & ~active)[0]
         if idx.size:
-            # the V-cycle set-up, the solve's memory peak, runs after the
-            # last system, V-cycle and lam are freed, before CG's vectors
+            # the V-cycle set-up runs after the last system, V-cycle and
+            # lam are freed, before CG's vectors
             a = csr[idx][:, idx]
             precond = vcycle(a, mesh, mesh.level, idx)
+            u[idx], steps = cg_solve(a, rhs[idx], u[idx], precond, rtol)
+            cg_iterations += steps
+        tight = rtol == CG_RTOL or not idx.size
+        tol = (CG_RTOL if tight else rtol) * norm_b
+        lam, new_active, repeats = _update(csr, load, u, interior, active, tol)
+        if repeats and not tight:
+            del lam
             u[idx], steps = cg_solve(a, rhs[idx], u[idx], precond)
             cg_iterations += steps
-            del a, precond
-        lam = np.zeros(n)
-        lam[interior] = (csr @ u - load)[interior]
-        new_active = interior & ((lam - u) > 0)
-        if np.array_equal(new_active, active):
-            return DiscreteSolution(values=u, active=new_active,
+            rtol, seen, tol = CG_RTOL, {}, CG_RTOL * norm_b
+            lam, new_active, repeats = _update(csr, load, u, interior,
+                                               active, tol)
+        a = precond = None
+        if repeats:
+            return DiscreteSolution(values=u, active=active,
                                     multiplier=lam, iterations=iteration,
                                     cg_iterations=cg_iterations)
         key = np.packbits(new_active).tobytes()
@@ -142,6 +159,19 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
         del lam
     raise PdasError(
         f"PDAS did not converge within {MAX_PDAS_ITER} iterations")
+
+
+def _update(csr, load, u, interior, active, tol):
+    """lambda = KU - b at the interior nodes, 0 elsewhere, formed in place;
+    the interior nodes with lambda - U > 0; and whether they repeat
+    ``active`` up to flips with |lambda - U| <= tol."""
+    lam = csr @ u
+    lam -= load
+    lam[~interior] = 0.0
+    d = lam - u
+    new_active = interior & (d > 0)
+    flips = (new_active != active) & ((d > tol) | (d < -tol))
+    return lam, new_active, not flips.any()
 
 
 def check_kkt(sol, stiffness, load, gl):
@@ -163,10 +193,10 @@ def check_kkt(sol, stiffness, load, gl):
                      boundary_residual=boundary_residual)
 
 
-def cg_solve(matrix, rhs, x0, precond):
+def cg_solve(matrix, rhs, x0, precond, rtol=CG_RTOL):
     """Conjugate gradients preconditioned by ``precond``, a function of
     the residual, started from ``x0``; returns the solution and the
-    number of iterations.  Stops once ||r|| < CG_RTOL ||rhs||; raises if
+    number of iterations.  Stops once ||r|| < rtol ||rhs||; raises if
     ||rhs|| is not finite and after 10,000 iterations."""
     x = np.array(x0, dtype=float)
     with np.errstate(over="ignore"):
@@ -175,7 +205,7 @@ def cg_solve(matrix, rhs, x0, precond):
         raise ValueError("CG right-hand side norm is not finite")
     if norm_b == 0.0:
         return np.zeros_like(x), 0
-    tol = CG_RTOL * norm_b
+    tol = rtol * norm_b
     r = rhs - matrix @ x
     p = rho_prev = None
     for steps in range(10000):
@@ -194,13 +224,14 @@ def cg_solve(matrix, rhs, x0, precond):
 
 
 def truncated_prolongation(mesh, level, idx):
-    """The rows ``idx`` of the prolongation to ``level`` from the next kept
-    level below it, and that level: the product of the generations in
-    between, its rows sliced before the products (each row of a product
-    comes from that row alone) and its columns sorted (the V-cycle sums
-    in index order).  Going down, a level is kept when it has at most
-    half the nodes of ``level``; level 0 always is."""
-    p, kept = generation(mesh, level)[idx], level - 1
+    """The rows ``idx`` (sorted) of the prolongation to ``level`` from the
+    next kept level below it, and that level: the product of the
+    generations in between, the first one built for the rows ``idx`` only
+    (each row of a product comes from that row alone) and its columns
+    sorted (the V-cycle sums in index order).  Going down, a level is
+    kept when it has at most half the nodes of ``level``; level 0 always
+    is."""
+    p, kept = generation(mesh, level, idx), level - 1
     while kept > 0 and 2 * mesh.level_nodes[kept] > mesh.level_nodes[level]:
         p = p @ generation(mesh, kept)
         kept -= 1

@@ -15,6 +15,9 @@ row gathers, to cross-check the per-generation operator
 prolongations between the kept levels, finest first, to cross-check
 the row-sliced ones that each V-cycle set-up of :mod:`obstacle_afem.vi`
 builds for itself.
+``sliced_truncated_prolongation`` slices those rows from the whole first
+generation, to cross-check the set-up's generation built for the rows
+alone.
 ``build_edges_unique`` numbers the edges with ``np.unique`` over the
 vertex pairs and a second sort for the edge-to-triangle map, to
 cross-check the single-sort edge tables of :class:`obstacle_afem.mesh.Mesh`.
@@ -155,6 +158,18 @@ def level_prolongations(mesh):
             prolongations.append(p)
             p = None
     return prolongations
+
+
+def sliced_truncated_prolongation(mesh, level, idx):
+    """Same contract as :func:`obstacle_afem.vi.truncated_prolongation`:
+    the rows ``idx`` sliced from the whole first generation, then the
+    products of the generations down to the next kept level."""
+    p, kept = generation(mesh, level)[idx], level - 1
+    while kept > 0 and 2 * mesh.level_nodes[kept] > mesh.level_nodes[level]:
+        p = p @ generation(mesh, kept)
+        kept -= 1
+    p.sort_indices()
+    return p, kept
 
 
 def vstack_prolongations(mesh):

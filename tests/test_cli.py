@@ -646,6 +646,23 @@ def test_cli_key_given_twice_exit_one(tmp_path, capsys, flag, text, key):
     assert len(err) == 1 and f"key {key!r} is given twice" in err[0]
 
 
+@pytest.mark.parametrize("flag,prefix", [
+    ("--config", '{"theta": '),
+    ("--problem", '{"f": "0*x", "g": "0*x", "domain": '),
+], ids=["config", "domain"])
+def test_cli_json_nested_past_the_recursion_limit_exit_one(tmp_path, capsys,
+                                                          flag, prefix):
+    # json's RecursionError used to pass as a numerical failure (exit 2)
+    path = tmp_path / "deep.json"
+    depth = 100_000
+    path.write_text(prefix + "[" * depth + "]" * depth + "}")
+    arg = str(path) if flag == "--config" else f"custom:{path}"
+    assert main(["run", flag, arg, "--max-elements", "50"]) == 1
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if not line.startswith("usage: ")]
+    assert len(err) == 1 and f"{path}: JSON nested too deeply" in err[0]
+
+
 # The layouts of both JSON inputs as the README states them, {key: JSON
 # types}: the run config, whose keys may also be written with "-" for
 # "_", the custom problem file, its domain by type, and chi.

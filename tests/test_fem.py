@@ -321,13 +321,14 @@ def test_blocked_kernels_peak_memory_per_triangle():
 def test_solve_peak_memory_per_node():
     # the 98,304-element level of example 2's uniform reference loop,
     # seeded as the loop seeds it: the system on the inactive nodes and
-    # its V-cycle hierarchy, each level's truncated prolongation sliced
-    # to its rows as the set-up builds it.  The first set-up peaks at 107
-    # B per node in the coarsest level's pinv, with every finer level's
-    # matrix and prolongation alive (97 B in the finest level's P'(AP),
-    # 85 B while its prolongation is sliced from the whole generation);
-    # the first CG reads 105 B.  With the whole prolongations of all kept
-    # levels held through the solve it read 141 B
+    # its V-cycle hierarchy, each level's truncated prolongation built
+    # for its rows as the set-up builds it.  The solve peaks at 100 B per
+    # node in the first CG; the first set-up reads 81 B with every finer
+    # level's matrix and prolongation alive.  It read 107 B in the
+    # coarsest level's pinv with up to 200 coarsest unknowns and 85 B
+    # while the prolongation was sliced from the whole generation.  With
+    # the whole prolongations of all kept levels held through the solve
+    # it read 141 B
     with recording(problems, "solve_obstacle") as calls:
         reference_energy(example2(), 98304)
     args, _ = calls[-1]
@@ -592,12 +593,12 @@ def test_vcycle_is_symmetric_positive_definite():
 
 
 def test_vcycle_matches_the_csc_product_form():
-    # bit for bit: each set-up's prolongation sliced before the products,
-    # the reached columns renumbered in place of a copy and P'(AP) as a
-    # CSR product with sorted columns, against the whole prolongations
-    # sliced after, the column copy and SciPy's CSC product, on systems
-    # of all interior nodes, of random inactive sets and of an adaptive
-    # PDAS solution
+    # bit for bit: each set-up's prolongation built for its rows before
+    # the products, the reached columns renumbered in place of a copy and
+    # P'(AP) as a CSR product with sorted columns, against the whole
+    # prolongations sliced after, the column copy and SciPy's CSC
+    # product, on systems of all interior nodes, of random inactive sets
+    # and of an adaptive PDAS solution
     rng = np.random.default_rng(21)
     square, lshape = _uniform_square(6), build_initial_mesh(LShape())
     for _ in range(5):

@@ -6,8 +6,8 @@ put a node at the midpoint of each marked edge, give each triangle one
 to four sons and keep its boundary edges on the domain's polygon.  The
 bisection history it carries must give the same prolongations as the
 level-by-level ``prolong``, and each V-cycle set-up's prolongation,
-sliced to its rows before the products, the same arrays as the whole
-one sliced after.
+built for its rows before the products, the same arrays as the whole
+one sliced after and as the whole first generation sliced before.
 """
 
 import numpy as np
@@ -18,7 +18,8 @@ from obstacle_afem import (LShape, Square, build_initial_mesh, example1,
                            example2, prolong, refine, run_adaptive)
 from obstacle_afem.vi import truncated_prolongation
 from tests.mesh_oracles import (boundary_polygon, edge_lengths,
-                                father_triangles, level_prolongations)
+                                father_triangles, level_prolongations,
+                                sliced_truncated_prolongation)
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None,
                              database=None, max_examples=60)
@@ -135,7 +136,8 @@ def assert_set_ups_slice_the_whole_prolongations(mesh, masks):
     """At every kept level, on each node mask that ``masks(n)`` gives
     over its n nodes: the set-up's truncated prolongation has the
     arrays, dtypes and next kept level of the oracle's whole
-    prolongation sliced after the products."""
+    prolongation sliced after the products, and of the products of the
+    whole first generation's rows."""
     counts = list(mesh.level_nodes)
     level = mesh.level
     for whole in level_prolongations(mesh):
@@ -143,12 +145,16 @@ def assert_set_ups_slice_the_whole_prolongations(mesh, masks):
         for mask in masks(counts[level]):
             idx = np.flatnonzero(mask)
             p, got = truncated_prolongation(mesh, level, idx)
-            want = whole[idx]
-            assert got == kept and p.shape == want.shape
-            for a, b in ((p.indptr, want.indptr),
-                         (p.indices, want.indices),
-                         (p.data.view(np.uint64), want.data.view(np.uint64))):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+            sliced, sliced_kept = sliced_truncated_prolongation(mesh, level,
+                                                                idx)
+            assert got == kept == sliced_kept
+            for want in (whole[idx], sliced):
+                assert p.shape == want.shape
+                for a, b in ((p.indptr, want.indptr),
+                             (p.indices, want.indices),
+                             (p.data.view(np.uint64),
+                              want.data.view(np.uint64))):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
         level = kept
     assert level == 0
 

@@ -8,6 +8,7 @@ from obstacle_afem import (LShape, Mesh, Square,
                            refine, run_adaptive)
 from obstacle_afem import vi
 from obstacle_afem.boundary import interpolate_boundary
+from obstacle_afem.problems import to_zero_obstacle
 from obstacle_afem.vi import COARSE_LIMIT, check_kkt, solve_obstacle
 from tests.conftest import random_refined_mesh, recording
 from tests.solver_oracles import projected_sor_solve
@@ -87,7 +88,7 @@ def test_pdas_raises_at_once_when_its_active_sets_cycle(monkeypatch,
     assert np.isnan(gl).sum() == 1
     calls = []
 
-    def overshooting_cg(matrix, rhs, x0, precond):
+    def overshooting_cg(matrix, rhs, x0, precond, rtol=vi.CG_RTOL):
         calls.append(1)
         return 10.0 * rhs / matrix.diagonal(), 1
 
@@ -96,6 +97,96 @@ def test_pdas_raises_at_once_when_its_active_sets_cycle(monkeypatch,
                        "active set of iteration 2 is that of iteration 0"):
         solve_obstacle(mesh, k, b, gl)
     assert len(calls) == 1
+
+
+def cg_tolerances(calls):
+    """The tolerance of each recorded ``cg_solve`` call."""
+    return [args[4] if len(args) > 4 else vi.CG_RTOL for args, _ in calls]
+
+
+def test_every_solve_ends_with_a_tight_cg_solve():
+    # the loose solves only steer PDAS: the returned U and lambda come
+    # from a solve to CG_RTOL, so the KKT bound holds as before
+    rng = np.random.default_rng(42)
+    cases = []
+    for i in range(5):
+        mesh = random_refined_mesh(rng, Square(0, 0, 1, 1) if i % 2 == 0
+                                   else LShape(1.0))
+        cf = rng.uniform(-5, 5, 3)
+        cases.append((mesh, lambda x, y, c=cf: c[0] + c[1] * x + c[2] * y,
+                      lambda x, y: (x - y) ** 2))
+    p = example1()
+    mesh = build_initial_mesh(p.domain)
+    for _ in range(4):
+        mesh = refine(mesh, np.arange(mesh.num_edges))
+    cases.append((mesh, p.f, p.g))
+    loose = 0
+    for mesh, f, g in cases:
+        k, b, gl = setup_problem(mesh, f, g)
+        with recording(vi, "cg_solve") as calls:
+            sol = solve_obstacle(mesh, k, b, gl)
+        tolerances = cg_tolerances(calls)
+        assert tolerances[-1] == vi.CG_RTOL
+        assert sol.cg_iterations == sum(res[1] for _, res in calls)
+        assert check_kkt(sol, k, b, gl).max_violation < 1e-10
+        loose += tolerances.count(vi.PDAS_RTOL)
+    assert loose > len(cases)
+
+
+def test_overturned_confirmation_continues_with_tight_solves(monkeypatch,
+                                                            zero_trace):
+    # a loose CG that stops at once steers PDAS away from the solution's
+    # active set A*, the seed, and repeats a wrong set; the tight
+    # confirmation overturns it, and the tight phase returns to A*, a
+    # set seen only in the loose phase, without a cycle error
+    mesh = refined_square(5)
+    k, b, gl = setup_problem(mesh, lambda x, y: np.sin(6.0 * x) + y - 0.5,
+                             zero_trace)
+    exact = solve_obstacle(mesh, k, b, gl)
+    cg_solve = vi.cg_solve
+
+    def stopping_cg(matrix, rhs, x0, precond, rtol=vi.CG_RTOL):
+        if rtol > vi.CG_RTOL:
+            return np.array(x0), 0
+        return cg_solve(matrix, rhs, x0, precond, rtol)
+
+    monkeypatch.setattr(vi, "cg_solve", stopping_cg)
+    with recording(vi, "cg_solve") as calls:
+        sol = solve_obstacle(mesh, k, b, gl, warm_active=exact.active)
+    tolerances = cg_tolerances(calls)
+    first_tight = tolerances.index(vi.CG_RTOL)
+    assert first_tight >= 2
+    assert all(t == vi.PDAS_RTOL for t in tolerances[:first_tight])
+    assert all(t == vi.CG_RTOL for t in tolerances[first_tight:])
+    assert len(tolerances) - first_tight >= 2
+    assert np.array_equal(sol.active, exact.active)
+    assert np.abs(sol.values - exact.values).max() < 1e-10
+    assert check_kkt(sol, k, b, gl).max_violation < 1e-10
+
+
+def test_multiplier_matches_the_out_of_place_form():
+    p = to_zero_obstacle(example2())
+    mesh = build_initial_mesh(p.domain)
+    for _ in range(4):
+        mesh = refine(mesh, np.arange(mesh.num_edges))
+    k, b, gl = setup_problem(mesh, p.f, p.g)
+    sol = solve_obstacle(mesh, k, b, gl)
+    interior = np.isnan(gl)
+    lam = np.zeros(mesh.num_nodes)
+    lam[interior] = (k.tocsr() @ sol.values - b)[interior]
+    assert sol.active.any()
+    assert np.array_equal(sol.multiplier.view(np.uint64), lam.view(np.uint64))
+
+
+@pytest.mark.parametrize("coarse_limit", [COARSE_LIMIT, 200])
+def test_pdas_ends_at_a_degenerate_node(monkeypatch, coarse_limit):
+    # with a coarsest level of up to 200 unknowns, a node of level 11
+    # holds U = 2.3e-28 and lambda = 9.1e-28: the rule lambda - U > 0
+    # alone flipped it on every iteration, and PDAS cycled
+    monkeypatch.setattr(vi, "COARSE_LIMIT", coarse_limit)
+    result = run_adaptive(example2(), 0.4, max_elements=800)
+    assert result.records[-1].n_elements >= 800
+    assert len(result.records) > 11
 
 
 def test_pdas_and_sor_agree_on_random_meshes():
