@@ -2,7 +2,14 @@
 
 Edge-based bookkeeping: normal-jump terms and interior data oscillations
 on interior edges, weighted element residuals and Dirichlet oscillations
-on boundary edges.
+on boundary edges.  Two blocked passes: over triangles, keeping the mean
+mu_T of f and V_T = ||f - mu_T||^2 on T; then over interior edges, each
+block measuring its edges from their endpoints, so that no table over all
+interior edges is held besides the outputs.  The patch oscillation
+|w| ||f - f_w||^2 of w = T_a + T_b is (|T_a| + |T_b|) (V_a + V_b)
++ |T_a| |T_b| (mu_a - mu_b)^2, the pairwise variance update of Chan,
+Golub and LeVeque, and the boundary term |T| ||f||^2 on T is
+|T| (V_T + |T| mu_T^2): no term is negative, so nothing cancels.
 """
 
 from dataclasses import dataclass
@@ -56,12 +63,8 @@ class IndicatorSet:
 # an overflow to inf reaches the loop as a non-finite estimator
 @np.errstate(over="ignore")
 def assemble_indicators(mesh, values, f, g, gl):
-    """Complete indicator set for a discrete solution: the mean of f
-    and ||f - mean||^2 on each triangle, in blocks of triangles, then the
-    jump and oscillation terms in blocks of interior edges.
-
-    A patch's ||f - mean||^2 is its triangles' two terms plus the gap of
-    their means, squared and weighted by |T_a| |T_b| / |T_a + T_b|."""
+    """Complete indicator set for a discrete solution, in the module's
+    two blocked passes."""
     values = np.asarray(values, dtype=float)
     eta2, osc2, apx2 = np.zeros((3, mesh.num_edges))
     areas = mesh.areas

@@ -90,6 +90,15 @@ class Mesh:
     index table (``triangles``, ``ref_edge``, ``node_parents``,
     ``tri2edge``, ``edges``) is stored as int32, so N and 3M must fit in
     int32.
+
+    Raises ValueError for a vertex id or reference edge that is not a
+    whole number (a boolean table is not: True would read as id 1) or
+    lies outside [0, N) or {0, 1, 2}; tables of the wrong shape or
+    length; a history whose counts do not rise strictly to N or whose
+    new nodes have a parent outside the previous level; non-finite
+    coordinates; an area outside (0, inf); an edge of more than two
+    triangles; and two triangles that run along an edge in the same
+    direction (a duplicated or overlapping triangle).
     """
 
     def __init__(self, nodes, triangles, ref_edge, node_parents=None,
@@ -149,9 +158,13 @@ class Mesh:
     # -- connectivity -----------------------------------------------------
 
     def _build_edges(self):
+        """``edges``, ``tri2edge`` and ``is_boundary_edge`` from one
+        argsort of the int64 key min(a, b) * N + max(a, b) over the sides
+        (a, b) of the triangles, so the edges come out sorted by (min,
+        max).  The key is then sorted in place, the edge table cut from
+        it and the key freed before the edge ids are built; a key that
+        does not repeat is a boundary edge."""
         m, n = self.num_triangles, self.num_nodes
-        # one stable sort of the key min * N + max numbers the edges
-        # lexicographically and lists each edge's triangles ascending
         tri, nxt = self.triangles, np.roll(self.triangles, -1, axis=1)
         forward = (tri < nxt).ravel()
         # int64: the key overflows int32 for N above 46340
@@ -159,7 +172,8 @@ class Mesh:
         key *= n
         key += np.maximum(tri, nxt, out=nxt).ravel()
         del nxt
-        order = np.argsort(key, kind="stable")
+        # not stable: both slots of an edge get one id, in either order
+        order = np.argsort(key)
         # sorted in place: the values of key[order] without a second table
         key.sort()
         first = np.ones(3 * m, dtype=bool)
@@ -279,7 +293,8 @@ def refine(mesh, marked):
 
     An empty marked set returns the input mesh unchanged.  The refined
     mesh extends the input's bisection history (``node_parents`` and
-    ``level_nodes``) by one level.
+    ``level_nodes``) by one level.  Marked ids that are not integers
+    (a boolean mask, floats) or not edges of the mesh raise ValueError.
     """
     marked = np.asarray(marked)
     if marked.size == 0:

@@ -1,4 +1,7 @@
-"""Quadrature rules shared across assembly and estimator code."""
+"""Quadrature rules shared across assembly and estimator code, and the
+row blocks of every blocked kernel: the stiffness, the load, the solution
+gradients and both estimator passes work on ``blocks(n)`` of about
+``BLOCK`` rows, so that their temporaries stay of block size."""
 
 import numpy as np
 

@@ -14,7 +14,12 @@ the boundary values, which the PDAS systems do not contain.  The
 hierarchy is truncated to a system's nodes as in Kornhuber's (1994)
 truncated monotone multilevel method: the prolongations keep only those
 rows, coarse nodes whose truncated hat function vanishes are dropped,
-and the coarse matrices are the Galerkin products ``P' A P``.
+and the coarse matrices are the Galerkin products ``P' A P``.  Each
+set-up builds its prolongations for the rows of its system only, so none
+is held through the solve; a system and its V-cycle live until the next
+system is built, for the confirming solve.  Each level of the cycle is a
+closure over its matrix, Jacobi scale and prolongation; the cycle must
+stay symmetric positive definite, as PCG needs (a test checks it).
 """
 
 from dataclasses import dataclass
@@ -83,7 +88,8 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
     given the active set A, solve the linear system with U = 0 on A and
     U = g_l on the boundary by CG from the previous iterate, read off the
     multiplier, and update A <- {i interior : lambda_i - U_i > 0} until A
-    repeats up to flips with |lambda_i - U_i| <= rtol ||b_I||.  The steps
+    repeats up to flips with |lambda_i - U_i| <= rtol ||b_I||, so that a
+    degenerate node with lambda_i = U_i = 0 cannot flip forever.  The steps
     need only the sign of lambda - U, so CG stops at rtol = ``PDAS_RTOL``
     until A repeats; one solve to ``CG_RTOL`` on the same system and
     V-cycle then confirms A, or overturns it and PDAS goes on with tight
