@@ -93,8 +93,7 @@ def _run(problem, mark_fn, max_elements, max_level, reference_energy=None):
                 du = energy_norm_diff(stiffness, sol.values,
                                       prolong(prev[0], mesh))
             del stiffness, load
-            indicators = assemble_indicators(mesh, sol.values, tp.f, tp.g,
-                                             gl)
+            indicators = assemble_indicators(mesh, sol.values, tp.f, tp.g)
             for name, v in (("estimator", indicators.rho2), ("energy", value)):
                 if not np.isfinite(v):
                     raise ValueError(f"level {mesh.level}: {name} "

@@ -36,32 +36,28 @@ def interpolate_boundary(g, mesh):
     return gl
 
 
-def apx_indicator(mesh, g, gl, eid):
-    """Dirichlet oscillation h_E * int_E ((g - g_l)')^2 of boundary edges.
+def apx_indicator(mesh, g):
+    """Dirichlet oscillation h_E * int_E ((g - g_l)')^2 of each boundary
+    edge E, as an array over all edges that is 0 on the interior ones.
 
-    ``gl`` is the nodal vector of :func:`interpolate_boundary`; ``eid`` is
-    a 1-D integer array of edge ids, and the result has one value per id.
-    The interpolant slope is the endpoint difference over the edge length;
-    g' is :func:`arc_derivative` at the Gauss points along each edge.
+    g_l interpolates g at the nodes, so its slope on E is the difference
+    of g at E's two ends over the edge length; g' is
+    :func:`arc_derivative` at the Gauss points along each edge.
     """
-    eid = np.asarray(eid)
-    if eid.ndim != 1:
-        raise ValueError("edge ids are not a 1-D array")
-    if eid.dtype.kind not in "iu":
-        raise ValueError("edge ids are not integers")
-    if eid.min(initial=0) < 0 or eid.max(initial=0) >= mesh.num_edges:
-        raise ValueError("unknown edge id")
-    if not mesh.is_boundary_edge[eid].all():
-        raise ValueError("apx_indicator requires a boundary edge")
+    eid = mesh.boundary_edge_ids()
     n0, n1 = mesh.edges[eid, 0], mesh.edges[eid, 1]
     p, q = mesh.nodes[n0], mesh.nodes[n1]
     d = q - p
     h = np.hypot(d[:, 0], d[:, 1])
     tangent = d / h[:, None]
-    slope = (gl[n1] - gl[n0]) / h
+    g0, g1 = (np.asarray(g(mesh.nodes[n, 0], mesh.nodes[n, 1]), dtype=float)
+              for n in (n0, n1))
+    slope = (g1 - g0) / h
     pts = 0.5 * (p + q)[:, None] + GAUSS_POINTS[:, None] * (0.5 * d)[:, None]
     gp = arc_derivative(g, pts[..., 0], pts[..., 1],
                         (tangent[:, 0, None], tangent[:, 1, None]),
                         h[:, None])
     w = GAUSS_WEIGHTS * (h[:, None] / 2.0)
-    return h * np.sum(w * (np.asarray(gp) - slope[:, None]) ** 2, axis=-1)
+    apx = np.zeros(mesh.num_edges)
+    apx[eid] = h * np.sum(w * (np.asarray(gp) - slope[:, None]) ** 2, axis=-1)
+    return apx

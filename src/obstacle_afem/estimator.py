@@ -62,11 +62,11 @@ class IndicatorSet:
 
 # an overflow to inf reaches the loop as a non-finite estimator
 @np.errstate(over="ignore")
-def assemble_indicators(mesh, values, f, g, gl):
+def assemble_indicators(mesh, values, f, g):
     """Complete indicator set for a discrete solution, in the module's
     two blocked passes."""
     values = np.asarray(values, dtype=float)
-    eta2, osc2, apx2 = np.zeros((3, mesh.num_edges))
+    eta2, osc2 = np.zeros((2, mesh.num_edges))
     areas = mesh.areas
     mean, dev2 = np.empty((2, mesh.num_triangles))
     for s in blocks(mesh.num_triangles):
@@ -91,9 +91,8 @@ def assemble_indicators(mesh, values, f, g, gl):
     bdry = mesh.boundary_edge_ids()
     tb = triangles[bdry, 0]
     osc2[bdry] = areas[tb] * (dev2[tb] + areas[tb] * mean[tb] ** 2)
-    apx2[bdry] = apx_indicator(mesh, g, gl, bdry)
 
-    return IndicatorSet(mesh=mesh, eta2=eta2, osc2=osc2, apx2=apx2)
+    return IndicatorSet(mesh, eta2, osc2, apx_indicator(mesh, g))
 
 
 def dump_indicators(indicators, path):

@@ -276,16 +276,19 @@ def _rejection(node, callees):
 
 
 def _compile_expr(expr):
-    tree = ast.parse(expr, "<problem config>", mode="eval")
-    callees = {n.func for n in ast.walk(tree) if isinstance(n, ast.Call)}
-    for node in ast.walk(tree):
-        why = _rejection(node, callees)
-        if why:
-            raise ValueError(f"expression {expr!r}: {why}")
-        if isinstance(node, ast.Constant):
-            # floats only: no big-integer arithmetic; a huge literal is inf
-            node.value = float(str(node.value))
-    code = compile(tree, "<problem config>", "eval")
+    try:  # parse and compile recurse once per level of the tree
+        tree = ast.parse(expr, "<problem config>", mode="eval")
+        callees = {n.func for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        for node in ast.walk(tree):
+            why = _rejection(node, callees)
+            if why:
+                raise ValueError(f"expression {expr!r}: {why}")
+            if isinstance(node, ast.Constant):
+                # floats only: no big-int arithmetic; a huge literal is inf
+                node.value = float(str(node.value))
+        code = compile(tree, "<problem config>", "eval")
+    except RecursionError:
+        raise ValueError(f"expression {expr!r}: nested too deeply") from None
 
     def fn(x, y):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -324,8 +327,9 @@ def read_json(path, layout, same_key=lambda key: key):
     Two keys of one object with the same ``same_key``, and nesting past
     the recursion limit, raise ValueError."""
     def unique(pairs):
+        first = {}  # each same_key value: the index of its first key
         for i, (key, _) in enumerate(pairs):
-            if same_key(key) in [same_key(k) for k, _ in pairs[:i]]:
+            if first.setdefault(same_key(key), i) != i:
                 raise ValueError(f"key {key!r} is given twice")
         return dict(pairs)
 

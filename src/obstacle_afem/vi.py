@@ -1,10 +1,10 @@
 """Discrete obstacle problem with zero obstacle: the SOLVE step.
 
 Primal-dual active set (PDAS) solver enforcing U >= 0 at interior nodes
-and U = g_l at boundary nodes; it exposes the multiplier
-lambda = (KU - b) restricted to interior nodes.  Each PDAS system, on the
-inactive interior nodes, is solved by CG preconditioned by one symmetric
-V-cycle of damped Jacobi sweeps, loosely until the active set repeats.
+and U = g_l at boundary nodes, with the multiplier lambda = KU - b at the
+interior nodes.  Each PDAS system, on the inactive interior nodes, is
+solved by CG preconditioned by one symmetric V-cycle of damped Jacobi
+sweeps, loosely until the active set repeats.
 
 Newest vertex bisection nests the P1 spaces of its meshes, so the exact
 prolongations between the levels of a mesh's history follow from
@@ -56,14 +56,12 @@ class DiscreteSolution:
     """Nodal solution with its active-set partition.
 
     ``active`` is a boolean mask over all nodes (True only at interior
-    nodes where U touches the obstacle); ``multiplier`` is (KU - b) at
-    interior nodes, zero at boundary nodes; ``cg_iterations`` sums the
-    CG iterations of all PDAS iterations.
+    nodes where U touches the obstacle); ``cg_iterations`` sums the CG
+    iterations of all PDAS iterations.
     """
 
     values: np.ndarray
     active: np.ndarray
-    multiplier: np.ndarray
     iterations: int
     cg_iterations: int = 0
 
@@ -133,26 +131,24 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
         u[active] = 0.0
         idx = np.nonzero(interior & ~active)[0]
         if idx.size:
-            # the V-cycle set-up runs after the last system, V-cycle and
-            # lam are freed, before CG's vectors
+            # the V-cycle set-up runs after the last system and V-cycle
+            # are freed, before CG's vectors
             a = csr[idx][:, idx]
             precond = vcycle(a, mesh, mesh.level, idx)
             u[idx], steps = cg_solve(a, rhs[idx], u[idx], precond, rtol)
             cg_iterations += steps
         tight = rtol == CG_RTOL or not idx.size
         tol = (CG_RTOL if tight else rtol) * norm_b
-        lam, new_active, repeats = _update(csr, load, u, interior, active, tol)
+        new_active, repeats = _update(csr, load, u, interior, active, tol)
         if repeats and not tight:
-            del lam
             u[idx], steps = cg_solve(a, rhs[idx], u[idx], precond)
             cg_iterations += steps
             rtol, seen, tol = CG_RTOL, {}, CG_RTOL * norm_b
-            lam, new_active, repeats = _update(csr, load, u, interior,
-                                               active, tol)
+            new_active, repeats = _update(csr, load, u, interior, active, tol)
         a = precond = None
         if repeats:
             return DiscreteSolution(values=u, active=active,
-                                    multiplier=lam, iterations=iteration,
+                                    iterations=iteration,
                                     cg_iterations=cg_iterations)
         key = np.packbits(new_active).tobytes()
         if key in seen:
@@ -162,22 +158,20 @@ def solve_obstacle(mesh, stiffness, load, gl, warm_active=None):
                 f"{seen[key]}")
         seen[key] = iteration
         active = new_active
-        del lam
     raise PdasError(
         f"PDAS did not converge within {MAX_PDAS_ITER} iterations")
 
 
 def _update(csr, load, u, interior, active, tol):
-    """lambda = KU - b at the interior nodes, 0 elsewhere, formed in place;
-    the interior nodes with lambda - U > 0; and whether they repeat
-    ``active`` up to flips with |lambda - U| <= tol."""
-    lam = csr @ u
-    lam -= load
-    lam[~interior] = 0.0
-    d = lam - u
+    """The interior nodes with lambda - U > 0, lambda = KU - b, and
+    whether they repeat ``active`` (a set of interior nodes) up to flips
+    with |lambda - U| <= tol; lambda - U is formed in place."""
+    d = csr @ u
+    d -= load
+    d -= u
     new_active = interior & (d > 0)
     flips = (new_active != active) & ((d > tol) | (d < -tol))
-    return lam, new_active, not flips.any()
+    return new_active, not flips.any()
 
 
 def check_kkt(sol, stiffness, load, gl):

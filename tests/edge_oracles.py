@@ -128,7 +128,9 @@ def gauss_segment(p, q):
 
 
 def apx_indicator(mesh, g, gl, eid):
-    """h_E * int_E ((g - g_l)')^2 of one boundary edge, edge by edge."""
+    """h_E * int_E ((g - g_l)')^2 of one boundary edge, edge by edge,
+    with the slope of g_l read from ``gl``, the nodal vector of
+    ``interpolate_boundary``."""
     eid = int(eid)
     if not mesh.is_boundary_edge[eid]:
         raise ValueError("apx_indicator requires a boundary edge")
@@ -143,14 +145,13 @@ def apx_indicator(mesh, g, gl, eid):
 
 
 @np.errstate(over="ignore")
-def whole_table_indicators(mesh, values, f, g, gl):
+def whole_table_indicators(mesh, values, f, g):
     """``(eta2, osc2, apx2)`` of ``assemble_indicators``, computed with
     the whole (M, 7) f table and all interior edges at once."""
     values = np.asarray(values, dtype=float)
     n_edges = mesh.num_edges
     eta2 = np.zeros(n_edges)
     osc2 = np.zeros(n_edges)
-    apx2 = np.zeros(n_edges)
     areas = mesh.areas
     fv = f_at_points(f, triangle_points(mesh, slice(None)))
     mean = fv @ TRI_WEIGHTS
@@ -174,8 +175,7 @@ def whole_table_indicators(mesh, values, f, g, gl):
     bdry = mesh.boundary_edge_ids()
     tb = triangles[bdry, 0]
     osc2[bdry] = areas[tb] * (dev2[tb] + areas[tb] * mean[tb] ** 2)
-    apx2[bdry] = boundary.apx_indicator(mesh, g, gl, bdry)
-    return eta2, osc2, apx2
+    return eta2, osc2, boundary.apx_indicator(mesh, g)
 
 
 def check_trace_continuity(g, mesh, tol=1e-10, delta=1e-7):

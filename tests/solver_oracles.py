@@ -73,8 +73,7 @@ def projected_sor_solve(mesh, stiffness, load, gl, omega=1.5,
     lam = np.zeros(n)
     lam[interior] = (csr @ u - load)[interior]
     active = interior & (u <= tol) & (lam > 0)
-    return DiscreteSolution(values=u, active=active, multiplier=lam,
-                            iterations=sweep)
+    return DiscreteSolution(values=u, active=active, iterations=sweep)
 
 
 def jacobi_cg_solve(matrix, rhs, x0=None):

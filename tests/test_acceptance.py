@@ -201,8 +201,7 @@ def test_criterion_7_pythagoras_identity():
                 vc_f = prolong(vc, fine)
                 vf = np.where(np.isnan(gl_f), 0.0, gl_f)
                 # all three terms weighted with the coarse width 2 h_fine
-                term_fine = 2.0 * apx_indicator(
-                    fine, g, gl_f, fine.boundary_edge_ids()).sum()
+                term_fine = 2.0 * apx_indicator(fine, g).sum()
                 term_mid = 0.0
                 lengths = edge_lengths(fine)
                 for e in fine.boundary_edge_ids():
@@ -211,8 +210,7 @@ def test_criterion_7_pythagoras_identity():
                     slope_f = (vf[n1] - vf[n0]) / h
                     slope_c = (vc_f[n1] - vc_f[n0]) / h
                     term_mid += 2.0 * h * h * (slope_f - slope_c) ** 2
-                term_coarse = apx_indicator(
-                    mesh, g, gl_c, mesh.boundary_edge_ids()).sum()
+                term_coarse = apx_indicator(mesh, g).sum()
                 worst = max(worst,
                             abs(term_fine + term_mid - term_coarse))
                 mesh = fine

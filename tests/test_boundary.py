@@ -50,34 +50,40 @@ def test_nonnegative_datum_gives_nonnegative_interpolant(lshape_mesh):
 
 def test_apx_vanishes_for_affine_data(unit_square_mesh):
     g = lambda x, y: 2.0 * x - y + 1.0
-    gl = interpolate_boundary(g, unit_square_mesh)
-    eids = unit_square_mesh.boundary_edge_ids()
     with exact_trace(lambda x, y: (np.full_like(x, 2.0),
                                    np.full_like(x, -1.0))):
-        apx = apx_indicator(unit_square_mesh, g, gl, eids)
+        apx = apx_indicator(unit_square_mesh, g)
     assert (apx < 1e-28).all()
+
+
+def test_apx_is_an_edge_array_zero_on_interior_edges(lshape_mesh):
+    mesh = refine(lshape_mesh, np.arange(lshape_mesh.num_edges))
+    apx = apx_indicator(mesh, lambda x, y: np.sin(x) + y ** 2)
+    assert apx.shape == (mesh.num_edges,) and apx.dtype == float
+    assert (apx[mesh.interior_edge_ids()] == 0.0).all()
+    assert (apx[mesh.boundary_edge_ids()] > 0.0).all()
+    # a datum that returns one number for all points
+    assert (apx_indicator(mesh, lambda x, y: 2.0) == 0.0).all()
 
 
 def test_apx_quadratic_closed_form(unit_square_mesh):
     # g = x^2 along the bottom edge of length 1: indicator h^4/3 = 1/3
     g = lambda x, y: x ** 2
     mesh = unit_square_mesh
-    gl = interpolate_boundary(g, mesh)
     bottom = [e for e in mesh.boundary_edge_ids()
               if np.allclose(mesh.nodes[mesh.edges[e], 1], 0.0)][0]
     with exact_trace(lambda x, y: (2.0 * x, np.zeros_like(x))):
-        apx = apx_indicator(mesh, g, gl, [bottom])
-    assert np.isclose(apx[0], 1.0 / 3.0, atol=1e-14)
+        apx = apx_indicator(mesh, g)
+    assert np.isclose(apx[bottom], 1.0 / 3.0, atol=1e-14)
 
 
 def test_apx_takes_a_plain_function(unit_square_mesh):
     # the same closed form h^4/3 = 1/3 with g' by the central difference
     mesh = unit_square_mesh
     g = lambda x, y: x ** 2
-    gl = interpolate_boundary(g, mesh)
     bottom = [e for e in mesh.boundary_edge_ids()
-              if np.allclose(mesh.nodes[mesh.edges[e], 1], 0.0)]
-    assert np.isclose(apx_indicator(mesh, g, gl, bottom)[0], 1.0 / 3.0,
+              if np.allclose(mesh.nodes[mesh.edges[e], 1], 0.0)][0]
+    assert np.isclose(apx_indicator(mesh, g)[bottom], 1.0 / 3.0,
                       rtol=1e-8, atol=0.0)
 
 
@@ -87,12 +93,11 @@ def test_apx_quadratic_closed_form_on_a_slanted_edge():
     mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                 np.array([[0, 1, 2]]), np.array([1]))
     g = lambda x, y: x ** 2
-    gl = interpolate_boundary(g, mesh)
     hyp = [e for e in mesh.boundary_edge_ids()
-           if set(mesh.edges[e]) == {1, 2}]
+           if set(mesh.edges[e]) == {1, 2}][0]
     with exact_trace(lambda x, y: (2.0 * x, np.zeros_like(x))):
-        apx = apx_indicator(mesh, g, gl, hyp)
-    assert np.isclose(apx[0], 1.0 / 3.0, atol=1e-14)
+        apx = apx_indicator(mesh, g)
+    assert np.isclose(apx[hyp], 1.0 / 3.0, atol=1e-14)
 
 
 def test_apx_finite_difference_fallback_matches_analytic(unit_square_mesh):
@@ -108,51 +113,19 @@ def test_apx_finite_difference_fallback_matches_analytic(unit_square_mesh):
     assert edge_lengths(graded)[graded.boundary_edge_ids()].min() < 1.3e-4
     for mesh, rtol, atol in [(unit_square_mesh, 1e-7, 1e-12),
                              (graded, 1e-4, 0.0)]:
-        gl = interpolate_boundary(g, mesh)
-        eids = mesh.boundary_edge_ids()
         with exact_trace(lambda x, y: (np.cos(x), 3.0 * y ** 2)):
-            analytic = apx_indicator(mesh, g, gl, eids)
-        assert np.allclose(apx_indicator(mesh, g, gl, eids), analytic,
+            analytic = apx_indicator(mesh, g)
+        assert np.allclose(apx_indicator(mesh, g), analytic,
                            rtol=rtol, atol=atol)
-
-
-def test_apx_rejects_interior_edge(unit_square_mesh):
-    g = lambda x, y: x
-    gl = interpolate_boundary(g, unit_square_mesh)
-    with pytest.raises(ValueError):
-        apx_indicator(unit_square_mesh, g, gl,
-                      unit_square_mesh.interior_edge_ids()[:1])
-
-
-@pytest.mark.parametrize("eid", [[0.7], [-1], [5], [0, 0.0], [1, 5],
-                                 [2 ** 40]],
-                         ids=lambda e: str(e[0]) if len(e) == 1 else None)
-def test_apx_rejects_bad_edge_ids(unit_square_mesh, eid):
-    # the unit square has edges 0 to 4
-    g = lambda x, y: x
-    gl = interpolate_boundary(g, unit_square_mesh)
-    with pytest.raises(ValueError, match="edge id"):
-        apx_indicator(unit_square_mesh, g, gl, eid)
-
-
-@pytest.mark.parametrize("eid", [1, np.int64(1), [[1, 2]]])
-def test_apx_rejects_edge_ids_other_than_a_1d_array(unit_square_mesh, eid):
-    g = lambda x, y: x
-    gl = interpolate_boundary(g, unit_square_mesh)
-    with pytest.raises(ValueError, match="1-D"):
-        apx_indicator(unit_square_mesh, g, gl, eid)
 
 
 def test_apx_total_decays_by_factor_eight_for_quadratic(unit_square_mesh):
     g = lambda x, y: x ** 2
     mesh = unit_square_mesh
-    gl = interpolate_boundary(g, mesh)
     fine_mesh = refine(mesh, np.arange(mesh.num_edges))
-    gl_f = interpolate_boundary(g, fine_mesh)
     with exact_trace(lambda x, y: (2.0 * x, np.zeros_like(x))):
-        coarse = apx_indicator(mesh, g, gl, mesh.boundary_edge_ids()).sum()
-        fine = apx_indicator(fine_mesh, g, gl_f,
-                             fine_mesh.boundary_edge_ids()).sum()
+        coarse = apx_indicator(mesh, g).sum()
+        fine = apx_indicator(fine_mesh, g).sum()
     assert np.isclose(fine, coarse / 8.0, atol=1e-14)
 
 
@@ -160,14 +133,10 @@ def test_apx_reduction_under_marking(unit_square_mesh):
     # halving an edge drops its indicator sum well below half of the parent
     g = lambda x, y: x ** 2
     mesh = unit_square_mesh
-    gl = interpolate_boundary(g, mesh)
     fine_mesh = refine(mesh, np.arange(mesh.num_edges))
-    gl_f = interpolate_boundary(g, fine_mesh)
     with exact_trace(lambda x, y: (2.0 * x, np.zeros_like(x))):
-        total_c = apx_indicator(mesh, g, gl,
-                                mesh.boundary_edge_ids()).sum()
-        total_f = apx_indicator(fine_mesh, g, gl_f,
-                                fine_mesh.boundary_edge_ids()).sum()
+        total_c = apx_indicator(mesh, g).sum()
+        total_f = apx_indicator(fine_mesh, g).sum()
     assert total_f <= total_c - 0.5 * total_c + 1e-14
 
 

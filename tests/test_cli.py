@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from obstacle_afem.cli import RunConfig, _read_config, fit_rates, main, run
 from obstacle_afem.mesh import LShape, Square
-from obstacle_afem.problems import _EXPR_NAMES, load_custom
+from obstacle_afem.problems import _EXPR_NAMES, load_custom, read_json
 
 
 def test_fit_rates_exact_half_slope():
@@ -295,10 +295,15 @@ def test_cli_fit_rates_all_equal_n_exit_two(tmp_path, capsys):
 
 
 def test_cli_numerical_failure_exit_two(tmp_path, capsys):
+    # a file that cannot be opened: one "error: [Errno ...]" line each
     missing = tmp_path / "nope.json"
-    assert main(["run", "--problem", f"custom:{missing}"]) == 2
-    assert main(["fit-rates", str(tmp_path / "nope.csv")]) == 2
-    capsys.readouterr()
+    for argv in (["run", "--problem", f"custom:{missing}"],
+                 ["run", "--config", str(missing)],
+                 ["run", "--config", str(tmp_path)],
+                 ["fit-rates", str(tmp_path / "nope.csv")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: [Errno "), argv
 
 
 @pytest.mark.parametrize("key,expr,message", [
@@ -661,6 +666,37 @@ def test_cli_json_nested_past_the_recursion_limit_exit_one(tmp_path, capsys,
     err = [line for line in capsys.readouterr().err.splitlines()
            if not line.startswith("usage: ")]
     assert len(err) == 1 and f"{path}: JSON nested too deeply" in err[0]
+
+
+def test_read_json_checks_each_key_once(tmp_path):
+    # the check for a key given twice used to compare each key with every
+    # earlier one: 16,000 keys took 7 s before the unknown key was named
+    path = tmp_path / "keys.json"
+    n = 5000
+    path.write_text(json.dumps({f"k{i}": i for i in range(n)}))
+    calls = []
+
+    def same_key(key):
+        calls.append(key)
+        return key
+
+    with pytest.raises(ValueError, match="unknown key 'k0'"):
+        read_json(path, {}, same_key)
+    assert len(calls) <= 2 * n
+
+
+def test_cli_expression_nested_past_the_recursion_limit_exit_one(
+        tmp_path, capsys):
+    # a long sum is a deep tree: compiling it used to exit 2 with
+    # "maximum recursion depth exceeded"
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"domain": {"type": "square"},
+                                "f": "x" + "+x" * 1999, "g": "0*x"}))
+    assert main(["run", "--problem", f"custom:{path}"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage error: bad custom problem config: "
+                             "expression")
+    assert err[0].endswith("nested too deeply")
 
 
 # The layouts of both JSON inputs as the README states them, {key: JSON

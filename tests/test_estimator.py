@@ -107,19 +107,24 @@ def test_per_edge_helpers_match_vectorized_assembly():
     analytic = exact_trace(lambda x, y: (2.0 * x, -np.sin(y)))
     for seam in (analytic, contextlib.nullcontext()):
         with seam:
-            ind = assemble_indicators(mesh, v, f, g, gl)
+            ind = assemble_indicators(mesh, v, f, g)
             per_edge = [apx_indicator(mesh, g, gl, eid) for eid in bdry]
         assert np.array_equal(ind.apx2[bdry], per_edge)
+    # example 1's trace, through log and where: g at each edge's ends
+    # gives the slope that g_l gives
+    g1 = example1().g
+    gl1 = interpolate_boundary(g1, mesh)
+    assert np.array_equal(assemble_indicators(mesh, v, f, g1).apx2[bdry],
+                          [apx_indicator(mesh, g1, gl1, e) for e in bdry])
     # and example 2's shifted f with its discrete solution on an adaptive
     # L-shape mesh, graded towards the corner and the free boundary
     shifted = to_zero_obstacle(example2())
     result = run_adaptive(example2(), 0.5, max_elements=4000)
     graded = result.mesh
-    gl = interpolate_boundary(shifted.g, graded)
     cases = [(mesh, v, f, ind),
              (graded, result.solution.values, shifted.f,
               assemble_indicators(graded, result.solution.values, shifted.f,
-                                  shifted.g, gl))]
+                                  shifted.g))]
     for mesh, v, f, ind in cases:
         for eid in mesh.interior_edge_ids()[::5]:
             assert np.isclose(ind.eta2[eid], jump_indicator(mesh, v, eid),
@@ -146,8 +151,7 @@ def test_indicators_evaluate_f_one_quadrature_point_at_a_time():
         return f(x, y)
 
     v = np.random.default_rng(3).normal(size=mesh.num_nodes)
-    gl = interpolate_boundary(shifted.g, mesh)
-    ind = assemble_indicators(mesh, v, recorded, shifted.g, gl)
+    ind = assemble_indicators(mesh, v, recorded, shifted.g)
     m = mesh.num_triangles
     assert shapes == [((m,), (m,))] * len(TRI_WEIGHTS)
     # the same oscillations as one evaluation of f on all points at once
@@ -178,7 +182,6 @@ def test_blocked_indicators_match_the_whole_table_form(
     for mesh in oracle_meshes:
         set_block(monkeypatch, block, len(mesh.interior_edge_ids()))
         v = rng.normal(size=mesh.num_nodes)
-        gl = interpolate_boundary(g, mesh)
         # f only enters through each triangle's mean and deviation, one
         # block of rows at a time: one cheap f shows the blocks' bits,
         # example 2's f runs in two cases
@@ -186,8 +189,8 @@ def test_blocked_indicators_match_the_whole_table_form(
         if block in (None, "remainder-one"):
             fs.append(shifted.f)
         for f in fs:
-            ind = assemble_indicators(mesh, v, f, g, gl)
-            want = whole_table_indicators(mesh, v, f, g, gl)
+            ind = assemble_indicators(mesh, v, f, g)
+            want = whole_table_indicators(mesh, v, f, g)
             for got, ref in zip((ind.eta2, ind.osc2, ind.apx2), want):
                 assert np.array_equal(got.view(np.uint64),
                                       ref.view(np.uint64))
@@ -195,9 +198,8 @@ def test_blocked_indicators_match_the_whole_table_form(
 
 def test_totals_are_consistent(unit_square_mesh, zero_trace):
     mesh = refine(unit_square_mesh, np.arange(unit_square_mesh.num_edges))
-    gl = interpolate_boundary(zero_trace, mesh)
     v = np.zeros(mesh.num_nodes)
-    ind = assemble_indicators(mesh, v, lambda x, y: x * y, zero_trace, gl)
+    ind = assemble_indicators(mesh, v, lambda x, y: x * y, zero_trace)
     assert (ind.contributions >= 0.0).all()
     assert np.isclose(ind.rho2,
                       ind.eta2.sum() + ind.osc2.sum() + ind.apx2.sum())
@@ -206,10 +208,9 @@ def test_totals_are_consistent(unit_square_mesh, zero_trace):
 
 
 def test_zero_data_gives_zero_estimator(unit_square_mesh, zero_trace):
-    gl = interpolate_boundary(zero_trace, unit_square_mesh)
     ind = assemble_indicators(unit_square_mesh,
                               np.zeros(unit_square_mesh.num_nodes),
-                              lambda x, y: np.zeros_like(x), zero_trace, gl)
+                              lambda x, y: np.zeros_like(x), zero_trace)
     assert ind.rho == 0.0
 
 
@@ -221,7 +222,7 @@ def test_coarse_solution_estimator_dominated_by_boundary_osc():
     gl = interpolate_boundary(p.g, mesh)
     sol = solve_obstacle(mesh, assemble_stiffness(mesh),
                          assemble_load(mesh, p.f), gl)
-    ind = assemble_indicators(mesh, sol.values, p.f, p.g, gl)
+    ind = assemble_indicators(mesh, sol.values, p.f, p.g)
     assert ind.rho2 > 0.0
     # constant force kills interior oscillations; the level-0 solution is
     # piecewise affine with no gradient jump across the single diagonal
@@ -248,10 +249,9 @@ def test_dump_indicators_writes_the_row_writers_bytes(tmp_path, monkeypatch,
 
 
 def test_dump_indicators_format(tmp_path, unit_square_mesh, zero_trace):
-    gl = interpolate_boundary(zero_trace, unit_square_mesh)
     ind = assemble_indicators(unit_square_mesh,
                               np.zeros(unit_square_mesh.num_nodes),
-                              lambda x, y: np.ones_like(x), zero_trace, gl)
+                              lambda x, y: np.ones_like(x), zero_trace)
     path = tmp_path / "ind.csv"
     dump_indicators(ind, path)
     lines = path.read_text().splitlines()

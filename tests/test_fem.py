@@ -6,8 +6,7 @@ from obstacle_afem import (LShape, Square, assemble_load, assemble_stiffness,
                            example1, example2, problems, prolong, quadrature,
                            reference_energy, refine, run_adaptive,
                            solve_obstacle, to_zero_obstacle)
-from obstacle_afem.boundary import (GAUSS_POINTS, GAUSS_WEIGHTS,
-                                    interpolate_boundary)
+from obstacle_afem.boundary import GAUSS_POINTS, GAUSS_WEIGHTS
 from obstacle_afem.estimator import assemble_indicators
 from obstacle_afem.fem import _hat_gradients, solution_gradients
 from obstacle_afem.mesh import Mesh
@@ -252,14 +251,12 @@ def kernel_peaks(times):
         mesh = refine(mesh, np.arange(mesh.num_edges))
     shifted = to_zero_obstacle(example2())
     v = np.random.default_rng(0).normal(size=mesh.num_nodes)
-    gl = interpolate_boundary(shifted.g, mesh)
     calls = {
         "Mesh": (Mesh, mesh.nodes, mesh.triangles, mesh.ref_edge,
                  mesh.node_parents, mesh.level_nodes),
         "stiffness": (assemble_stiffness, mesh),
         "load": (assemble_load, mesh, shifted.f),
-        "estimator": (assemble_indicators, mesh, v, shifted.f, shifted.g,
-                      gl),
+        "estimator": (assemble_indicators, mesh, v, shifted.f, shifted.g),
     }
     return mesh, {name: traced_peak(*call)[1] / mesh.num_triangles
                   for name, call in calls.items()}

@@ -5,8 +5,7 @@ import pytest
 
 from obstacle_afem import (LShape, Obstacle, ProblemSpec,
                            Square, apx_indicator, build_initial_mesh,
-                           example1, example2,
-                           interpolate_boundary, load_custom, problems,
+                           example1, example2, load_custom, problems,
                            reference_energy, refine, to_zero_obstacle)
 from obstacle_afem.problems import (_chi_laplacian, _chi_value,
                                     _compile_expr, _example2_f,
@@ -205,8 +204,7 @@ def test_example2_transformed_boundary_data_vanish():
     mesh = build_initial_mesh(LShape())
     for _ in range(3):
         mesh = refine(mesh, np.arange(mesh.num_edges))
-    gl = interpolate_boundary(tp.g, mesh)
-    apx = apx_indicator(mesh, tp.g, gl, mesh.boundary_edge_ids())
+    apx = apx_indicator(mesh, tp.g)
     assert np.abs(apx).max() == 0.0
 
 
