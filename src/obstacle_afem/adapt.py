@@ -47,16 +47,16 @@ class RunResult:
     indicators: object
 
 
-def dorfler_mark(indicators, theta):
+def dorfler_mark(contributions, theta):
     """Minimal edge set carrying at least a theta-fraction of rho^2.
 
-    Edges are sorted by contribution descending (ties by edge id
-    ascending) and the shortest prefix reaching the threshold is marked.
-    Returns the marked edge ids in ascending order.
+    Edges are sorted by ``contributions``, their shares of rho^2,
+    descending (ties by edge id ascending); the shortest prefix reaching
+    the threshold is marked.  Returns the marked ids in ascending order.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    contrib = indicators.contributions
+    contrib = np.asarray(contributions, dtype=float)
     if not np.isfinite(contrib).all():
         raise ValueError("estimator contributions are not finite")
     total = float(contrib.sum())
@@ -115,9 +115,8 @@ def _run(problem, mark_fn, max_elements, max_level, reference_energy=None):
                     or mesh.num_triangles >= max_elements
                     or mesh.level >= max_level):
                 return RunResult(records, mesh, sol, indicators)
-            marked = mark_fn(indicators)
-            # the old indicators hold the old mesh: free both before refine
-            del indicators
+            marked = mark_fn(indicators.contributions)
+            del indicators  # three edge arrays, freed before the next solve
             prev = (sol.values, sol.active)
             mesh = refine(mesh, marked)
             records[-1].wall_ms = (time.perf_counter() - t0) * 1e3
@@ -136,12 +135,12 @@ def run_adaptive(problem, theta, max_elements=50000, max_level=40,
     propagate with the records collected so far attached as
     ``partial_records``.
     """
-    return _run(problem, lambda ind: dorfler_mark(ind, theta),
+    return _run(problem, lambda c: dorfler_mark(c, theta),
                 max_elements, max_level, reference_energy)
 
 
 def run_uniform(problem, max_elements=50000, max_level=40,
                 reference_energy=None):
     """Same loop with every edge marked (uniform refinement)."""
-    return _run(problem, lambda ind: np.arange(ind.mesh.num_edges),
+    return _run(problem, lambda c: np.arange(c.size),
                 max_elements, max_level, reference_energy)

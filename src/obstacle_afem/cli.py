@@ -112,7 +112,7 @@ def run(config):
     if config.dump_mesh:
         dump_mesh(result.mesh, config.dump_mesh)
     if config.dump_indicators:
-        dump_indicators(result.indicators, config.dump_indicators)
+        dump_indicators(result.mesh, result.indicators, config.dump_indicators)
     return result.records
 
 

@@ -31,7 +31,6 @@ class IndicatorSet:
     ``apx2`` on interior ones.
     """
 
-    mesh: object
     eta2: np.ndarray
     osc2: np.ndarray
     apx2: np.ndarray
@@ -92,13 +91,13 @@ def assemble_indicators(mesh, values, f, g):
     tb = triangles[bdry, 0]
     osc2[bdry] = areas[tb] * (dev2[tb] + areas[tb] * mean[tb] ** 2)
 
-    return IndicatorSet(mesh, eta2, osc2, apx_indicator(mesh, g))
+    return IndicatorSet(eta2, osc2, apx_indicator(mesh, g))
 
 
-def dump_indicators(indicators, path):
+def dump_indicators(mesh, indicators, path):
     """CSV dump: edge_id,kind,eta2,osc2,apx2; the rows from ``tolist()``,
     one block of edges at a time."""
-    mesh, kinds = indicators.mesh, ("interior", "boundary")
+    kinds = ("interior", "boundary")
     with open(path, "w") as fh:
         fh.write("edge_id,kind,eta2,osc2,apx2\n")
         for s in blocks(mesh.num_edges):

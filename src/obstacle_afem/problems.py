@@ -275,6 +275,14 @@ def _rejection(node, callees):
     return f"{type(node).__name__} is not allowed"
 
 
+def _expr_error(expr, why):
+    """ValueError "expression 'expr': why"; an expression past 80
+    characters is quoted as its first 80, ``...`` and its length."""
+    text = repr(expr) if len(expr) <= 80 else \
+        f"{expr[:80]!r}... ({len(expr)} characters)"
+    return ValueError(f"expression {text}: {why}")
+
+
 def _compile_expr(expr):
     try:  # parse and compile recurse once per level of the tree
         tree = ast.parse(expr, "<problem config>", mode="eval")
@@ -282,13 +290,13 @@ def _compile_expr(expr):
         for node in ast.walk(tree):
             why = _rejection(node, callees)
             if why:
-                raise ValueError(f"expression {expr!r}: {why}")
+                raise _expr_error(expr, why)
             if isinstance(node, ast.Constant):
                 # floats only: no big-int arithmetic; a huge literal is inf
                 node.value = float(str(node.value))
         code = compile(tree, "<problem config>", "eval")
     except RecursionError:
-        raise ValueError(f"expression {expr!r}: nested too deeply") from None
+        raise _expr_error(expr, "nested too deeply") from None
 
     def fn(x, y):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -300,7 +308,7 @@ def _compile_expr(expr):
                 return np.asarray(eval(code, {"__builtins__": {}}, env)
                                   ).astype(float, casting="same_kind")
         except ArithmeticError as exc:
-            raise ValueError(f"expression {expr!r}: {exc}") from None
+            raise _expr_error(expr, exc) from None
 
     return fn
 
@@ -374,7 +382,7 @@ def load_custom(path):
         try:
             fn(*nodes)  # a type error does not depend on the points
         except TypeError as exc:
-            raise ValueError(f"expression {obj[key]!r}: {exc}") from None
+            raise _expr_error(obj[key], exc) from None
         except ValueError:
             pass  # an arithmetic error: the run's numerical failure
         return fn

@@ -69,6 +69,17 @@ def random_refined_mesh(rng, domain, max_nodes=200):
         mesh = refined
 
 
+def brute_force_min_cardinality(contrib, theta):
+    """Fewest edges whose contributions reach ``theta`` of the total,
+    by trying every subset."""
+    n = len(contrib)
+    masks = np.arange(1 << n, dtype=np.uint64)
+    bits = (masks[:, None] >> np.arange(n, dtype=np.uint64)) & 1
+    sums = bits.astype(float) @ contrib
+    ok = sums >= theta * contrib.sum()
+    return int(bits.sum(axis=1)[ok].min())
+
+
 @pytest.fixture
 def unit_square_mesh():
     return build_initial_mesh(Square(0.0, 0.0, 1.0, 1.0))

@@ -205,10 +205,9 @@ def check_trace_continuity(g, mesh, tol=1e-10, delta=1e-7):
     return worst
 
 
-def row_dump_indicators(indicators, path):
+def row_dump_indicators(mesh, indicators, path):
     """Same contract as :func:`obstacle_afem.estimator.dump_indicators`,
     one ``write`` per edge."""
-    mesh = indicators.mesh
     with open(path, "w") as fh:
         fh.write("edge_id,kind,eta2,osc2,apx2\n")
         for eid in range(mesh.num_edges):

@@ -19,7 +19,8 @@ from obstacle_afem.cli import fit_rates
 from obstacle_afem.fem import (assemble_load, assemble_stiffness, energy,
                                energy_norm_diff, prolong)
 from obstacle_afem.vi import check_kkt, solve_obstacle
-from tests.conftest import random_refined_mesh, recording
+from tests.conftest import (brute_force_min_cardinality,
+                            random_refined_mesh, recording)
 from tests.edge_oracles import exact_trace
 from tests.kernel_oracles import example1_gradient
 from tests.mesh_oracles import edge_lengths, father_triangles, min_angle
@@ -219,15 +220,6 @@ def test_criterion_7_pythagoras_identity():
            f"(want <= 1e-10) for quadratic and cubic traces, 3 levels")
 
 
-def brute_force_min_cardinality(contrib, theta):
-    n = len(contrib)
-    masks = np.arange(1 << n, dtype=np.uint64)
-    bits = (masks[:, None] >> np.arange(n, dtype=np.uint64)) & 1
-    sums = bits.astype(float) @ contrib
-    ok = sums >= theta * contrib.sum()
-    return int(bits.sum(axis=1)[ok].min())
-
-
 def test_criterion_8_mesh_and_marking_properties():
     rng = np.random.default_rng(2024)
     base_sq = build_initial_mesh(Square(-1.5, -1.5, 1.5, 1.5))
@@ -265,17 +257,13 @@ def test_criterion_8_mesh_and_marking_properties():
             break
         mesh = fine
 
-    class Fake:
-        def __init__(self, c):
-            self.contributions = c
-
     rng = np.random.default_rng(123)
     mark_ok = True
     for _ in range(200):
         n = int(rng.integers(1, 16))
         contrib = rng.uniform(0.0, 1.0, n) ** 2
         theta = float(rng.uniform(0.05, 0.95))
-        marked = dorfler_mark(Fake(contrib), theta)
+        marked = dorfler_mark(contrib, theta)
         if (contrib[marked].sum() < theta * contrib.sum() * (1 - 1e-9)
                 or len(marked) != brute_force_min_cardinality(contrib,
                                                               theta)):

@@ -11,25 +11,11 @@ from obstacle_afem import adapt, problems
 from obstacle_afem import (ProblemSpec, Square, dorfler_mark,
                            example1, example2, reference_energy, run_adaptive,
                            run_uniform)
-from tests.conftest import recording
+from tests.conftest import brute_force_min_cardinality, recording
 from tests.edge_oracles import exact_trace
 
 WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" \
     / "workloads.py"
-
-
-class FakeIndicators:
-    def __init__(self, contributions):
-        self.contributions = np.asarray(contributions, dtype=float)
-
-
-def brute_force_min_cardinality(contrib, theta):
-    n = len(contrib)
-    masks = np.arange(1 << n, dtype=np.uint64)
-    bits = ((masks[:, None] >> np.arange(n, dtype=np.uint64)) & 1)
-    sums = bits.astype(float) @ contrib
-    ok = sums >= theta * contrib.sum()
-    return int(bits.sum(axis=1)[ok].min())
 
 
 def zero_problem():
@@ -44,25 +30,25 @@ def achieved_fraction(contrib, marked):
 
 def test_dorfler_small_fraction_marks_single_largest():
     contrib = [4.0, 3.0, 2.0, 1.0]
-    marked = dorfler_mark(FakeIndicators(contrib), 0.4)
+    marked = dorfler_mark(contrib, 0.4)
     assert list(marked) == [0]
     assert achieved_fraction(contrib, marked) >= 0.4
 
 
 def test_dorfler_large_fraction_marks_three():
     contrib = [4.0, 3.0, 2.0, 1.0]
-    marked = dorfler_mark(FakeIndicators(contrib), 0.8)
+    marked = dorfler_mark(contrib, 0.8)
     assert list(marked) == [0, 1, 2]
     assert np.isclose(achieved_fraction(contrib, marked), 0.9)
 
 
 def test_dorfler_tie_breaks_by_edge_id():
-    marked = dorfler_mark(FakeIndicators([2.0, 2.0, 1.0]), 0.4)
+    marked = dorfler_mark([2.0, 2.0, 1.0], 0.4)
     assert list(marked) == [0]
 
 
 def test_dorfler_returns_sorted_edge_id_array():
-    marked = dorfler_mark(FakeIndicators([1.0, 3.0, 0.5, 2.0]), 0.7)
+    marked = dorfler_mark([1.0, 3.0, 0.5, 2.0], 0.7)
     assert isinstance(marked, np.ndarray)
     assert marked.dtype.kind == "i"
     assert marked.tolist() == [1, 3]
@@ -70,9 +56,9 @@ def test_dorfler_returns_sorted_edge_id_array():
 
 def test_dorfler_validates_inputs():
     with pytest.raises(ValueError):
-        dorfler_mark(FakeIndicators([1.0]), 1.5)
+        dorfler_mark([1.0], 1.5)
     with pytest.raises(ValueError):
-        dorfler_mark(FakeIndicators([0.0, 0.0]), 0.5)
+        dorfler_mark([0.0, 0.0], 0.5)
 
 
 @pytest.mark.parametrize("contrib", [[1.0, np.nan, 0.0, 0.0, 0.0],
@@ -80,7 +66,7 @@ def test_dorfler_validates_inputs():
                                      [1.0, 2.0, -np.inf, 0.0, 0.0]])
 def test_dorfler_rejects_non_finite_contributions(contrib):
     with pytest.raises(ValueError, match="contributions are not finite"):
-        dorfler_mark(FakeIndicators(contrib), 0.5)
+        dorfler_mark(contrib, 0.5)
 
 
 def test_dorfler_minimality_matches_brute_force():
@@ -89,7 +75,7 @@ def test_dorfler_minimality_matches_brute_force():
         n = int(rng.integers(1, 13))
         contrib = rng.uniform(0.0, 1.0, n) ** 2
         theta = float(rng.uniform(0.05, 0.95))
-        marked = dorfler_mark(FakeIndicators(contrib), theta)
+        marked = dorfler_mark(contrib, theta)
         assert contrib[marked].sum() >= theta * contrib.sum() * (1 - 1e-9)
         assert len(marked) == brute_force_min_cardinality(contrib, theta)
 

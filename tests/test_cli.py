@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from obstacle_afem.cli import RunConfig, _read_config, fit_rates, main, run
 from obstacle_afem.mesh import LShape, Square
-from obstacle_afem.problems import _EXPR_NAMES, load_custom, read_json
+from obstacle_afem.problems import (_EXPR_NAMES, _compile_expr,
+                                    load_custom, read_json)
 
 
 def test_fit_rates_exact_half_slope():
@@ -324,6 +325,22 @@ def test_cli_non_finite_data_exit_two(tmp_path, capsys, key, expr,
         assert main(["run", "--problem", f"custom:{path}"]) == 2
     assert message in capsys.readouterr().err
     assert not [w for w in caught if w.category is RuntimeWarning]
+
+
+def test_cli_g_infinite_at_a_new_boundary_node_exit_two(tmp_path, capsys):
+    # finite at every sample of apx on the coarse edges, infinite at the
+    # node x = 5/16 that level 4 creates: interpolate_boundary's own check
+    path, out = tmp_path / "pole.json", tmp_path / "pole.csv"
+    path.write_text(json.dumps({"domain": {"type": "square"},
+                                "f": "-2 + 0*x",
+                                "g": "1/(x - 0.3125)**2 + 0*y"}))
+    assert main(["run", "--problem", f"custom:{path}", "--mode", "uniform",
+                 "--max-elements", "3000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: Dirichlet data g is not finite at a boundary node"]
+    rows = csv_numbers(out)
+    assert [r["level"] for r in rows] == [0, 1, 2, 3]
+    assert [r["N"] for r in rows] == [2, 8, 32, 128]
 
 
 @pytest.mark.parametrize("chi,code,message", [
@@ -697,6 +714,42 @@ def test_cli_expression_nested_past_the_recursion_limit_exit_one(
     assert err[0].startswith("usage error: bad custom problem config: "
                              "expression")
     assert err[0].endswith("nested too deeply")
+
+
+# numpy's message for an expression of the wrong type
+_BITWISE_FLOAT_REASON = str(pytest.raises(
+    TypeError, eval, "(x < 1) | y", {"x": np.ones(2), "y": np.ones(2)}).value)
+
+
+# an expression of each error path, with the reason its line ends with
+@pytest.mark.parametrize("expr,code,reason", [
+    ("x" + "+x" * 1999, 1, "nested too deeply"),
+    ("foo(x)" + "+x" * 300, 1, "Call is not allowed"),
+    ("(x < 1) | y" + "+x" * 300, 1, _BITWISE_FLOAT_REASON),
+    ("1/0" + "+x" * 500, 2, "float division by zero"),
+], ids=["nesting", "rejection", "type", "constant"])
+def test_cli_long_expression_error_is_short(tmp_path, capsys, expr, code,
+                                            reason):
+    # the expression is quoted by its first 80 characters and its length,
+    # not whole
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"domain": {"type": "square"}, "f": expr,
+                                "g": "0*x"}))
+    assert main(["run", "--problem", f"custom:{path}"]) == code
+    line = capsys.readouterr().err.splitlines()[0]
+    assert line.endswith(f"'{expr[:80]}'... ({len(expr)} characters): "
+                         f"{reason}")
+    assert len(line) - len(reason) < 200
+
+
+@pytest.mark.parametrize("expr,quoted", [
+    ("foo(x)" + "+x" * 37, repr),
+    ("foo(xx)" + "+x" * 37, lambda e: f"'{e[:80]}'... (81 characters)"),
+], ids=["80", "81"])
+def test_expression_error_quotes_at_most_80_characters(expr, quoted):
+    with pytest.raises(ValueError) as info:
+        _compile_expr(expr)
+    assert str(info.value) == f"expression {quoted(expr)}: Call is not allowed"
 
 
 # The layouts of both JSON inputs as the README states them, {key: JSON

@@ -235,17 +235,18 @@ def test_dump_indicators_writes_the_row_writers_bytes(tmp_path, monkeypatch,
                                                       block):
     # the final indicators of adaptive runs on the square (g != 0, so
     # apx2 > 0) and on the L-shape, in one block of edges or in several
-    sets = [run_adaptive(problem, 0.5, max_elements=500).indicators
-            for problem in (example1(), example2())]
-    assert (sets[0].apx2 > 0).any()
+    results = [run_adaptive(problem, 0.5, max_elements=500)
+               for problem in (example1(), example2())]
+    assert (results[0].indicators.apx2 > 0).any()
     if block is not None:
         monkeypatch.setattr(quadrature, "BLOCK", block)
-    for ind in sets:
+    for result in results:
+        mesh, ind = result.mesh, result.indicators
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        dump_indicators(ind, got)
-        row_dump_indicators(ind, want)
+        dump_indicators(mesh, ind, got)
+        row_dump_indicators(mesh, ind, want)
         assert got.read_bytes() == want.read_bytes()
-        assert len(got.read_bytes().splitlines()) == 1 + ind.mesh.num_edges
+        assert len(got.read_bytes().splitlines()) == 1 + mesh.num_edges
 
 
 def test_dump_indicators_format(tmp_path, unit_square_mesh, zero_trace):
@@ -253,7 +254,7 @@ def test_dump_indicators_format(tmp_path, unit_square_mesh, zero_trace):
                               np.zeros(unit_square_mesh.num_nodes),
                               lambda x, y: np.ones_like(x), zero_trace)
     path = tmp_path / "ind.csv"
-    dump_indicators(ind, path)
+    dump_indicators(unit_square_mesh, ind, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "edge_id,kind,eta2,osc2,apx2"
     assert len(lines) == 1 + unit_square_mesh.num_edges
