@@ -10,7 +10,7 @@ import numpy as np
 
 from .adapt import run_adaptive, run_uniform
 from .estimator import dump_indicators
-from .mesh import dump_mesh
+from .mesh import build_initial_mesh, dump_mesh
 from .problems import (example1, example2, load_custom, read_json,
                        reference_energy)
 
@@ -92,7 +92,7 @@ def run(config):
     problem = _load_problem(config.problem)
     ref = None
     if problem.exact_energy is None and config.reference_elements:
-        ref = reference_energy(problem, n_target=config.reference_elements)
+        ref = _reference(problem, config)
 
     kwargs = dict(max_elements=config.max_elements,
                   max_level=config.max_level, reference_energy=ref)
@@ -114,6 +114,34 @@ def run(config):
     if config.dump_indicators:
         dump_indicators(result.mesh, result.indicators, config.dump_indicators)
     return result.records
+
+
+def _reference(problem, config):
+    """J_ref: the last energy of the run's adaptive sequence continued
+    to ``reference_elements``, or in uniform mode ``reference_energy``.
+    The reference mesh must be finer than the run's last mesh, so a
+    budget below four times that mesh's elements, or in adaptive mode
+    (one level at most quadruples the elements) four times the larger of
+    ``max_elements`` and the coarse mesh's, is a usage error."""
+    k = config.reference_elements
+    n = build_initial_mesh(problem.domain).num_triangles
+    if config.mode == "adaptive":
+        what = (f"the larger of --max-elements ({config.max_elements}) "
+                f"and the coarse mesh's {n} elements")
+        n = max(n, config.max_elements)
+    else:
+        level = 0
+        while n < config.max_elements and level < config.max_level:
+            n, level = 4 * n, level + 1
+        what = f"the run's last mesh of {n} elements"
+    if k < 4 * n:
+        raise UsageError(f"--reference-elements must be at least {4 * n} "
+                         f"(four times {what}), not {k}")
+    if config.mode == "uniform":
+        return reference_energy(problem, n_target=k)
+    # 40 levels past the run's cap, so that the budget ends the sequence
+    return run_adaptive(problem, config.theta, max_elements=k,
+                        max_level=config.max_level + 40).records[-1].energy
 
 
 def write_csv(records, path):
@@ -152,6 +180,10 @@ def _rate_data(path, quantity, window):
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if column not in (reader.fieldnames or ()):
+            if quantity == "sqrt_eps":
+                raise UsageError(f"--quantity sqrt_eps needs the eps column, "
+                                 f"which {path} lacks: a run writes it only "
+                                 "with an exact or reference energy")
             raise UsageError(f"--quantity {quantity!r} is not a column "
                              f"of {path} or sqrt_eps")
         if "N" not in reader.fieldnames:

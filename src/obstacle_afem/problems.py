@@ -154,34 +154,31 @@ def _in_ring(r):
 
 
 def _gamma1_derivatives(r):
-    """First and second radial derivatives of the quintic cutoff."""
-    inside = _in_ring(r)
-    rb = np.where(inside, 2.0 * (r - 0.25), 0.0)
+    """First and second radial derivatives of the quintic cutoff at radii
+    of the ring."""
+    rb = 2.0 * (r - 0.25)
     d1 = 2.0 * (-30.0 * rb ** 4 + 60.0 * rb ** 3 - 30.0 * rb ** 2)
     d2 = 4.0 * (-120.0 * rb ** 3 + 180.0 * rb ** 2 - 60.0 * rb)
-    return np.where(inside, d1, 0.0), np.where(inside, d2, 0.0)
+    return d1, d2
 
 
 def _example2_f(x, y):
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(y, dtype=float))
     r = np.hypot(x, y)
-    # the singular part is computed where the cutoff varies; at other
-    # finite points it is the zero -0.0 * s, and s can carry a minus
-    # sign only where x and y both do
-    at = _in_ring(r) | (np.signbit(x) & np.signbit(y)) | np.isinf(r)
-    ra = r[at]
+    # off the ring the singular part is the zero -0.0 * s for r >= 1/4
+    # (s >= 0 on the L-shape) and 0.0 below; gamma2 = 1 beyond r = 5/4
+    f = np.where(r > 1.25, -1.0, np.where(r >= 0.25, -0.0, 0.0))
+    ring = _in_ring(r)
+    ra = r[ring]
     # polar angle measured from the reentrant edge (negative y-axis),
     # counterclockwise over the interior angle 3*pi/2
-    phi = np.arctan2(y[at], x[at]) + 0.5 * np.pi
+    phi = np.arctan2(y[ring], x[ring]) + 0.5 * np.pi
     s = np.sin(2.0 * phi / 3.0)
     d1, d2 = _gamma1_derivatives(ra)
-    rs = np.where(ra > 0.0, ra, 1.0)
-    singular = np.full(r.shape, -0.0)
-    singular[at] = -rs ** (2.0 / 3.0) * s * (d1 / rs + d2) \
-        - (4.0 / 3.0) * rs ** (-1.0 / 3.0) * d1 * s
-    gamma2 = np.where(r > 1.25, 1.0, 0.0)
-    return np.where(r >= 0.25, singular, 0.0) - gamma2
+    f[ring] = -ra ** (2.0 / 3.0) * s * (d1 / ra + d2) \
+        - (4.0 / 3.0) * ra ** (-1.0 / 3.0) * d1 * s
+    return f
 
 
 def example2():

@@ -19,8 +19,7 @@ solution (whose values are example 1's g) gives the H1 error.
 import numpy as np
 import scipy.sparse as sp
 
-from obstacle_afem.problems import (_HALF_WIDTH, _SHIFT,
-                                    _gamma1_derivatives)
+from obstacle_afem.problems import _HALF_WIDTH, _SHIFT, _in_ring
 from obstacle_afem.quadrature import (TRI_BARY, TRI_WEIGHTS, f_at_points,
                                       triangle_points)
 
@@ -127,13 +126,22 @@ def whole_domain_chi_laplacian(x, y):
     return np.where(x < -1.0, val, 0.0) + 0.0 * np.asarray(y, dtype=float)
 
 
+def masked_gamma1_derivatives(r):
+    """The cutoff's radial derivatives at any radii, 0 off the ring."""
+    inside = _in_ring(r)
+    rb = np.where(inside, 2.0 * (r - 0.25), 0.0)
+    d1 = 2.0 * (-30.0 * rb ** 4 + 60.0 * rb ** 3 - 30.0 * rb ** 2)
+    d2 = 4.0 * (-120.0 * rb ** 3 + 180.0 * rb ** 2 - 60.0 * rb)
+    return np.where(inside, d1, 0.0), np.where(inside, d2, 0.0)
+
+
 def whole_domain_example2_f(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     r = np.hypot(x, y)
     phi = np.arctan2(y, x) + 0.5 * np.pi
     s = np.sin(2.0 * phi / 3.0)
-    d1, d2 = _gamma1_derivatives(r)
+    d1, d2 = masked_gamma1_derivatives(r)
     rs = np.where(r > 0.0, r, 1.0)
     gamma2 = np.where(r > 1.25, 1.0, 0.0)
     singular = -rs ** (2.0 / 3.0) * s * (d1 / rs + d2) \

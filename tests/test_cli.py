@@ -185,12 +185,47 @@ def test_cli_run_flags_are_the_run_config_fields(capsys):
 @pytest.mark.parametrize("value,code,message", [
     ("-5", 1, "--reference-elements must be at least 1, not -5"),
     ("0", 1, "--reference-elements must be at least 1, not 0"),
-    ("5", 2, "below the 6-element coarse mesh"),
+    ("5", 1, "--reference-elements must be at least 40 (four times the "
+             "larger of --max-elements (10) and the coarse mesh's 6 elements)"),
 ])
 def test_cli_reference_elements_out_of_range(capsys, value, code, message):
     assert main(["run", "--problem", "example2", "--reference-elements",
                  value, "--max-elements", "10"]) == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,message", [
+    # the reference would be the run's own last mesh
+    (["--max-elements", "30000", "--reference-elements", "200000"],
+     "at least 393216 (four times the run's last mesh of 98304 elements), "
+     "not 200000"),
+    (["--max-elements", "100", "--reference-elements", "50"],
+     "at least 1536 (four times the run's last mesh of 384 elements), "
+     "not 50"),
+], ids=["its-last-mesh", "below-its-last-mesh"])
+def test_cli_uniform_reference_coarser_than_four_times_the_run_exits_one(
+        capsys, monkeypatch, args, message):
+    import obstacle_afem.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a level was solved")
+
+    monkeypatch.setattr(cli, "reference_energy", unreachable)
+    monkeypatch.setattr(cli, "run_uniform", unreachable)
+    assert main(["run", "--problem", "example2", "--mode", "uniform",
+                 *args]) == 1
+    assert capsys.readouterr().err.splitlines()[0] == \
+        f"usage error: --reference-elements must be {message}"
+
+
+def test_cli_adaptive_eps_falls_against_the_continued_sequence(tmp_path):
+    # J_ref is the last energy of the same adaptive sequence continued to
+    # --reference-elements, so eps falls as the run's levels near it
+    out = tmp_path / "e2.csv"
+    assert main(["run", "--problem", "example2", "--max-elements", "2000",
+                 "--reference-elements", "20000", "--out", str(out)]) == 0
+    eps = [float(r["eps"]) for r in csv.DictReader(open(out))]
+    assert eps[-3] > eps[-2] > eps[-1] > 0.0
 
 
 @pytest.mark.parametrize("key,value", [
@@ -232,7 +267,11 @@ def test_cli_missing_output_directory_exit_one(tmp_path, capsys,
     (["--window", "0"], "--window must be at least 1, not 0"),
     (["--window", "-3"], "--window must be at least 1, not -3"),
     (["--quantity", "foo"], "--quantity 'foo' is not a column"),
-], ids=["window-zero", "window-negative", "quantity"])
+    (["--quantity", "sqrt_eps"], "--quantity sqrt_eps needs the eps column"),
+    (["--quantity", "sqrt_eps"], "rates.csv lacks: a run writes it only "
+                                 "with an exact or reference energy"),
+], ids=["window-zero", "window-negative", "quantity", "sqrt-eps",
+        "sqrt-eps-why"])
 def test_cli_fit_rates_bad_input_exit_one(tmp_path, capsys, args, message):
     path = tmp_path / "rates.csv"  # 13 levels, rho = N^(-1/2)
     path.write_text("level,N,rho\n" + "".join(
@@ -956,7 +995,7 @@ def test_cli_overflow_in_the_reference_loop_is_one_error_line(
     proc = subprocess.run(
         [sys.executable, "-m", "obstacle_afem.cli", "run", "--problem",
          f"custom:{path}", "--mode", "uniform", "--max-elements", "300",
-         "--reference-elements", "2000"],
+         "--reference-elements", "2048"],
         env=cli_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [line]

@@ -6,10 +6,12 @@ import pytest
 from obstacle_afem import (LShape, Obstacle, ProblemSpec,
                            Square, apx_indicator, build_initial_mesh,
                            example1, example2, load_custom, problems,
-                           reference_energy, refine, to_zero_obstacle)
+                           reference_energy, refine, run_adaptive,
+                           to_zero_obstacle)
 from obstacle_afem.problems import (_chi_laplacian, _chi_value,
                                     _compile_expr, _example2_f,
                                     _gamma1_derivatives)
+from obstacle_afem.quadrature import f_at_points, triangle_points
 from tests.conftest import recording
 from tests.kernel_oracles import (example1_gradient, radial_example1_energy,
                                   whole_domain_chi_laplacian,
@@ -167,8 +169,9 @@ def test_example2_force_frozen_values():
 
 def test_example2_data_match_the_whole_domain_formulas():
     # the singular part of f is computed on the ring 1/4 <= r < 3/4 only
-    # and the obstacle Laplacian on x < -1 only; values and signs of zero
-    # stay those of one formula on all points
+    # and the obstacle Laplacian on x < -1 only; values stay those of one
+    # formula on all points, and so do signs of zero outside the open
+    # third quadrant
     rng = np.random.default_rng(8)
     xs, ys = rng.uniform(-2.0, 2.0, (2, 20000))
     t = rng.uniform(-np.pi, np.pi, 400)
@@ -180,10 +183,15 @@ def test_example2_data_match_the_whole_domain_formulas():
     zeros = np.array([0.0, -0.0, 0.3, -0.3])
     xs = np.append(xs, np.repeat(zeros, 4))
     ys = np.append(ys, np.tile(zeros, 4))
-    for fn, oracle in ((_example2_f, whole_domain_example2_f),
-                       (_chi_laplacian, whole_domain_chi_laplacian)):
+    # there, outside the L-shape, f's zeros may carry either sign
+    outside = ~((xs < 0.0) & (ys < 0.0))
+    for fn, oracle, signed in ((_example2_f, whole_domain_example2_f,
+                                outside),
+                               (_chi_laplacian, whole_domain_chi_laplacian,
+                                slice(None))):
         value, expect = fn(xs, ys), oracle(xs, ys)
         assert np.array_equal(value, expect)
+        value, expect = value[signed], expect[signed]
         assert np.array_equal(np.signbit(value), np.signbit(expect))
         assert np.signbit(expect).any() and not np.signbit(expect).all()
         assert np.array_equal(fn(xs, 0.5), oracle(xs, 0.5))
@@ -192,6 +200,29 @@ def test_example2_data_match_the_whole_domain_formulas():
             assert np.shape(one) == ()
             assert one == oracle(x, y)
             assert np.signbit(one) == np.signbit(oracle(x, y))
+
+
+def test_example2_data_match_the_whole_domain_formulas_at_quadrature_points():
+    # every quadrature point of a uniform and an adaptive L-shape mesh:
+    # values and signs of zero are those of one formula on the plane
+    mesh = build_initial_mesh(LShape())
+    for _ in range(6):
+        mesh = refine(mesh, np.arange(mesh.num_edges))
+    assert mesh.num_triangles == 24576
+    shifted = to_zero_obstacle(example2()).f
+
+    def shifted_oracle(x, y):
+        return whole_domain_example2_f(x, y) \
+            + whole_domain_chi_laplacian(x, y)
+
+    for m in (mesh, run_adaptive(example2(), 0.5, max_elements=3000).mesh):
+        pts = triangle_points(m, slice(None))
+        for fn, oracle in ((_example2_f, whole_domain_example2_f),
+                           (shifted, shifted_oracle)):
+            value = f_at_points(fn, pts)
+            expect = f_at_points(oracle, pts)
+            assert np.array_equal(value, expect)
+            assert np.array_equal(np.signbit(value), np.signbit(expect))
 
 
 def test_example2_transformed_boundary_data_vanish():
